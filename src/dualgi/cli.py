@@ -19,8 +19,8 @@ import time
 
 import numpy as np
 
-from . import decomposition, inverses, io, relations, solver
-from .dual import DualMatrix
+from . import decomposition, inverses, io, solver
+from .dual import DualVector, dual_power
 from .errors import DimensionError, HypothesisError, InverseNotExistError
 from .realkernel import DEFAULT_TOL
 
@@ -31,23 +31,17 @@ EXIT_HYPOTHESIS = 3
 
 TOL_ENV_VAR = "DUALGI_TOL"
 
+# kind -> the certificate whose witness is the inverse (raises
+# InverseNotExistError when it does not exist); the MPDGI formula is
+# always defined and has no certificate
 _INVERSE_KINDS = {
-    "mpdgi": lambda ah, tol: inverses.mpdgi(ah),
-    "dmpgi": inverses.dmpgi,
-    "ddgi": inverses.ddgi,
-    "group": inverses.dual_group,
-    "core": inverses.dual_core_inverse,
-    "cep": inverses.dcepgi,
-    "cep-compact": inverses.dcepgi_compact,
-}
-
-_EXISTENCE_TESTS = {
-    "dmpgi": inverses.dmpgi_exists,
-    "ddgi": inverses.ddgi_exists,
-    "group": inverses.dcepgi_exists,
-    "core": inverses.dcepgi_exists,
-    "cep": inverses.dcepgi_exists,
-    "cep-compact": inverses.dcepgi_exists,
+    "mpdgi": None,
+    "dmpgi": inverses._dmpgi,
+    "ddgi": inverses._ddgi,
+    "group": inverses._dual_group,
+    "core": inverses._dual_core_inverse,
+    "cep": inverses._dcepgi,
+    "cep-compact": inverses._dcepgi_compact,
 }
 
 
@@ -92,30 +86,32 @@ def cmd_inverse(args):
         "inputs": {args.input: _digest(args.input)},
         "tolerance": args.tol,
     }
+    certified = _INVERSE_KINDS[args.kind]
     try:
-        result = _INVERSE_KINDS[args.kind](ah, args.tol) \
-            if args.kind != "mpdgi" else inverses.mpdgi(ah)
+        cert = certified(ah, args.tol) if certified else None
     except InverseNotExistError as exc:
         report["exists"] = False
         report["message"] = str(exc)
         report["certificate"] = _certificate_dict(exc.certificate)
-        report["elapsed_seconds"] = time.perf_counter() - start
-        _emit(report, args.output)
-        return EXIT_NOT_EXIST
-    report["exists"] = True
-    report["result"] = io.dual_matrix_to_dict(result, name=f"{name or 'input'}_{args.kind}")
-    if args.kind in _EXISTENCE_TESTS:
-        cert = _EXISTENCE_TESTS[args.kind](ah, args.tol)
-        report["certificate"] = _certificate_dict(cert)
+        code = EXIT_NOT_EXIST
+    else:
+        report["exists"] = True
+        report["result"] = io.dual_matrix_to_dict(
+            cert.witness if cert else inverses.mpdgi(ah),
+            name=f"{name or 'input'}_{args.kind}")
+        if cert:
+            report["certificate"] = _certificate_dict(cert)
+        code = EXIT_OK
     report["elapsed_seconds"] = time.perf_counter() - start
     _emit(report, args.output)
-    return EXIT_OK
+    return code
 
 
 def cmd_decompose(args):
     name, ah = io.read_dual_matrix(args.input)
     start = time.perf_counter()
-    d = decomposition.dual_core_ep_decompose(ah, args.tol)
+    frame = inverses._frame(ah, "dual_core_ep_decompose")
+    d = decomposition._decompose(ah, frame, args.tol)
     recon_res = (d.reconstruct() - ah).norm() / (1.0 + ah.norm())
     report = {
         "command": "decompose",
@@ -131,12 +127,12 @@ def cmd_decompose(args):
         "U3": d.U3.tolist(),
         "reconstruction_residual": recon_res,
     }
-    cert = inverses.dcepgi_exists(ah, args.tol)
+    cert = inverses._dcepgi_certificate(ah, frame, args.tol)
     report["dcepgi_certificate"] = _certificate_dict(cert)
     if cert.exists:
-        split = decomposition.dual_cn_split(ah, args.tol)
-        report["core_part"] = io.dual_matrix_to_dict(split.core, name="core")
-        report["nilpotent_part"] = io.dual_matrix_to_dict(split.nilpotent,
+        core = ah @ cert.witness @ ah
+        report["core_part"] = io.dual_matrix_to_dict(core, name="core")
+        report["nilpotent_part"] = io.dual_matrix_to_dict(ah - core,
                                                           name="nilpotent")
     report["elapsed_seconds"] = time.perf_counter() - start
     _emit(report, args.output)
@@ -155,7 +151,8 @@ def cmd_solve(args):
         "seed": args.seed,
     }
     if args.mode == "general":
-        sol = solver.solve_general(ah, bhat, args.tol)
+        frame = solver._checked_frame(ah, bhat)
+        sol = solver._solve_general(ah, bhat, frame, args.tol)
         report["particular"] = io.dual_vector_to_dict(sol.particular,
                                                       name="particular")
         report["homogeneous_projector"] = io.dual_matrix_to_dict(
@@ -163,18 +160,13 @@ def cmd_solve(args):
         report["residual"] = sol.residual
         # spot-check random homogeneous shifts
         rng = np.random.default_rng(args.seed)
-        from .dual import DualVector, dual_power
-        from .inverses import dmpgi, _eff_index
-        m = _eff_index(ah.std)
-        ahm = dual_power(ah, m)
-        rhs_fixed = dual_power(ah, 2 * m) @ (dmpgi(ahm, args.tol) @ bhat)
+        power = dual_power(ah, frame.mp + 1)
         checks = []
         for _ in range(args.spot_checks):
             yhat = DualVector(rng.standard_normal(len(bhat)),
                               rng.standard_normal(len(bhat)))
             xh = sol.solution(yhat)
-            res = (dual_power(ah, m + 1) @ xh - rhs_fixed).norm() \
-                / (1.0 + bhat.norm())
+            res = (power @ xh - sol.surrogate_rhs).norm() / (1.0 + bhat.norm())
             checks.append(res)
         report["spot_check_residuals"] = checks
     else:

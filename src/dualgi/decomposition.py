@@ -22,7 +22,7 @@ import numpy as np
 
 from .dual import DualMatrix
 from .errors import DimensionError, InverseNotExistError
-from .inverses import dcepgi_exists
+from .inverses import _dcepgi_witness, _frame
 from .realkernel import DEFAULT_TOL, core_ep_decompose
 
 __all__ = [
@@ -32,6 +32,13 @@ __all__ = [
     "dual_cn_split",
     "dcepgi_from_decomposition",
 ]
+
+
+def _upper(t1_hat, t2_hat, n_hat):
+    """The dual block matrix [[t1_hat, t2_hat], [O, n_hat]]."""
+    low = np.zeros((n_hat.shape[0], t1_hat.shape[1]))
+    return DualMatrix(np.block([[t1_hat.std, t2_hat.std], [low, n_hat.std]]),
+                      np.block([[t1_hat.inf, t2_hat.inf], [low, n_hat.inf]]))
 
 
 @dataclass(frozen=True)
@@ -58,38 +65,25 @@ class DualCoreEPDecomposition:
 
     def middle(self):
         """The dual block factor [[T1hat, T2hat], [O, Nhat]]."""
-        t, n = self.t, self.n
+        return _upper(self.T1_hat, self.T2_hat, self.N_hat)
 
-        def stack(part_t1, part_t2, part_n):
-            top = np.hstack([part_t1, part_t2])
-            bottom = np.hstack([np.zeros((n - t, t)), part_n])
-            return np.vstack([top, bottom])
-
-        return DualMatrix(
-            stack(self.T1_hat.std, self.T2_hat.std, self.N_hat.std),
-            stack(self.T1_hat.inf, self.T2_hat.inf, self.N_hat.inf))
+    def _conjugate(self, t1_hat, t2_hat, n_hat):
+        """Uhat [[t1_hat, t2_hat], [O, n_hat]] Uhat^T."""
+        return self.U_hat @ _upper(t1_hat, t2_hat, n_hat) @ self.U_hat.T
 
     def reconstruct(self):
-        return self.U_hat @ self.middle() @ self.U_hat.T
+        return self._conjugate(self.T1_hat, self.T2_hat, self.N_hat)
 
     def core_part(self):
         """Uhat [[T1hat, T2hat], [O, O]] Uhat^T."""
-        t, n = self.t, self.n
-        zero = DualMatrix.zeros(n - t, n - t)
-        trimmed = DualCoreEPDecomposition(
-            self.U_hat, self.T1_hat, self.T2_hat, zero, self.U3,
-            self.canonical, self.t, self.m)
-        return trimmed.reconstruct()
+        return self._conjugate(self.T1_hat, self.T2_hat,
+                               DualMatrix.zeros(self.n - self.t))
 
     def nilpotent_part(self):
         """Uhat [[O, O], [O, Nhat]] Uhat^T."""
         t = self.t
-        zero_t1 = DualMatrix.zeros(t, t)
-        zero_t2 = DualMatrix.zeros(t, self.n - t)
-        trimmed = DualCoreEPDecomposition(
-            self.U_hat, zero_t1, zero_t2, self.N_hat, self.U3,
-            self.canonical, self.t, self.m)
-        return trimmed.reconstruct()
+        return self._conjugate(DualMatrix.zeros(t),
+                               DualMatrix.zeros(t, self.n - t), self.N_hat)
 
 
 @dataclass(frozen=True)
@@ -110,27 +104,20 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     if not ah.is_square:
         raise DimensionError(f"dual_core_ep_decompose needs a square dual "
                              f"matrix, got {ah.shape}")
-    a, b = ah.std, ah.inf
-    blocks = core_ep_decompose(a, u=u)
-    t, n = blocks.t, blocks.n
-    m = max(blocks.m, 1)
-    t1, t2, nb = blocks.T1, blocks.T2, blocks.N
-    b1, b2, b3, b4 = blocks.split_blocks(b)
+    return _decompose(ah, core_ep_decompose(ah.std, u=u), tol)
 
-    # U3 = sum_{i=0..m-1} N^i B3 T1^-(i+1): the unique solution of
-    # N U3 + B3 - U3 T1 = O (T1 invertible, N nilpotent).
-    t1_inv = np.linalg.inv(t1) if t else np.zeros((0, 0))
-    u3 = np.zeros((n - t, t))
-    n_pow = np.eye(n - t)
-    t1_inv_pow = t1_inv
-    for _ in range(m):
-        u3 += n_pow @ b3 @ t1_inv_pow
-        n_pow = n_pow @ nb
-        t1_inv_pow = t1_inv_pow @ t1_inv
 
-    u0 = blocks.U @ np.block([[np.zeros((t, t)), -u3.T],
-                              [u3, np.zeros((n - t, n - t))]])
-    u_hat = DualMatrix(blocks.U, u0)
+def _decompose(ah, frame, tol):
+    """``dual_core_ep_decompose`` in a given frame of the standard part."""
+    b = ah.inf
+    t, n = frame.t, frame.n
+    t1, t2, nb = frame.T1, frame.T2, frame.N
+    b1, b2, b3, b4 = frame.split_blocks(b)
+    u3 = frame.sylvester(b3)
+
+    u0 = frame.U @ np.block([[np.zeros((t, t)), -u3.T],
+                             [u3, np.zeros((n - t, n - t))]])
+    u_hat = DualMatrix(frame.U, u0)
 
     t1_hat = DualMatrix(t1, t2 @ u3 + b1)
     t2_hat = DualMatrix(t2, b2 + u3.T @ nb - t1 @ u3.T)
@@ -140,7 +127,7 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
                      and np.linalg.norm(u3 @ t2) <= tol * scale)
     return DualCoreEPDecomposition(U_hat=u_hat, T1_hat=t1_hat, T2_hat=t2_hat,
                                    N_hat=n_hat, U3=u3, canonical=canonical,
-                                   t=t, m=blocks.m)
+                                   t=t, m=frame.m)
 
 
 def dual_cn_split(ah, tol=DEFAULT_TOL):
@@ -151,11 +138,10 @@ def dual_cn_split(ah, tol=DEFAULT_TOL):
     split of the dual core-EP decomposition when the decomposition is
     canonical.
     """
-    cert = dcepgi_exists(ah, tol)
-    if not cert.exists:
-        raise InverseNotExistError(
-            "dual core-nilpotent split needs the DCEPGI to exist", cert)
-    core = ah @ cert.witness @ ah
+    frame = _frame(ah, "dual_cn_split")
+    x = _dcepgi_witness(ah, frame, tol,
+                        "dual core-nilpotent split needs the DCEPGI to exist")
+    core = ah @ x @ ah
     return DualCNSplit(core=core, nilpotent=ah - core)
 
 
@@ -175,8 +161,5 @@ def dcepgi_from_decomposition(d, tol=DEFAULT_TOL):
         raise InverseNotExistError("T1hat standard part is singular", None)
     t1_inv = np.linalg.inv(t1)
     t1_hat_inv = DualMatrix(t1_inv, -t1_inv @ d.T1_hat.inf @ t1_inv)
-    zero_t2 = DualMatrix.zeros(t, n - t)
-    zero_n = DualMatrix.zeros(n - t, n - t)
-    trimmed = DualCoreEPDecomposition(d.U_hat, t1_hat_inv, zero_t2, zero_n,
-                                      d.U3, d.canonical, d.t, d.m)
-    return trimmed.reconstruct()
+    return d._conjugate(t1_hat_inv, DualMatrix.zeros(t, n - t),
+                        DualMatrix.zeros(n - t))

@@ -8,9 +8,12 @@ compact product formula and a brute-force linear-system oracle.
 Existence is decided numerically: each certificate lists relative
 residuals (scaled by 1 + input norm) and the inverse exists exactly
 when every listed residual is at or below the tolerance.
+
+Each public call builds the core-EP frame of A at most once; the private
+helpers take that frame, so other modules can share it too.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -54,6 +57,10 @@ class ExistenceCertificate:
     witness: Optional[DualMatrix] = None
 
 
+_NO_DDGI = "dual Drazin inverse does not exist"
+_NO_DCEPGI = "dual core-EP inverse does not exist"
+
+
 def _rel(value, scale):
     return float(value) / (1.0 + float(scale))
 
@@ -65,9 +72,22 @@ def _certify(residuals, tol, witness_fn=None):
                                 tolerance=tol, witness=witness)
 
 
+def _certified(cert, message):
+    """``cert`` when its inverse exists; InverseNotExistError otherwise."""
+    if not cert.exists:
+        raise InverseNotExistError(message, cert)
+    return cert
+
+
 def _require_square(ah, op):
     if not ah.is_square:
         raise DimensionError(f"{op} needs a square dual matrix, got {ah.shape}")
+
+
+def _frame(ah, op):
+    """The core-EP frame of the standard part of a square dual matrix."""
+    _require_square(ah, op)
+    return core_ep_decompose(ah.std)
 
 
 def _eff_index(a, tol=None):
@@ -129,6 +149,14 @@ def mpdgi(ah):
     return DualMatrix(ap, -ap @ ah.inf @ ap)
 
 
+def _penrose_projector(ah, ap):
+    """Relative size of (I - A A^+) B (I - A^+ A), for A^+ = ``ap``."""
+    a, b = ah.std, ah.inf
+    left = np.eye(a.shape[0]) - a @ ap
+    right = np.eye(a.shape[1]) - ap @ a
+    return _rel(np.linalg.norm(left @ b @ right), np.linalg.norm(b))
+
+
 def dmpgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual Moore-Penrose inverse.
 
@@ -138,37 +166,34 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL):
     """
     a, b = ah.std, ah.inf
     ap = moore_penrose(a)
-    m_rows, n_cols = a.shape
-    left = np.eye(m_rows) - a @ ap
-    right = np.eye(n_cols) - ap @ a
-    res = _rel(np.linalg.norm(left @ b @ right), np.linalg.norm(b))
-    stacked = np.block([[b, a], [a, np.zeros((m_rows, n_cols))]])
+    stacked = np.block([[b, a], [a, np.zeros(a.shape)]])
     # rank decisions at the certificate tolerance, not machine eps: the
     # inputs may carry roundoff well above eps (e.g. computed powers)
     cut = tol * max(np.linalg.norm(a, 2), np.linalg.norm(b, 2), 1e-300)
     gap = numerical_rank(stacked, cut) - 2 * numerical_rank(a, cut)
-    residuals = {"penrose_projector": res, "rank_gap": float(gap)}
+    residuals = {"penrose_projector": _penrose_projector(ah, ap),
+                 "rank_gap": float(gap)}
     return _certify(residuals, tol, lambda: _dmpgi_formula(ah, ap))
 
 
-def _dmpgi_formula(ah, ap=None):
+def _dmpgi_formula(ah, ap):
     a, b = ah.std, ah.inf
-    if ap is None:
-        ap = moore_penrose(a)
     m_rows, n_cols = a.shape
+    # (A^T A)^+ = A^+ (A^+)^T and (A A^T)^+ = (A^+)^T A^+
     corr = (-ap @ b @ ap
-            + moore_penrose(a.T @ a) @ b.T @ (np.eye(m_rows) - a @ ap)
-            + (np.eye(n_cols) - ap @ a) @ b.T @ moore_penrose(a @ a.T))
+            + ap @ ap.T @ b.T @ (np.eye(m_rows) - a @ ap)
+            + (np.eye(n_cols) - ap @ a) @ b.T @ ap.T @ ap)
     return DualMatrix(ap, corr)
 
 
 def dmpgi(ah, tol=DEFAULT_TOL):
     """Dual Moore-Penrose inverse (all four dual Penrose equations)."""
-    cert = dmpgi_exists(ah, tol)
-    if not cert.exists:
-        raise InverseNotExistError("dual Moore-Penrose inverse does not exist",
-                                   cert)
-    return cert.witness
+    return _dmpgi(ah, tol).witness
+
+
+def _dmpgi(ah, tol):
+    return _certified(dmpgi_exists(ah, tol),
+                      "dual Moore-Penrose inverse does not exist")
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +207,35 @@ def ddgi_exists(ah, tol=DEFAULT_TOL):
     the augmented rank test on [[S, A^m], [A^m, O]] and against the
     existence of the dual MP inverse of Ahat^m.
     """
-    _require_square(ah, "ddgi_exists")
+    return _ddgi_certificates(ah, _frame(ah, "ddgi_exists"), tol)[0]
+
+
+def _ddgi_certificates(ah, frame, tol):
+    """The DDGI certificate, Ahat^m, and the DMPGI certificate of
+    Ahat^m behind the ``power_mp`` residual.  The last rests on the
+    frame's rank-t (A^m)^+; its witness is (Ahat^m)^+."""
     a, b = ah.std, ah.inf
-    n = a.shape[0]
-    m = _eff_index(a)
+    n, m = frame.n, frame.mp
     s = s_matrix(a, b, m)
-    ad = drazin(a)
+    ad = drazin(a, blocks=frame)
     proj = np.eye(n) - a @ ad
     res = _rel(np.linalg.norm(proj @ s @ proj), np.linalg.norm(s))
-    am = np.linalg.matrix_power(a, m)
+    am, ap = frame.am, frame.am_pinv
     stacked = np.block([[s, am], [am, np.zeros((n, n))]])
-    # one cutoff for both ranks, at the certificate tolerance and scaled
-    # to the roundoff floor of the computed power and S-matrix
-    cut = tol * max(np.linalg.norm(a, 2) ** m, np.linalg.norm(s, 2), 1e-300)
-    gap = numerical_rank(stacked, cut) - 2 * numerical_rank(am, cut)
-    power_cert = dmpgi_exists(dual_power(ah, m), tol)
+    # a cutoff at the certificate tolerance, scaled to the roundoff
+    # floor of the computed power and S-matrix; rank(A^m) is the frame's t
+    cut = tol * max(frame.sigma_max ** m, np.linalg.norm(s, 2), 1e-300)
+    gap = numerical_rank(stacked, cut) - 2 * frame.t
+    ahm = DualMatrix(am, s)
+    power_cert = _certify({"penrose_projector": _penrose_projector(ahm, ap)},
+                          tol, lambda: _dmpgi_formula(ahm, ap))
     residuals = {
         "drazin_projector": res,
         "rank_gap": float(gap),
         "power_mp": power_cert.residuals["penrose_projector"],
     }
-    return _certify(residuals, tol, lambda: _ddgi_formula(ah, m, ad))
+    cert = _certify(residuals, tol, lambda: _ddgi_formula(ah, m, ad))
+    return cert, ahm, power_cert
 
 
 def _ddgi_formula(ah, m, ad):
@@ -222,56 +255,44 @@ def _ddgi_formula(ah, m, ad):
 
 def ddgi(ah, tol=DEFAULT_TOL):
     """Dual Drazin inverse (dual {1^m, 2, 5} identities)."""
-    cert = ddgi_exists(ah, tol)
-    if not cert.exists:
-        raise InverseNotExistError("dual Drazin inverse does not exist", cert)
-    return cert.witness
+    return _ddgi(ah, tol).witness
+
+
+def _ddgi(ah, tol):
+    return _certified(ddgi_exists(ah, tol), _NO_DDGI)
 
 
 def dual_group(ah, tol=DEFAULT_TOL):
     """Dual group inverse: the DDGI specialized to index(A) <= 1."""
-    _require_square(ah, "dual_group")
-    if index(ah.std) > 1:
+    return _dual_group(ah, tol).witness
+
+
+def _dual_group(ah, tol):
+    frame = _frame(ah, "dual_group")
+    if frame.m > 1:
         raise DimensionError("dual group inverse needs index(A) <= 1, "
-                             f"got {index(ah.std)}")
-    return ddgi(ah, tol)
+                             f"got {frame.m}")
+    return _certified(_ddgi_certificates(ah, frame, tol)[0], _NO_DDGI)
 
 
 # ---------------------------------------------------------------------------
 # DCEPGI
 # ---------------------------------------------------------------------------
 
-def _block_condition_sides(blocks, b):
-    """The two sides of the block-form existence condition
-    S3 T1^(1-m) ... Ttilde vs the S4 sums, computed from the core-EP
-    frame.  Both sides live in the (n-t) x (n-t) corner."""
-    t1, t2, nb = blocks.T1, blocks.T2, blocks.N
-    t = blocks.t
-    m = max(blocks.m, 1)
-    b1, b2, b3, b4 = blocks.split_blocks(b)
-    t1_inv = np.linalg.inv(t1)
-
-    n_pow = [np.eye(nb.shape[0])]
-    t1_pow = [np.eye(t)]
-    t1_inv_pow = [np.eye(t)]
-    for _ in range(m + 2):
-        n_pow.append(n_pow[-1] @ nb)
-        t1_pow.append(t1_pow[-1] @ t1)
-        t1_inv_pow.append(t1_inv_pow[-1] @ t1_inv)
-
-    # Ttilde: upper-right block of A^m in the U frame
-    t_tilde = np.zeros_like(t2)
-    for i in range(m):
-        t_tilde += t1_pow[i] @ t2 @ n_pow[m - 1 - i]
-
-    lhs = np.zeros((nb.shape[0], nb.shape[0]))
-    rhs = np.zeros((nb.shape[0], nb.shape[0]))
+def _block_condition_sides(frame, b):
+    """The two sides S3 T1^-m Ttilde and S4 of the block-form existence
+    condition, where S3 and S4 are the lower blocks of U^T S U, summed
+    from the blocks of B and the frame's power tables.  Both live in
+    the (n-t) x (n-t) corner."""
+    m = frame.mp
+    _, _, b3, b4 = frame.split_blocks(b)
+    n_pow, t1_inv_pow = frame.n_powers, frame.t1_inv_powers
+    tops = frame.t_tildes
+    lhs = np.zeros_like(b4)
+    rhs = np.zeros_like(b4)
     for i in range(1, m + 1):
-        lhs += n_pow[m - i] @ b3 @ t1_inv_pow[m + 1 - i] @ t_tilde
-        f = np.zeros_like(t2)
-        for j in range(i - 1):
-            f += t1_pow[j] @ t2 @ n_pow[i - 2 - j]
-        rhs += n_pow[m - i] @ b3 @ f + n_pow[m - i] @ b4 @ n_pow[i - 1]
+        lhs += n_pow[m - i] @ b3 @ t1_inv_pow[m + 1 - i] @ tops[m]
+        rhs += n_pow[m - i] @ (b3 @ tops[i - 1] + b4 @ n_pow[i - 1])
     return lhs, rhs
 
 
@@ -282,49 +303,44 @@ def dcepgi_exists(ah, tol=DEFAULT_TOL):
     core-EP inverse, cross-checked against the equivalent block
     condition in the core-EP frame.
     """
-    _require_square(ah, "dcepgi_exists")
+    return _dcepgi_certificate(ah, _frame(ah, "dcepgi_exists"), tol)
+
+
+def _dcepgi_certificate(ah, frame, tol):
+    """``dcepgi_exists`` in a given frame of the standard part."""
     a, b = ah.std, ah.inf
-    n = a.shape[0]
-    m = _eff_index(a)
+    n, t, m = frame.n, frame.t, frame.mp
     s = s_matrix(a, b, m)
-    am = np.linalg.matrix_power(a, m)
-    am_cep = core_ep_inverse(am)
+    # (A^m)# = U [[T1^-m, O], [O, O]] U^T
+    am = frame.am
+    am_cep = frame.assemble_top(frame.t1_inv_powers[m], np.zeros((t, n - t)))
     left = np.eye(n) - am @ am_cep
     right = np.eye(n) - am_cep @ am
     res = _rel(np.linalg.norm(left @ s @ right), np.linalg.norm(s))
-    blocks = core_ep_decompose(a)
-    lhs, rhs = _block_condition_sides(blocks, b)
+    lhs, rhs = _block_condition_sides(frame, b)
     res_block = _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(b))
     residuals = {"core_ep_projector": res, "block_condition": res_block}
-    return _certify(residuals, tol, lambda: _dcepgi_canonical(ah, blocks))
+    return _certify(residuals, tol, lambda: _dcepgi_canonical(ah, frame))
 
 
-def _dcepgi_canonical(ah, blocks=None):
-    """Canonical block representation of the DCEPGI."""
-    a, b = ah.std, ah.inf
-    if blocks is None:
-        blocks = core_ep_decompose(a)
-    t, n = blocks.t, blocks.n
-    if t == 0:
-        return DualMatrix.zeros(n)
-    m = max(blocks.m, 1)
-    t1, t2, nb = blocks.T1, blocks.T2, blocks.N
-    b1, _, b3, _ = blocks.split_blocks(b)
-    t1_inv = np.linalg.inv(t1)
-    t1_inv_pow = [np.eye(t)]
-    for _ in range(m + 2):
-        t1_inv_pow.append(t1_inv_pow[-1] @ t1_inv)
-    # K = sum_{i=1..m} N^(m-i) B3 T1^(i-m-2); the companion sum with one
-    # less inverse power is K T1.
-    k = np.zeros((n - t, t))
-    for i in range(1, m + 1):
-        k += np.linalg.matrix_power(nb, m - i) @ b3 @ t1_inv_pow[m + 2 - i]
-    r11 = -t1_inv @ b1 @ t1_inv - t1_inv @ t2 @ k
-    r12 = t1_inv @ (k @ t1).T
-    r = blocks.assemble(r11, r12, k, np.zeros((n - t, n - t)))
-    x = blocks.assemble(t1_inv, np.zeros((t, n - t)),
-                        np.zeros((n - t, t)), np.zeros((n - t, n - t)))
-    return DualMatrix(x, r)
+def _dcepgi_canonical(ah, frame):
+    """Canonical block representation of the DCEPGI:
+    U [[T1^-1, O], [O, O]] U^T + eps U [[R11, T1^-1 U3^T], [K, O]] U^T
+    with K = U3 T1^-1 and R11 = -T1^-1 B1 T1^-1 - T1^-1 T2 K."""
+    t, n = frame.t, frame.n
+    t1_inv = frame.t1_inv
+    b1, _, b3, _ = frame.split_blocks(ah.inf)
+    u3 = frame.sylvester(b3)
+    k = u3 @ t1_inv
+    r11 = -t1_inv @ b1 @ t1_inv - t1_inv @ frame.T2 @ k
+    r = frame.assemble(r11, t1_inv @ u3.T, k, np.zeros((n - t, n - t)))
+    return DualMatrix(core_ep_inverse(ah.std, blocks=frame), r)
+
+
+def _dcepgi_witness(ah, frame, tol, message=_NO_DCEPGI):
+    """The DCEPGI from ``_dcepgi_certificate``; InverseNotExistError
+    with ``message`` when it does not exist."""
+    return _certified(_dcepgi_certificate(ah, frame, tol), message).witness
 
 
 def dcepgi(ah, tol=DEFAULT_TOL):
@@ -333,10 +349,11 @@ def dcepgi(ah, tol=DEFAULT_TOL):
     Standard part is the real core-EP inverse of A; the infinitesimal
     part solves the defining linear system uniquely.
     """
-    cert = dcepgi_exists(ah, tol)
-    if not cert.exists:
-        raise InverseNotExistError("dual core-EP inverse does not exist", cert)
-    return cert.witness
+    return _dcepgi(ah, tol).witness
+
+
+def _dcepgi(ah, tol):
+    return _certified(dcepgi_exists(ah, tol), _NO_DCEPGI)
 
 
 def dcepgi_compact(ah, tol=DEFAULT_TOL):
@@ -345,17 +362,17 @@ def dcepgi_compact(ah, tol=DEFAULT_TOL):
     Needs both the DCEPGI and the DDGI to exist; agrees with ``dcepgi``
     whenever both hypotheses hold.
     """
-    cep_cert = dcepgi_exists(ah, tol)
-    if not cep_cert.exists:
-        raise InverseNotExistError("dual core-EP inverse does not exist",
-                                   cep_cert)
-    d_cert = ddgi_exists(ah, tol)
-    if not d_cert.exists:
-        raise InverseNotExistError("dual Drazin inverse does not exist "
-                                   "(required by the compact formula)", d_cert)
-    m = _eff_index(ah.std)
-    ahm = dual_power(ah, m)
-    return d_cert.witness @ ahm @ dmpgi(ahm, tol)
+    return _dcepgi_compact(ah, tol).witness
+
+
+def _dcepgi_compact(ah, tol):
+    """The DCEPGI certificate, with the compact product as its witness."""
+    frame = _frame(ah, "dcepgi_compact")
+    cep_cert = _certified(_dcepgi_certificate(ah, frame, tol), _NO_DCEPGI)
+    d_cert, ahm, power_cert = _ddgi_certificates(ah, frame, tol)
+    _certified(d_cert, _NO_DDGI + " (required by the compact formula)")
+    return replace(cep_cert,
+                   witness=d_cert.witness @ ahm @ power_cert.witness)
 
 
 def _vec(x):
@@ -420,13 +437,15 @@ def dual_core_inverse(ah, tol=DEFAULT_TOL):
     with T1hat dual-invertible, which for index(A) <= 1 is exactly the
     DCEPGI existence condition.
     """
-    _require_square(ah, "dual_core_inverse")
-    if index(ah.std) > 1:
+    return _dual_core_inverse(ah, tol).witness
+
+
+def _dual_core_inverse(ah, tol):
+    frame = _frame(ah, "dual_core_inverse")
+    if frame.m > 1:
         raise InverseNotExistError(
             "dual core inverse needs index(A) <= 1; the block form "
             "[[T1, T2], [O, O]] is not attained", None)
-    cert = dcepgi_exists(ah, tol)
-    if not cert.exists:
-        raise InverseNotExistError(
-            "dual core inverse does not exist (block form not attained)", cert)
-    return cert.witness
+    return _certified(
+        _dcepgi_certificate(ah, frame, tol),
+        "dual core inverse does not exist (block form not attained)")

@@ -11,6 +11,7 @@ core-EP inverse and all dual formulas built on top of them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,15 +55,14 @@ def numerical_rank(a, tol=None):
     return int(np.sum(sv > tol))
 
 
-def _power_rank_tol(a, k):
-    """Absolute singular-value threshold for rank(A^k).
+def _power_cutoff(n, sigma, k):
+    """Absolute singular-value threshold for rank(A^k), n x n.
 
     Roundoff in the computed power grows like sigma_max(A)^k, not like
     sigma_max(A^k) (which can be much smaller once nilpotent directions
     die off), so the cutoff must scale with the former.
     """
-    sigma = np.linalg.norm(a, 2)
-    return max(a.shape) * np.finfo(float).eps * max(sigma, 1e-300) ** k
+    return n * np.finfo(float).eps * max(sigma, 1e-300) ** k
 
 
 def index(a, tol=None):
@@ -77,8 +77,11 @@ def index(a, tol=None):
     p = np.eye(n)
     for s in range(n + 1):
         p = p @ a
-        r = numerical_rank(p, tol if tol is not None
-                           else _power_rank_tol(a, s + 1))
+        sv = np.linalg.svd(p, compute_uv=False)
+        if s == 0:
+            sigma = sv[0] if n else 0.0  # sigma_max(A)
+        cut = tol if tol is not None else _power_cutoff(n, sigma, s + 1)
+        r = int(np.sum(sv > cut))
         if r == prev_rank:
             return s
         prev_rank = r
@@ -97,6 +100,10 @@ class CoreEPBlocks:
     t = rank(A^m) and m = Ind(A).  U is orthogonal, T1 invertible,
     N nilpotent with N^max(m,1) = O.  U is not unique; only the
     reconstructed quantities are.
+
+    The one frame every dual inverse, certificate, decomposition and
+    solution derives from; the quantities below are computed once, on
+    first use.  "A^m" means A^mp, mp = max(m, 1).
     """
 
     U: np.ndarray
@@ -109,6 +116,10 @@ class CoreEPBlocks:
     @property
     def n(self):
         return self.U.shape[0]
+
+    @property
+    def mp(self):
+        return max(self.m, 1)
 
     def upper(self):
         """The block triangular middle factor [[T1, T2], [O, N]]."""
@@ -135,52 +146,100 @@ class CoreEPBlocks:
         bottom = np.hstack([m21, m22])
         return self.U @ np.vstack([top, bottom]) @ self.U.T
 
+    def assemble_top(self, m11, m12):
+        """U [[m11, m12], [O, O]] U^T for conformal blocks."""
+        return self.U[:, :self.t] @ np.hstack([m11, m12]) @ self.U.T
+
+    @cached_property
+    def sigma_max(self):
+        """sigma_max(A); ``core_ep_decompose`` fills it in, since its
+        rank cutoff already needs it."""
+        return float(np.linalg.norm(self.upper(), 2))
+
+    @cached_property
+    def t1_inv(self):
+        return np.linalg.inv(self.T1)
+
+    @cached_property
+    def t1_inv_powers(self):
+        """[T1^0, T1^-1, ..., T1^-(mp+1)]."""
+        return [np.linalg.matrix_power(self.t1_inv, k)
+                for k in range(self.mp + 2)]
+
+    @cached_property
+    def n_powers(self):
+        """[N^0, ..., N^(mp-1)]; N^mp = O."""
+        return [np.linalg.matrix_power(self.N, k) for k in range(self.mp)]
+
+    @cached_property
+    def t_tildes(self):
+        """Upper-right blocks of A^k in the U frame for k = 0..mp, by
+        Ttilde_(k+1) = T1 Ttilde_k + T2 N^k.  The last is Ttilde."""
+        tops = [np.zeros_like(self.T2)]
+        for k in range(self.mp):
+            tops.append(self.T1 @ tops[-1] + self.T2 @ self.n_powers[k])
+        return tops
+
+    @cached_property
+    def am(self):
+        """A^m = U [[T1^m, Ttilde], [O, O]] U^T (N^m = O drops out)."""
+        return self.assemble_top(np.linalg.matrix_power(self.T1, self.mp),
+                                 self.t_tildes[-1])
+
+    @cached_property
+    def am_pinv(self):
+        """(A^m)^+ = U [M^+, O] U^T at rank t, for M = [T1^m, Ttilde] of
+        full row rank: M^+ = Q R^-T from the QR factorization M^T = Q R
+        (here of U M^T = (A^m)^T U1, for U1 the leading t columns)."""
+        u1 = self.U[:, :self.t]
+        q, r = np.linalg.qr(self.am.T @ u1)
+        return np.linalg.solve(r, q.T).T @ u1.T
+
+    def sylvester(self, b3):
+        """U3 = sum_{i<mp} N^i B3 T1^-(i+1) for B3 the lower-left block
+        of U^T B U: the unique solution of N U3 + B3 - U3 T1 = O
+        (T1 invertible, N nilpotent)."""
+        u3 = np.zeros_like(b3)
+        for i in range(self.mp):
+            u3 += self.n_powers[i] @ b3 @ self.t1_inv_powers[i + 1]
+        return u3
+
 
 def core_ep_decompose(a, tol=None, u=None):
     """Core-EP decomposition of a square matrix.
 
     The orthogonal U is built from an SVD of A^max(m,1): its leading t
     left singular vectors span range(A^m) (an A-invariant subspace),
-    the remaining ones complete the basis.  A caller-supplied
-    orthogonal ``u`` whose leading t columns span range(A^m) is
-    accepted instead, which pins down a particular block frame.
+    the remaining ones complete the basis.  The singular values of the
+    same SVD decide t.  A caller-supplied orthogonal ``u`` whose
+    leading t columns span range(A^m) is accepted instead, which pins
+    down a particular block frame.
     """
     a = _square(a, "core_ep_decompose")
     n = a.shape[0]
     m = index(a, tol)
     mp = max(m, 1)
-    am = np.linalg.matrix_power(a, mp)
-    t = numerical_rank(am, tol if tol is not None else _power_rank_tol(a, mp))
+    sigma = float(np.linalg.norm(a, 2))
+    u_am, sv, _ = np.linalg.svd(np.linalg.matrix_power(a, mp))
+    t = int(np.sum(sv > (tol if tol is not None
+                         else _power_cutoff(n, sigma, mp))))
     if u is None:
-        u, _, _ = np.linalg.svd(am)
+        u = u_am
     else:
         u = np.asarray(u, dtype=float)
         if u.shape != (n, n):
             raise DimensionError(f"basis must be {n}x{n}, got {u.shape}")
         if not np.allclose(u.T @ u, np.eye(n), atol=1e-10):
             raise ValueError("supplied basis is not orthogonal")
-        proj = am @ moore_penrose(am)
-        if not np.allclose(proj @ u[:, :t], u[:, :t], atol=1e-8):
+        lead, basis = u[:, :t], u_am[:, :t]
+        if not np.allclose(basis @ (basis.T @ lead), lead, atol=1e-8):
             raise ValueError("leading columns of supplied basis do not "
                              "span range(A^m)")
     w = u.T @ a @ u
-    t1 = w[:t, :t].copy()
-    t2 = w[:t, t:].copy()
-    nblock = w[t:, t:].copy()
-    return CoreEPBlocks(U=u, T1=t1, T2=t2, N=nblock, t=t, m=m)
-
-
-def _t_tilde(blocks):
-    """Ttilde = sum_{i=0..mp-1} T1^i T2 N^(mp-1-i), the upper-right block
-    of A^mp in the U frame (mp = max(m, 1))."""
-    t1, t2, nb = blocks.T1, blocks.T2, blocks.N
-    mp = max(blocks.m, 1)
-    acc = np.zeros_like(t2)
-    t1_pow = np.eye(blocks.t)
-    for i in range(mp):
-        acc += t1_pow @ t2 @ np.linalg.matrix_power(nb, mp - 1 - i)
-        t1_pow = t1_pow @ t1
-    return acc
+    blocks = CoreEPBlocks(U=u, T1=w[:t, :t].copy(), T2=w[:t, t:].copy(),
+                          N=w[t:, t:].copy(), t=t, m=m)
+    vars(blocks)["sigma_max"] = sigma  # where cached_property keeps it
+    return blocks
 
 
 def drazin(a, tol=None, blocks=None):
@@ -190,14 +249,8 @@ def drazin(a, tol=None, blocks=None):
     """
     if blocks is None:
         blocks = core_ep_decompose(a, tol)
-    t, n = blocks.t, blocks.n
-    if t == 0:
-        return np.zeros((n, n))
-    t1_inv = np.linalg.inv(blocks.T1)
-    mp = max(blocks.m, 1)
-    top_right = np.linalg.matrix_power(t1_inv, mp + 1) @ _t_tilde(blocks)
-    return blocks.assemble(t1_inv, top_right,
-                           np.zeros((n - t, t)), np.zeros((n - t, n - t)))
+    return blocks.assemble_top(blocks.t1_inv,
+                               blocks.t1_inv_powers[-1] @ blocks.t_tildes[-1])
 
 
 def core_ep_inverse(a, tol=None, blocks=None):
@@ -208,9 +261,5 @@ def core_ep_inverse(a, tol=None, blocks=None):
     """
     if blocks is None:
         blocks = core_ep_decompose(a, tol)
-    t, n = blocks.t, blocks.n
-    if t == 0:
-        return np.zeros((n, n))
-    t1_inv = np.linalg.inv(blocks.T1)
-    return blocks.assemble(t1_inv, np.zeros((t, n - t)),
-                           np.zeros((n - t, t)), np.zeros((n - t, n - t)))
+    return blocks.assemble_top(blocks.t1_inv,
+                               np.zeros((blocks.t, blocks.n - blocks.t)))

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualMatrix, dual_power, s_matrix
-from .errors import DimensionError, HypothesisError, InverseNotExistError
-from .inverses import dcepgi, dcepgi_exists, _eff_index, _rel
-from .realkernel import (DEFAULT_TOL, core_ep_inverse, moore_penrose,
-                         numerical_rank)
+from .dual import DualMatrix, s_matrix
+from .errors import DimensionError, HypothesisError
+from .inverses import _dcepgi_witness, _frame, _rel
+from .realkernel import DEFAULT_TOL, core_ep_decompose, numerical_rank
 
 __all__ = [
     "EquivalenceReport",
@@ -49,17 +48,22 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     """Evaluate the five conditions linked to the first-order form
     Ahat^cep = A^cep - eps A^cep B A^cep (see EquivalenceReport for
     which of them are mutually equivalent)."""
-    x = dcepgi(ah, tol)  # raises when the DCEPGI does not exist
+    frame = _frame(ah, "first_order_form_report")
+    return _first_order_form_report(ah, frame, _dcepgi_witness(ah, frame, tol),
+                                    tol)
+
+
+def _first_order_form_report(ah, frame, x, tol):
+    """``first_order_form_report`` for the DCEPGI ``x`` of ``ah`` in a
+    given frame of the standard part."""
     a, b = ah.std, ah.inf
-    n = a.shape[0]
-    m = _eff_index(a)
-    s = s_matrix(a, b, m)
-    am = np.linalg.matrix_power(a, m)
-    a_cep = core_ep_inverse(a)
+    n = frame.n
+    s = s_matrix(a, b, frame.mp)
+    a_cep = x.std  # the real core-EP inverse of A
     s_scale = np.linalg.norm(s)
 
     first_order = DualMatrix(a_cep, -a_cep @ b @ a_cep)
-    p_am = am @ moore_penrose(am)
+    p_am = frame.am @ frame.am_pinv
     conds = {
         "first_order_form": _rel((x - first_order).norm(), x.norm()),
         "power_projector": _rel(np.linalg.norm((np.eye(n) - p_am) @ s), s_scale),
@@ -78,17 +82,27 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
                              all_equivalent_observed=len(verdicts) == 1)
 
 
+def _first_order_dcepgi(ah, frame, tol):
+    """The DCEPGI X of ``ah`` and Ahat^m, once the first-order form
+    Ahat^cep = A^cep - eps A^cep B A^cep is checked (HypothesisError
+    otherwise)."""
+    x = _dcepgi_witness(ah, frame, tol)
+    report = _first_order_form_report(ah, frame, x, tol)
+    holds, res = report.conditions["first_order_form"]
+    if not holds:
+        raise HypothesisError(
+            f"first-order form does not hold (residual {res:.3e})")
+    return x, DualMatrix(frame.am, s_matrix(ah.std, ah.inf, frame.mp))
+
+
 def rank_test(ah, tol=DEFAULT_TOL):
     """rank([A^m  S]) == rank(A^m); equivalent to the first-order form."""
-    cert = dcepgi_exists(ah, tol)
-    if not cert.exists:
-        raise InverseNotExistError("rank test needs the DCEPGI to exist", cert)
-    a, b = ah.std, ah.inf
-    m = _eff_index(a)
-    am = np.linalg.matrix_power(a, m)
-    s = s_matrix(a, b, m)
-    cut = tol * max(np.linalg.norm(a, 2) ** m, np.linalg.norm(s, 2), 1e-300)
-    return numerical_rank(np.hstack([am, s]), cut) == numerical_rank(am, cut)
+    frame = _frame(ah, "rank_test")
+    _dcepgi_witness(ah, frame, tol, "rank test needs the DCEPGI to exist")
+    m = frame.mp
+    s = s_matrix(ah.std, ah.inf, m)
+    cut = tol * max(frame.sigma_max ** m, np.linalg.norm(s, 2), 1e-300)
+    return numerical_rank(np.hstack([frame.am, s]), cut) == frame.t
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +164,7 @@ def range_null_report(ah, tol=DEFAULT_TOL):
     Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep
     to hold; raises HypothesisError otherwise.
     """
-    report = first_order_form_report(ah, tol)
-    holds, res = report.conditions["first_order_form"]
-    if not holds:
-        raise HypothesisError(
-            f"first-order form does not hold (residual {res:.3e})")
-    x = dcepgi(ah, tol)
-    m = _eff_index(ah.std)
-    ahm = dual_power(ah, m)
+    x, ahm = _first_order_dcepgi(ah, _frame(ah, "range_null_report"), tol)
     sx = _stacked(x)
     sm = _stacked(ahm)
     smt = _stacked(ahm.T)
@@ -226,23 +233,19 @@ def order_law_check(ah, bh, tol=DEFAULT_TOL):
     if ah.shape != bh.shape or not ah.is_square:
         raise DimensionError("order_law_check needs equal square shapes, "
                              f"got {ah.shape} and {bh.shape}")
+    xs = []
     for name, mh in (("first factor", ah), ("second factor", bh),
                      ("product", ah @ bh)):
-        cert = dcepgi_exists(mh, tol)
-        if not cert.exists:
-            raise InverseNotExistError(
-                f"DCEPGI of the {name} does not exist", cert)
-    xa = dcepgi(ah, tol)
-    xb = dcepgi(bh, tol)
-    xab = dcepgi(ah @ bh, tol)
+        xs.append(_dcepgi_witness(mh, core_ep_decompose(mh.std), tol,
+                                  f"DCEPGI of the {name} does not exist"))
+    xa, xb, xab = xs
     scale = xab.norm()
     reverse = _rel((xab - xb @ xa).norm(), scale)
     forward = _rel((xab - xa @ xb).norm(), scale)
 
     a, a0 = ah.std, ah.inf
     b, b0 = bh.std, bh.inf
-    a_cep = core_ep_inverse(a)
-    b_cep = core_ep_inverse(b)
+    a_cep, b_cep = xa.std, xb.std  # the real core-EP inverses
     mat_scale = max(np.linalg.norm(a), np.linalg.norm(b))
     raw = {
         "commute": np.linalg.norm(a @ b - b @ a),

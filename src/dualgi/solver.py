@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualMatrix, DualVector, dual_power
-from .errors import DimensionError, HypothesisError, InverseNotExistError
-from .inverses import dcepgi, dcepgi_exists, ddgi_exists, dmpgi, _eff_index, _rel
-from .realkernel import DEFAULT_TOL
-from .relations import _column_membership_residual, _stacked, \
-    first_order_form_report
+from .dual import DualMatrix, DualVector
+from .errors import DimensionError, HypothesisError
+from .inverses import _certified, _dcepgi_witness, _ddgi_certificates, _rel
+from .realkernel import DEFAULT_TOL, core_ep_decompose
+from .relations import _column_membership_residual, _first_order_dcepgi, \
+    _stacked
 
 __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
 
@@ -28,24 +28,28 @@ __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
 @dataclass(frozen=True)
 class SolutionReport:
     """Particular solution and homogeneous projector of the surrogate
-    system, with its substitution residual."""
+    system, with its substitution residual and its right-hand side
+    Ahat^(2m) (Ahat^m)^+ bhat."""
 
     particular: DualVector
     homogeneous_projector: DualMatrix
     residual: float
     tolerance: float
+    surrogate_rhs: DualVector
 
     def solution(self, yhat):
         """particular + projector @ yhat, a solution for any dual yhat."""
         return self.particular + self.homogeneous_projector @ yhat
 
 
-def _check_rhs(ah, bhat):
+def _checked_frame(ah, bhat):
+    """The core-EP frame of the standard part, once the shapes fit."""
     if not ah.is_square:
         raise DimensionError(f"solver needs a square dual matrix, got {ah.shape}")
     if len(bhat) != ah.shape[0]:
         raise DimensionError(f"right-hand side length {len(bhat)} does not "
                              f"match matrix size {ah.shape[0]}")
+    return core_ep_decompose(ah.std)
 
 
 def solve_general(ah, bhat, tol=DEFAULT_TOL):
@@ -55,24 +59,22 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     I - Ahat^D Ahat spanning the homogeneous solutions.  Requires both
     the DCEPGI and the DDGI.
     """
-    _check_rhs(ah, bhat)
-    x_cep = dcepgi(ah, tol)
-    d_cert = ddgi_exists(ah, tol)
-    if not d_cert.exists:
-        raise InverseNotExistError("dual Drazin inverse does not exist "
-                                   "(required by the general solution)", d_cert)
-    n = ah.shape[0]
-    m = _eff_index(ah.std)
-    particular = x_cep @ bhat
-    projector = DualMatrix.eye(n) - d_cert.witness @ ah
+    return _solve_general(ah, bhat, _checked_frame(ah, bhat), tol)
 
-    ahm = dual_power(ah, m)
-    lhs = dual_power(ah, m + 1) @ particular
-    rhs = dual_power(ah, 2 * m) @ (dmpgi(ahm, tol) @ bhat)
-    residual = _rel((lhs - rhs).norm(), bhat.norm())
+
+def _solve_general(ah, bhat, frame, tol):
+    x_cep = _dcepgi_witness(ah, frame, tol)
+    d_cert, ahm, power_cert = _ddgi_certificates(ah, frame, tol)
+    _certified(d_cert, "dual Drazin inverse does not exist "
+                       "(required by the general solution)")
+    particular = x_cep @ bhat
+    projector = DualMatrix.eye(frame.n) - d_cert.witness @ ah
+    rhs = ahm @ (ahm @ (power_cert.witness @ bhat))
+    residual = _rel((ah @ (ahm @ particular) - rhs).norm(), bhat.norm())
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
-                          residual=residual, tolerance=tol)
+                          residual=residual, tolerance=tol,
+                          surrogate_rhs=rhs)
 
 
 def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
@@ -83,23 +85,14 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     membership in the dual range and the equation residual are
     verified before returning.
     """
-    _check_rhs(ah, bhat)
-    report = first_order_form_report(ah, tol)
-    holds, res = report.conditions["first_order_form"]
-    if not holds:
-        raise HypothesisError(
-            f"first-order form does not hold (residual {res:.3e})")
-    x_cep = dcepgi(ah, tol)
+    x_cep, ahm = _first_order_dcepgi(ah, _checked_frame(ah, bhat), tol)
     xhat = x_cep @ bhat
-    m = _eff_index(ah.std)
-    ahm = dual_power(ah, m)
-
     member = _column_membership_residual(
         np.concatenate([xhat.std, xhat.inf])[:, None], _stacked(ahm))
     if member > tol:
         raise HypothesisError(
             f"solution fails dual-range membership (residual {member:.3e})")
-    eq_res = _rel((ah @ (x_cep @ xhat) - x_cep @ bhat).norm(), bhat.norm())
+    eq_res = _rel((ah @ (x_cep @ xhat) - xhat).norm(), bhat.norm())
     if eq_res > tol:
         raise HypothesisError(
             f"solution fails the defining equation (residual {eq_res:.3e})")

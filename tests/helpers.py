@@ -121,6 +121,18 @@ def reducing_dual(rng, frame):
     return DualMatrix(a, b)
 
 
+# reducing_dual draws, as (seed, (n, t, m)), on which a pseudo-inverse of
+# the computed A^m with NumPy's default cutoff kept roundoff singular
+# values and so denied the DDGI and the power_projector condition
+# (residuals 1e-6 to 8e-5 against a tolerance of 1e-10)
+REDUCING_CUTOFF_CASES = ((30, (5, 2, 3)), (525, (6, 1, 2)), (120, (6, 3, 3)))
+
+
+def seeded_reducing_dual(seed, shape):
+    rng = np.random.default_rng(seed)
+    return reducing_dual(rng, Frame(rng, *shape))
+
+
 def _t_tilde(frame):
     acc = np.zeros_like(frame.T2)
     t1_pow = np.eye(frame.t)

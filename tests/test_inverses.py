@@ -7,10 +7,12 @@ from dualgi import (DualMatrix, core_ep_inverse, core_ep_residuals, dcepgi,
                     dcepgi_bruteforce_oracle, dcepgi_compact, dcepgi_exists,
                     ddgi, ddgi_exists, dmpgi, dmpgi_exists, drazin,
                     drazin_residuals, dual_core_inverse, dual_group, dual_power,
-                    index, moore_penrose, mpdgi, penrose_residuals)
+                    index, moore_penrose, mpdgi, penrose_residuals,
+                    solve_general)
 from dualgi.errors import DimensionError, InverseNotExistError
-from helpers import (Frame, existing_dual, existing_dual_b3, mp_existing_dual,
-                     random_dual, random_frame)
+from helpers import (REDUCING_CUTOFF_CASES, Frame, existing_dual,
+                     existing_dual_b3, mp_existing_dual, random_dual,
+                     random_dual_vector, random_frame, seeded_reducing_dual)
 
 RNG = np.random.default_rng(20240819)
 
@@ -99,6 +101,27 @@ class TestDDGI:
             ah = DualMatrix(ah.std, ah.inf + 1.0)
         with pytest.raises(InverseNotExistError):
             ddgi(ah)
+
+    @staticmethod
+    def check_exists_and_solves(ah, m):
+        cert = ddgi_exists(ah)
+        assert cert.exists, cert.residuals
+        assert max(drazin_residuals(ah, ddgi(ah), m).values()) < 1e-9
+        bhat = random_dual_vector(np.random.default_rng(0), ah.shape[0])
+        assert solve_general(ah, bhat).residual < 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_built_instances_exist(self, seed):
+        # at n = 400 a default-cutoff pinv of the computed A^3 gave
+        # power_mp about 2e-3; the frame's rank-t (A^m)^+ gives 1e-15
+        rng = np.random.default_rng(seed)
+        ah = existing_dual(rng, Frame(rng, 400, 200, 3))
+        self.check_exists_and_solves(ah, 3)
+
+    @pytest.mark.parametrize("seed,shape", REDUCING_CUTOFF_CASES)
+    def test_reducing_instances_exist(self, seed, shape):
+        self.check_exists_and_solves(seeded_reducing_dual(seed, shape),
+                                     shape[2])
 
     def test_zero_infinitesimal_is_drazin(self):
         f = random_frame(RNG)

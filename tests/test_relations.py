@@ -8,8 +8,9 @@ from dualgi import (DualMatrix, core_ep_inverse, dcepgi,
                     first_order_form_report, order_law_check,
                     range_null_report, rank_test)
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
-from helpers import (Frame, existing_dual, existing_dual_b3, orthogonal,
-                     random_dual, random_frame)
+from helpers import (REDUCING_CUTOFF_CASES, Frame, existing_dual,
+                     existing_dual_b3, orthogonal, random_dual, random_frame,
+                     seeded_reducing_dual)
 
 RNG = np.random.default_rng(20240821)
 
@@ -63,6 +64,15 @@ class TestFirstOrderForm:
             if not report.conditions["first_order_form"][0]:
                 count += 1
         assert count > 0  # the failing branch is actually exercised
+
+    @pytest.mark.parametrize("seed,shape", REDUCING_CUTOFF_CASES)
+    def test_all_five_hold_when_range_reduces(self, seed, shape):
+        # S = P S = S P by construction, so all five conditions hold;
+        # power_projector once failed here on a default-cutoff pinv of A^m
+        report = first_order_form_report(seeded_reducing_dual(seed, shape))
+        assert all(holds for holds, _ in report.conditions.values()), \
+            report.conditions
+        assert report.all_equivalent_observed
 
     def test_zero_infinitesimal_all_hold(self):
         f = random_frame(RNG)
