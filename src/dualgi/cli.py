@@ -187,8 +187,6 @@ def build_parser():
         p.add_argument("--tol", type=float, default=None,
                        help="residual tolerance (default 1e-10, or "
                             f"{TOL_ENV_VAR})")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized spot checks")
         p.add_argument("--output", default=None,
                        help="also write the report to this path")
 
@@ -209,6 +207,8 @@ def build_parser():
     p_sol.add_argument("--mode", choices=["general", "unique-in-range"],
                        default="general")
     p_sol.add_argument("--spot-checks", type=int, default=5)
+    p_sol.add_argument("--seed", type=int, default=0,
+                       help="seed for randomized spot checks")
     add_common(p_sol)
     p_sol.set_defaults(func=cmd_solve)
     return parser

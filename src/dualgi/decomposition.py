@@ -23,7 +23,7 @@ import numpy as np
 from .dual import DualMatrix
 from .errors import DimensionError, InverseNotExistError
 from .inverses import _dcepgi_witness, _frame
-from .realkernel import DEFAULT_TOL, core_ep_decompose
+from .realkernel import DEFAULT_TOL, _svd_rank, core_ep_decompose
 
 __all__ = [
     "DualCoreEPDecomposition",
@@ -156,8 +156,7 @@ def dcepgi_from_decomposition(d, tol=DEFAULT_TOL):
     if t == 0:
         return DualMatrix.zeros(n)
     t1 = d.T1_hat.std
-    sv = np.linalg.svd(t1, compute_uv=False)
-    if sv[-1] <= tol * (1.0 + sv[0]):
+    if _svd_rank(t1, rel=tol)[0] < t:
         raise InverseNotExistError("T1hat standard part is singular", None)
     t1_inv = np.linalg.inv(t1)
     t1_hat_inv = DualMatrix(t1_inv, -t1_inv @ d.T1_hat.inf @ t1_inv)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .dual import DualMatrix, dual_power, s_matrix
 from .errors import DimensionError, InverseNotExistError
-from .realkernel import (DEFAULT_TOL, core_ep_decompose, core_ep_inverse,
-                         drazin, index, moore_penrose, numerical_rank)
+from .realkernel import (DEFAULT_TOL, _pinv, _svd_rank, core_ep_decompose,
+                         core_ep_inverse, drazin, index, moore_penrose)
 
 __all__ = [
     "ExistenceCertificate",
@@ -90,10 +90,10 @@ def _frame(ah, op):
     return core_ep_decompose(ah.std)
 
 
-def _eff_index(a, tol=None):
+def _eff_index(a):
     """Index clamped to >= 1 so the S-matrix and power formulas are
     well formed (invertible A has index 0 but behaves as m = 1)."""
-    return max(index(a, tol), 1)
+    return max(index(a), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +165,14 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL):
     reported alongside as ``rank_gap`` (0 when the two agree).
     """
     a, b = ah.std, ah.inf
-    ap = moore_penrose(a)
     stacked = np.block([[b, a], [a, np.zeros(a.shape)]])
-    # rank decisions at the certificate tolerance, not machine eps: the
-    # inputs may carry roundoff well above eps (e.g. computed powers)
-    cut = tol * max(np.linalg.norm(a, 2), np.linalg.norm(b, 2), 1e-300)
-    gap = numerical_rank(stacked, cut) - 2 * numerical_rank(a, cut)
+    # both ranks and A^+ at one cut, tol * sigma_max(stacked): the inputs
+    # may carry roundoff well above eps (e.g. computed powers)
+    r_stacked, sigma, _ = _svd_rank(stacked, rel=tol)
+    r_a, _, svd = _svd_rank(a, rel=tol, floor=sigma, uv=True)
+    ap = _pinv(r_a, svd)
     residuals = {"penrose_projector": _penrose_projector(ah, ap),
-                 "rank_gap": float(gap)}
+                 "rank_gap": float(r_stacked - 2 * r_a)}
     return _certify(residuals, tol, lambda: _dmpgi_formula(ah, ap))
 
 
@@ -222,16 +222,14 @@ def _ddgi_certificates(ah, frame, tol):
     res = _rel(np.linalg.norm(proj @ s @ proj), np.linalg.norm(s))
     am, ap = frame.am, frame.am_pinv
     stacked = np.block([[s, am], [am, np.zeros((n, n))]])
-    # a cutoff at the certificate tolerance, scaled to the roundoff
-    # floor of the computed power and S-matrix; rank(A^m) is the frame's t
-    cut = tol * max(frame.sigma_max ** m, np.linalg.norm(s, 2), 1e-300)
-    gap = numerical_rank(stacked, cut) - 2 * frame.t
+    # cut above the computed power's roundoff; rank(A^m) is the frame's t
+    rank = _svd_rank(stacked, rel=tol, floor=frame.sigma_max ** m)[0]
     ahm = DualMatrix(am, s)
     power_cert = _certify({"penrose_projector": _penrose_projector(ahm, ap)},
                           tol, lambda: _dmpgi_formula(ahm, ap))
     residuals = {
         "drazin_projector": res,
-        "rank_gap": float(gap),
+        "rank_gap": float(rank - 2 * frame.t),
         "power_mp": power_cert.residuals["penrose_projector"],
     }
     cert = _certify(residuals, tol, lambda: _ddgi_formula(ah, m, ad))

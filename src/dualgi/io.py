@@ -31,9 +31,20 @@ __all__ = [
 ]
 
 
-def _load(path):
+def _load(path, cols=None):
+    """(name, standard, infinitesimal) of a document whose 'cols'
+    defaults to ``cols``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    try:
+        rows, cols = int(doc["rows"]), int(doc.get("cols", cols))
+        parts = [_parse_part(doc, key, rows, cols)
+                 for key in ("standard", "infinitesimal")]
+    except TypeError as exc:  # "rows": null, a non-numeric entry, ...
+        raise ValueError(f"malformed document: {exc}") from None
+    return doc.get("name", ""), *parts
 
 
 def _parse_part(doc, key, rows, cols):
@@ -50,23 +61,17 @@ def _parse_part(doc, key, rows, cols):
 
 def read_dual_matrix(path):
     """Read a dual matrix document; returns (name, DualMatrix)."""
-    doc = _load(path)
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    std = _parse_part(doc, "standard", rows, cols)
-    inf = _parse_part(doc, "infinitesimal", rows, cols)
-    return doc.get("name", ""), DualMatrix(std, inf)
+    name, std, inf = _load(path)
+    return name, DualMatrix(std, inf)
 
 
 def read_dual_vector(path):
     """Read a dual vector document (rows x 1, or flat arrays)."""
-    doc = _load(path)
-    rows = int(doc["rows"])
-    cols = int(doc.get("cols", 1))
-    if cols != 1:
-        raise DimensionError(f"vector file must have cols = 1, got {cols}")
-    std = _parse_part(doc, "standard", rows, cols).ravel()
-    inf = _parse_part(doc, "infinitesimal", rows, cols).ravel()
-    return doc.get("name", ""), DualVector(std, inf)
+    name, std, inf = _load(path, cols=1)
+    if std.shape[1] != 1:
+        raise DimensionError(f"vector file must have cols = 1, "
+                             f"got {std.shape[1]}")
+    return name, DualVector(std.ravel(), inf.ravel())
 
 
 def dual_matrix_to_dict(mh, name=""):

@@ -39,58 +39,67 @@ def _square(a, op):
     return a
 
 
-def numerical_rank(a, tol=None):
-    """Rank via singular values.
+def _svd_rank(a, rel=None, floor=0.0, uv=False):
+    """The one rank rule: one SVD of ``a``, and the count of its
+    singular values above rel * max(sigma_max(a), floor).
 
-    The default threshold is max(rows, cols) * eps * sigma_max, the
-    usual SVD cutoff.  Pass ``tol`` to override with an absolute
-    singular-value threshold.
+    rel defaults to max(shape) * eps; certificates pass their tolerance.
+    ``floor`` is the roundoff floor of a computed power A^k,
+    sigma_max(A)^k.  Returns (rank, sigma_max(a), svd), svd being the
+    singular values, or (U, sv, Vt) with ``uv``, so that a basis or
+    pseudo-inverse from these factors has that rank.
     """
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    if tol is None:
-        tol = max(a.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    return int(np.sum(sv > tol))
+    svd = np.linalg.svd(a, compute_uv=uv)
+    sv = svd[1] if uv else svd
+    sigma = float(sv[0]) if sv.size else 0.0
+    if rel is None:
+        rel = max(a.shape) * np.finfo(float).eps
+    return int(np.sum(sv > rel * max(sigma, floor))), sigma, svd
 
 
-def _power_cutoff(n, sigma, k):
-    """Absolute singular-value threshold for rank(A^k), n x n.
-
-    Roundoff in the computed power grows like sigma_max(A)^k, not like
-    sigma_max(A^k) (which can be much smaller once nilpotent directions
-    die off), so the cutoff must scale with the former.
-    """
-    return n * np.finfo(float).eps * max(sigma, 1e-300) ** k
+def _pinv(rank, svd):
+    """The pseudo-inverse at ``rank`` from the factors (U, sv, Vt)."""
+    u, sv, vt = svd
+    return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
 
 
-def index(a, tol=None):
+def numerical_rank(a):
+    """Rank via singular values, cut at max(rows, cols) * eps * sigma_max."""
+    return _svd_rank(a)[0]
+
+
+def _index(a):
+    """``index`` and sigma_max(A), read from the first power's SVD."""
+    n = a.shape[0]
+    prev_rank, sigma = n, 0.0  # rank(A^0)
+    p = np.eye(n)
+    for s in range(n + 1):
+        p = p @ a
+        # roundoff in the computed power grows like sigma_max(A)^k, not
+        # like sigma_max(A^k), which can be much smaller
+        r, sig, _ = _svd_rank(p, floor=sigma ** (s + 1))
+        if s == 0:
+            sigma = sig
+        if r == prev_rank:
+            return s, sigma
+        prev_rank = r
+    return n, sigma  # not reachable: rank strictly decreases until it stabilizes
+
+
+def index(a):
     """Smallest s >= 0 with rank(A^(s+1)) == rank(A^s).
 
     For A == O this evaluates to 1 (rank(A^0) = n > 0 = rank(A)),
     which is also what the downstream dual formulas need.
     """
-    a = _square(a, "index")
-    n = a.shape[0]
-    prev_rank = n  # rank(A^0)
-    p = np.eye(n)
-    for s in range(n + 1):
-        p = p @ a
-        sv = np.linalg.svd(p, compute_uv=False)
-        if s == 0:
-            sigma = sv[0] if n else 0.0  # sigma_max(A)
-        cut = tol if tol is not None else _power_cutoff(n, sigma, s + 1)
-        r = int(np.sum(sv > cut))
-        if r == prev_rank:
-            return s
-        prev_rank = r
-    return n  # not reachable: rank strictly decreases until it stabilizes
+    return _index(_square(a, "index"))[0]
 
 
 def moore_penrose(a):
     """Moore-Penrose inverse (the unique four-Penrose-equations solution)."""
-    return np.linalg.pinv(np.asarray(a, dtype=float))
+    rank, _, svd = _svd_rank(a, uv=True)
+    return _pinv(rank, svd)
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,7 @@ class CoreEPBlocks:
         return u3
 
 
-def core_ep_decompose(a, tol=None, u=None):
+def core_ep_decompose(a, u=None):
     """Core-EP decomposition of a square matrix.
 
     The orthogonal U is built from an SVD of A^max(m,1): its leading t
@@ -217,12 +226,10 @@ def core_ep_decompose(a, tol=None, u=None):
     """
     a = _square(a, "core_ep_decompose")
     n = a.shape[0]
-    m = index(a, tol)
+    m, sigma = _index(a)
     mp = max(m, 1)
-    sigma = float(np.linalg.norm(a, 2))
-    u_am, sv, _ = np.linalg.svd(np.linalg.matrix_power(a, mp))
-    t = int(np.sum(sv > (tol if tol is not None
-                         else _power_cutoff(n, sigma, mp))))
+    t, _, (u_am, _, _) = _svd_rank(np.linalg.matrix_power(a, mp),
+                                   floor=sigma ** mp, uv=True)
     if u is None:
         u = u_am
     else:
@@ -242,24 +249,24 @@ def core_ep_decompose(a, tol=None, u=None):
     return blocks
 
 
-def drazin(a, tol=None, blocks=None):
+def drazin(a, blocks=None):
     """Drazin inverse via the core-EP block form.
 
     A^D = U [[T1^-1, (T1^(m+1))^-1 Ttilde], [O, O]] U^T.
     """
     if blocks is None:
-        blocks = core_ep_decompose(a, tol)
+        blocks = core_ep_decompose(a)
     return blocks.assemble_top(blocks.t1_inv,
                                blocks.t1_inv_powers[-1] @ blocks.t_tildes[-1])
 
 
-def core_ep_inverse(a, tol=None, blocks=None):
+def core_ep_inverse(a, blocks=None):
     """Core-EP inverse A = U [[T1^-1, O], [O, O]] U^T.
 
     Coincides with A^D A^m (A^m)^dagger (tested, not used as the
     computation route).
     """
     if blocks is None:
-        blocks = core_ep_decompose(a, tol)
+        blocks = core_ep_decompose(a)
     return blocks.assemble_top(blocks.t1_inv,
                                np.zeros((blocks.t, blocks.n - blocks.t)))

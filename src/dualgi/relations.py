@@ -13,7 +13,8 @@ import numpy as np
 from .dual import DualMatrix, s_matrix
 from .errors import DimensionError, HypothesisError
 from .inverses import _dcepgi_witness, _frame, _rel
-from .realkernel import DEFAULT_TOL, core_ep_decompose, numerical_rank
+from .realkernel import (DEFAULT_TOL, _svd_rank, core_ep_decompose,
+                         numerical_rank)
 
 __all__ = [
     "EquivalenceReport",
@@ -101,8 +102,8 @@ def rank_test(ah, tol=DEFAULT_TOL):
     _dcepgi_witness(ah, frame, tol, "rank test needs the DCEPGI to exist")
     m = frame.mp
     s = s_matrix(ah.std, ah.inf, m)
-    cut = tol * max(frame.sigma_max ** m, np.linalg.norm(s, 2), 1e-300)
-    return numerical_rank(np.hstack([frame.am, s]), cut) == frame.t
+    return _svd_rank(np.hstack([frame.am, s]), rel=tol,
+                     floor=frame.sigma_max ** m)[0] == frame.t
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +125,6 @@ def _column_membership_residual(gen, space):
     col_norms = np.linalg.norm(gen, axis=0)
     res = np.linalg.norm(resid, axis=0) / (1.0 + col_norms)
     return float(res.max()) if res.size else 0.0
-
-
-def _null_basis(mat, tol=1e-10):
-    _, sv, vt = np.linalg.svd(mat)
-    cutoff = max(mat.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > max(cutoff, tol * (sv[0] if sv.size else 0.0))))
-    return vt[rank:].T
-
-
-def _range_basis(mat):
-    u, sv, _ = np.linalg.svd(mat)
-    cutoff = max(mat.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    return u[:, :rank]
 
 
 @dataclass(frozen=True)
@@ -172,19 +159,20 @@ def range_null_report(ah, tol=DEFAULT_TOL):
     range_res = max(_column_membership_residual(sx, sm),
                     _column_membership_residual(sm, sx))
 
-    null_x = _null_basis(sx, tol)
-    null_mt = _null_basis(smt, tol)
+    r_x, _, (_, _, vt_x) = _svd_rank(sx, rel=tol, uv=True)
+    r_mt, _, (_, _, vt_mt) = _svd_rank(smt, rel=tol, uv=True)
+    null_x, null_mt = vt_x[r_x:].T, vt_mt[r_mt:].T
     null_res = 0.0
     if null_x.shape[1]:
         null_res = max(null_res,
                        _rel(np.linalg.norm(smt @ null_x), ahm.norm()))
     if null_mt.shape[1]:
         null_res = max(null_res, _rel(np.linalg.norm(sx @ null_mt), x.norm()))
-    if null_x.shape[1] != null_mt.shape[1]:
+    if r_x != r_mt:
         null_res = max(null_res, 1.0)  # dimension mismatch: not equal
 
-    rb = _range_basis(sm)
-    inter_dim = rb.shape[1] - numerical_rank(smt @ rb)
+    r_m, _, (u_m, _, _) = _svd_rank(sm, uv=True)
+    inter_dim = r_m - numerical_rank(smt @ u_m[:, :r_m])
     return RangeNullReport(range_equal_residual=range_res,
                            null_equal_residual=null_res,
                            intersection_dimension=int(inter_dim),

@@ -3,12 +3,15 @@
 ``core_ep_decompose`` is wrapped wherever ``dualgi`` binds it, and each
 public call is counted on an index-3 input: every certificate, inverse,
 decomposition and solution of one call derives from a single frame.
+The SVDs of a call are counted the same way, ``numpy.linalg.svd``
+wrapped also where ``norm(x, 2)`` looks it up.
 """
 
 import json
 import sys
 
 import numpy as np
+import numpy.linalg._linalg as linalg_impl
 import pytest
 
 import dualgi
@@ -34,6 +37,20 @@ def frame_calls(monkeypatch):
                 and getattr(module, "core_ep_decompose", None) \
                 is core_ep_decompose:
             monkeypatch.setattr(module, "core_ep_decompose", counted)
+    return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(linalg_impl, "svd", counted)
     return calls
 
 
@@ -70,6 +87,18 @@ def test_mp_inverses_build_no_frame(frame_calls, index_three):
     dualgi.dmpgi_exists(ah)
     dualgi.mpdgi(ah)
     assert frame_calls == []
+
+
+@pytest.mark.parametrize("name, count", [
+    # the index loop's m + 1 powers, the first of which gives sigma_max(A),
+    # and the SVD of A^m that gives U and t
+    ("dcepgi_exists", 3 + 2),
+    # [[B, A], [A, O]], then A at the same cut, which also gives A^+
+    ("dmpgi_exists", 2)])
+def test_svd_count(name, count, svd_calls, index_three):
+    ah, _ = index_three
+    getattr(dualgi, name)(ah)
+    assert len(svd_calls) == count, svd_calls
 
 
 @pytest.mark.parametrize("argv", [

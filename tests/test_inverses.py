@@ -93,6 +93,15 @@ class TestDDGI:
             cert = ddgi_exists(ah)
             power_cert = dmpgi_exists(dual_power(ah, max(f.m, 1)))
             assert cert.exists == power_cert.exists
+        # computed powers whose roundoff singular values a default-cutoff
+        # A^+ kept: the DMPGI was denied while its own rank test held
+        for seed, shape in REDUCING_CUTOFF_CASES:
+            ah = seeded_reducing_dual(seed, shape)
+            power_cert = dmpgi_exists(dual_power(ah, shape[2]))
+            assert ddgi_exists(ah).exists == power_cert.exists
+            verdicts = {r <= power_cert.tolerance
+                        for r in power_cert.residuals.values()}
+            assert len(verdicts) == 1, power_cert.residuals
 
     def test_nonexistence(self):
         f = Frame(RNG, 4, 1, 2)

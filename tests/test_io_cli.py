@@ -100,6 +100,24 @@ class TestCLIExitCodes:
         assert main(["inverse", "--kind", "bogus", "x.json"]) == EXIT_USAGE
         assert main(["no-such-command"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"rows": None, "cols": 2, "standard": [[1, 0], [0, 1]],
+         "infinitesimal": [[0, 0], [0, 0]]}])
+    def test_usage_error_on_malformed_json(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inverse", "--kind", "cep", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_seed_only_on_solve(self, existing_file, capsys):
+        path, _ = existing_file
+        assert main(["inverse", "--kind", "cep", "--seed", "1",
+                     path]) == EXIT_USAGE
+        assert main(["decompose", "--seed", "1", path]) == EXIT_USAGE
+
     def test_hypothesis_exit(self, tmp_path, capsys):
         for _ in range(10):
             ah = existing_dual_b3(RNG, random_frame(RNG))
