@@ -4,9 +4,10 @@
     dualgi decompose matrix.json
     dualgi solve --mode general matrix.json rhs.json
 
-Reports are emitted as JSON on standard output.  Exit statuses:
-0 success, 1 usage/parse error, 2 proven nonexistence, 3 theorem
-hypothesis failure.  The default tolerance (1e-10) can be overridden
+Reports are emitted as compact one-line JSON on standard output.  Exit
+statuses: 0 success, 1 usage/parse error, 2 proven nonexistence, 3
+theorem hypothesis failure, 4 numerical failure (a factorization did
+not converge).  The default tolerance (1e-10) can be overridden
 with --tol or the DUALGI_TOL environment variable.
 """
 
@@ -21,13 +22,15 @@ import numpy as np
 
 from . import decomposition, inverses, io, solver
 from .dual import DualVector, dual_power
-from .errors import DimensionError, HypothesisError, InverseNotExistError
+from .errors import (DimensionError, HypothesisError, InverseNotExistError,
+                     NumericalError)
 from .realkernel import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_EXIST = 2
 EXIT_HYPOTHESIS = 3
+EXIT_NUMERICAL = 4
 
 TOL_ENV_VAR = "DUALGI_TOL"
 
@@ -71,7 +74,7 @@ def _default_tol():
 
 
 def _emit(report, output):
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -226,12 +229,15 @@ def main(argv=None):
         return args.func(args)
     except InverseNotExistError as exc:
         print(json.dumps({"error": str(exc), "exists": False,
-                          "certificate": _certificate_dict(exc.certificate)},
-                         indent=2))
+                          "certificate": _certificate_dict(exc.certificate)}))
         return EXIT_NOT_EXIST
     except HypothesisError as exc:
-        print(json.dumps({"error": str(exc)}, indent=2))
+        print(json.dumps({"error": str(exc)}))
         return EXIT_HYPOTHESIS
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError: caught here, before usage errors
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (OSError, ValueError, KeyError, DimensionError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,3 +23,7 @@ class InverseNotExistError(DualgiError):
 
 class HypothesisError(DualgiError):
     """A theorem hypothesis required by the operation does not hold."""
+
+
+class NumericalError(DualgiError):
+    """A factorization failed to converge (LAPACK ``LinAlgError``)."""

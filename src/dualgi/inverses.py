@@ -7,7 +7,10 @@ compact product formula and a brute-force linear-system oracle.
 
 Existence is decided numerically: each certificate lists relative
 residuals (scaled by 1 + input norm) and the inverse exists exactly
-when every listed residual is at or below the tolerance.
+when every listed residual is at or below the tolerance.  The DCEPGI
+and DDGI certificates read all their residuals off one (n-t) x (n-t)
+defect block of S = (Ahat^m).inf in the core-EP frame (``_defect``),
+so neither factors a 2n x 2n matrix.
 
 Each public call builds the core-EP frame of A at most once; the private
 helpers take that frame, so other modules can share it too.
@@ -205,34 +208,43 @@ def ddgi_exists(ah, tol=DEFAULT_TOL):
 
     Verdict from (I - A A^D) S (I - A A^D) = O, cross-checked against
     the augmented rank test on [[S, A^m], [A^m, O]] and against the
-    existence of the dual MP inverse of Ahat^m.
+    existence of the dual MP inverse of Ahat^m.  All three residuals
+    come from the defect block D of S in the core-EP frame (see
+    ``_defect``); the augmented rank is 2 t + rank(D) (Marsaglia and
+    Styan), so no 2n x 2n matrix is factored.
     """
     return _ddgi_certificates(ah, _frame(ah, "ddgi_exists"), tol)[0]
 
 
 def _ddgi_certificates(ah, frame, tol):
     """The DDGI certificate, Ahat^m, and the DMPGI certificate of
-    Ahat^m behind the ``power_mp`` residual.  The last rests on the
-    frame's rank-t (A^m)^+; its witness is (Ahat^m)^+."""
+    Ahat^m behind the ``power_mp`` residual.  The witness of the last,
+    (Ahat^m)^+, rests on the frame's rank-t (A^m)^+."""
     a, b = ah.std, ah.inf
-    n, m = frame.n, frame.mp
+    m = frame.mp
     s = s_matrix(a, b, m)
-    ad = drazin(a, blocks=frame)
-    proj = np.eye(n) - a @ ad
-    res = _rel(np.linalg.norm(proj @ s @ proj), np.linalg.norm(s))
-    am, ap = frame.am, frame.am_pinv
-    stacked = np.block([[s, am], [am, np.zeros((n, n))]])
-    # cut above the computed power's roundoff; rank(A^m) is the frame's t
-    rank = _svd_rank(stacked, rel=tol, floor=frame.sigma_max ** m)[0]
-    ahm = DualMatrix(am, s)
-    power_cert = _certify({"penrose_projector": _penrose_projector(ahm, ap)},
-                          tol, lambda: _dmpgi_formula(ahm, ap))
+    s_norm = np.linalg.norm(s)
+    d, k = _defect(frame, s)
+    # in the frame (I - A A^D) S (I - A A^D) = U [[O, -K D], [O, D]] U^T,
+    # and (I - A^m (A^m)^+) S (I - (A^m)^+ A^m) has the norm of D L^-T,
+    # for L L^T = I + K^T K the Gram matrix of [-K; I], a basis of N(A^m)
+    chol = np.linalg.cholesky(np.eye(frame.n - frame.t) + k.T @ k)
+    power_mp = _rel(np.linalg.norm(np.linalg.solve(chol, d.T)), s_norm)
+    # rank(D) = rank([[S, A^m], [A^m, O]]) - 2 t, cut above the roundoff
+    # of the computed power
+    rank_gap = _svd_rank(d, rel=tol,
+                         floor=max(frame.sigma_max ** m, s_norm))[0]
+    ahm = DualMatrix(frame.am, s)
+    power_cert = _certify({"penrose_projector": power_mp}, tol,
+                          lambda: _dmpgi_formula(ahm, frame.am_pinv))
     residuals = {
-        "drazin_projector": res,
-        "rank_gap": float(rank - 2 * frame.t),
-        "power_mp": power_cert.residuals["penrose_projector"],
+        "drazin_projector": _rel(np.hypot(np.linalg.norm(k @ d),
+                                          np.linalg.norm(d)), s_norm),
+        "rank_gap": float(rank_gap),
+        "power_mp": power_mp,
     }
-    cert = _certify(residuals, tol, lambda: _ddgi_formula(ah, m, ad))
+    cert = _certify(residuals, tol,
+                    lambda: _ddgi_formula(ah, m, drazin(a, blocks=frame)))
     return cert, ahm, power_cert
 
 
@@ -277,29 +289,28 @@ def _dual_group(ah, tol):
 # DCEPGI
 # ---------------------------------------------------------------------------
 
-def _block_condition_sides(frame, b):
-    """The two sides S3 T1^-m Ttilde and S4 of the block-form existence
-    condition, where S3 and S4 are the lower blocks of U^T S U, summed
-    from the blocks of B and the frame's power tables.  Both live in
-    the (n-t) x (n-t) corner."""
-    m = frame.mp
-    _, _, b3, b4 = frame.split_blocks(b)
-    n_pow, t1_inv_pow = frame.n_powers, frame.t1_inv_powers
-    tops = frame.t_tildes
-    lhs = np.zeros_like(b4)
-    rhs = np.zeros_like(b4)
-    for i in range(1, m + 1):
-        lhs += n_pow[m - i] @ b3 @ t1_inv_pow[m + 1 - i] @ tops[m]
-        rhs += n_pow[m - i] @ (b3 @ tops[i - 1] + b4 @ n_pow[i - 1])
-    return lhs, rhs
+def _defect(frame, s):
+    """The defect block D = W4 - W3 K of S in the core-EP frame, and K.
+
+    W3 and W4 are the lower blocks of W = U^T S U, and K = T1^-m Ttilde.
+    In the frame (I - A^m (A^m)#) S (I - (A^m)# A^m) = U [[O, O], [O, D]]
+    U^T, with # the core-EP inverse: S is compatible with A exactly
+    when D = O.  D is (n-t) x (n-t).
+    """
+    t, m = frame.t, frame.mp
+    k = frame.t1_inv_powers[m] @ frame.t_tildes[m]
+    lower = frame.U[:, t:].T @ s @ frame.U  # [W3, W4]
+    return lower[:, t:] - lower[:, :t] @ k, k
 
 
 def dcepgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual core-EP generalized inverse.
 
     Verdict from (I - A^m (A^m)#) S (I - (A^m)# A^m) = O with # the
-    core-EP inverse, cross-checked against the equivalent block
-    condition in the core-EP frame.
+    core-EP inverse.  In the core-EP frame that matrix is the defect
+    block D = S4 - S3 T1^-m Ttilde (see ``_defect``); the two
+    residuals are ||D|| relative to S (``core_ep_projector``) and to B
+    (``block_condition``).
     """
     return _dcepgi_certificate(ah, _frame(ah, "dcepgi_exists"), tol)
 
@@ -307,17 +318,10 @@ def dcepgi_exists(ah, tol=DEFAULT_TOL):
 def _dcepgi_certificate(ah, frame, tol):
     """``dcepgi_exists`` in a given frame of the standard part."""
     a, b = ah.std, ah.inf
-    n, t, m = frame.n, frame.t, frame.mp
-    s = s_matrix(a, b, m)
-    # (A^m)# = U [[T1^-m, O], [O, O]] U^T
-    am = frame.am
-    am_cep = frame.assemble_top(frame.t1_inv_powers[m], np.zeros((t, n - t)))
-    left = np.eye(n) - am @ am_cep
-    right = np.eye(n) - am_cep @ am
-    res = _rel(np.linalg.norm(left @ s @ right), np.linalg.norm(s))
-    lhs, rhs = _block_condition_sides(frame, b)
-    res_block = _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(b))
-    residuals = {"core_ep_projector": res, "block_condition": res_block}
+    s = s_matrix(a, b, frame.mp)
+    defect = np.linalg.norm(_defect(frame, s)[0])
+    residuals = {"core_ep_projector": _rel(defect, np.linalg.norm(s)),
+                 "block_condition": _rel(defect, np.linalg.norm(b))}
     return _certify(residuals, tol, lambda: _dcepgi_canonical(ah, frame))
 
 

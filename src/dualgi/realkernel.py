@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericalError
 
 __all__ = [
     "DEFAULT_TOL",
@@ -47,10 +47,15 @@ def _svd_rank(a, rel=None, floor=0.0, uv=False):
     ``floor`` is the roundoff floor of a computed power A^k,
     sigma_max(A)^k.  Returns (rank, sigma_max(a), svd), svd being the
     singular values, or (U, sv, Vt) with ``uv``, so that a basis or
-    pseudo-inverse from these factors has that rank.
+    pseudo-inverse from these factors has that rank.  An SVD that does
+    not converge raises NumericalError.
     """
     a = np.asarray(a, dtype=float)
-    svd = np.linalg.svd(a, compute_uv=uv)
+    try:
+        svd = np.linalg.svd(a, compute_uv=uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix "
+                             f"failed: {exc}") from exc
     sv = svd[1] if uv else svd
     sigma = float(sv[0]) if sv.size else 0.0
     if rel is None:

@@ -19,8 +19,7 @@ from .dual import DualMatrix, DualVector
 from .errors import DimensionError, HypothesisError
 from .inverses import _certified, _dcepgi_witness, _ddgi_certificates, _rel
 from .realkernel import DEFAULT_TOL, core_ep_decompose
-from .relations import _column_membership_residual, _first_order_dcepgi, \
-    _stacked
+from .relations import _first_order_dcepgi
 
 __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
 
@@ -77,6 +76,21 @@ def _solve_general(ah, bhat, frame, tol):
                           surrogate_rhs=rhs)
 
 
+def _range_residual(frame, s, xhat):
+    """Relative residual of xhat = x + eps x' against the dual range of
+    Ahat^m = A^m + eps S, at the preimage y = (A^m)^+ x,
+    y' = (A^m)^+ (x' - S y).  What that preimage misses is the part of x
+    and of x' - S y along U[:, t:], the orthogonal complement of R(A^m).
+    No preimage misses less than the least-squares one, so this check
+    is never laxer than a least-squares test on the stacked 2n x 2n
+    matrix."""
+    x, x1 = xhat.std, xhat.inf
+    u2t = frame.U[:, frame.t:].T
+    miss = np.hypot(np.linalg.norm(u2t @ x),
+                    np.linalg.norm(u2t @ (x1 - s @ (frame.am_pinv @ x))))
+    return _rel(miss, np.hypot(np.linalg.norm(x), np.linalg.norm(x1)))
+
+
 def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     """Unique solution of Ahat Ahat^cep xhat = Ahat^cep bhat inside the
     dual range of Ahat^m, namely Ahat^cep bhat.
@@ -85,10 +99,10 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     membership in the dual range and the equation residual are
     verified before returning.
     """
-    x_cep, ahm = _first_order_dcepgi(ah, _checked_frame(ah, bhat), tol)
+    frame = _checked_frame(ah, bhat)
+    x_cep, ahm = _first_order_dcepgi(ah, frame, tol)
     xhat = x_cep @ bhat
-    member = _column_membership_residual(
-        np.concatenate([xhat.std, xhat.inf])[:, None], _stacked(ahm))
+    member = _range_residual(frame, ahm.inf, xhat)
     if member > tol:
         raise HypothesisError(
             f"solution fails dual-range membership (residual {member:.3e})")

@@ -32,7 +32,8 @@ from functools import reduce
 
 import numpy as np
 
-from dualgi import DualMatrix, DualVector, dcepgi_exists
+from dualgi import DEFAULT_TOL, DualMatrix, DualVector, dcepgi_exists, \
+    dual_power
 
 
 def orthogonal(rng, n):
@@ -131,6 +132,19 @@ REDUCING_CUTOFF_CASES = ((30, (5, 2, 3)), (525, (6, 1, 2)), (120, (6, 3, 3)))
 def seeded_reducing_dual(seed, shape):
     rng = np.random.default_rng(seed)
     return reducing_dual(rng, Frame(rng, *shape))
+
+
+def stacked_rank_gap(ah, t, m, tol=DEFAULT_TOL):
+    """rank([[S, A^m], [A^m, O]]) - 2 t from one SVD of that 2n x 2n
+    matrix, cut at tol * max(its sigma_max, sigma_max(A)^m), for
+    Ahat^m = A^m + eps S: the stacked reference for the DDGI
+    ``rank_gap``, which the library reads off an (n-t) x (n-t) block."""
+    ahm = dual_power(ah, m)
+    zero = np.zeros_like(ahm.std)
+    sv = np.linalg.svd(np.block([[ahm.inf, ahm.std], [ahm.std, zero]]),
+                       compute_uv=False)
+    cut = tol * max(sv[0], np.linalg.norm(ah.std, 2) ** m)
+    return int(np.sum(sv > cut)) - 2 * t
 
 
 def _t_tilde(frame):

@@ -3,8 +3,10 @@
 ``core_ep_decompose`` is wrapped wherever ``dualgi`` binds it, and each
 public call is counted on an index-3 input: every certificate, inverse,
 decomposition and solution of one call derives from a single frame.
-The SVDs of a call are counted the same way, ``numpy.linalg.svd``
-wrapped also where ``norm(x, 2)`` looks it up.
+The SVDs and least-squares solves of a call are recorded the same way,
+``numpy.linalg.svd`` and ``lstsq`` wrapped also where ``norm(x, 2)``
+looks them up: the DDGI and solver paths factor nothing larger than
+n x n.
 """
 
 import json
@@ -41,16 +43,20 @@ def frame_calls(monkeypatch):
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
+def linalg_calls(monkeypatch):
+    """(name, input shape) of every SVD and lstsq call."""
     calls = []
-    svd = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, args[0].shape))
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    monkeypatch.setattr(linalg_impl, "svd", counted)
+    for name in ("svd", "lstsq"):
+        wrapped = recorded(name, getattr(np.linalg, name))
+        monkeypatch.setattr(np.linalg, name, wrapped)
+        monkeypatch.setattr(linalg_impl, name, wrapped)
     return calls
 
 
@@ -58,6 +64,12 @@ def svd_calls(monkeypatch):
 def index_three():
     f = Frame(RNG, 6, 2, 3)
     return existing_dual(RNG, f), random_dual_vector(RNG, f.n)
+
+
+@pytest.fixture(scope="module")
+def index_one():
+    rng = np.random.default_rng(20261018)
+    return existing_dual(rng, Frame(rng, 6, 3, 1))
 
 
 ONE_FRAME = ("dcepgi_exists", "dcepgi", "ddgi", "dcepgi_compact",
@@ -94,11 +106,30 @@ def test_mp_inverses_build_no_frame(frame_calls, index_three):
     # and the SVD of A^m that gives U and t
     ("dcepgi_exists", 3 + 2),
     # [[B, A], [A, O]], then A at the same cut, which also gives A^+
-    ("dmpgi_exists", 2)])
-def test_svd_count(name, count, svd_calls, index_three):
+    ("dmpgi_exists", 2),
+    # the frame's m + 2, and the (n-t) x (n-t) defect block for rank_gap
+    ("ddgi_exists", 3 + 3)])
+def test_svd_count(name, count, linalg_calls, index_three):
     ah, _ = index_three
     getattr(dualgi, name)(ah)
-    assert len(svd_calls) == count, svd_calls
+    svds = [shape for kind, shape in linalg_calls if kind == "svd"]
+    assert len(svds) == count, linalg_calls
+
+
+@pytest.mark.parametrize("name", [
+    "ddgi_exists", "ddgi", "dual_group", "dcepgi_compact", "solve_general",
+    "solve_unique_in_range"])
+def test_no_factorization_above_n(name, linalg_calls, index_three,
+                                  index_one):
+    ah, bh = index_three
+    args = (ah, bh) if name.startswith("solve") else (ah,)
+    if name == "dual_group":  # needs index(A) <= 1
+        args = (index_one,)
+    getattr(dualgi, name)(*args)
+    n = ah.shape[0]
+    assert linalg_calls, "nothing recorded"
+    assert all(kind == "svd" and max(shape) <= n
+               for kind, shape in linalg_calls), linalg_calls
 
 
 @pytest.mark.parametrize("argv", [

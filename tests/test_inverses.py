@@ -12,7 +12,8 @@ from dualgi import (DualMatrix, core_ep_inverse, core_ep_residuals, dcepgi,
 from dualgi.errors import DimensionError, InverseNotExistError
 from helpers import (REDUCING_CUTOFF_CASES, Frame, existing_dual,
                      existing_dual_b3, mp_existing_dual, random_dual,
-                     random_dual_vector, random_frame, seeded_reducing_dual)
+                     random_dual_vector, random_frame, reducing_dual,
+                     seeded_reducing_dual, stacked_rank_gap)
 
 RNG = np.random.default_rng(20240819)
 
@@ -252,3 +253,33 @@ class TestDualCoreInverse:
         ah = DualMatrix(a, RNG.standard_normal((3, 3)))
         x = dual_core_inverse(ah)
         assert (ah @ x - DualMatrix.eye(3)).norm() < 1e-9
+
+
+class TestReducedRankGap:
+    """The DDGI ``rank_gap`` is rank(D) for the (n-t) x (n-t) defect
+    block D (Marsaglia and Styan); it must equal the rank gap of the
+    stacked 2n x 2n matrix [[S, A^m], [A^m, O]]."""
+
+    @pytest.mark.parametrize("build", [existing_dual, existing_dual_b3,
+                                       reducing_dual, random_dual])
+    def test_equals_stacked_reference(self, build):
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for n in (5, 8, 12, 20):
+            for m in range(1, 5):
+                for _ in range(3):
+                    f = Frame(rng, n, int(rng.integers(1, n - m + 1)), m)
+                    ah = build(rng, f)
+                    if ah is None:  # existing_dual_b3 found no B4
+                        continue
+                    gap = ddgi_exists(ah).residuals["rank_gap"]
+                    assert gap == stacked_rank_gap(ah, f.t, m), (n, f.t, m)
+                    checked += 1
+        assert checked >= 24
+
+    @pytest.mark.parametrize("seed,shape", REDUCING_CUTOFF_CASES)
+    def test_reducing_cutoff_cases(self, seed, shape):
+        ah = seeded_reducing_dual(seed, shape)
+        n, t, m = shape
+        assert ddgi_exists(ah).residuals["rank_gap"] \
+            == stacked_rank_gap(ah, t, m) == 0

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from dualgi import DualMatrix, DualVector, dcepgi
-from dualgi.cli import (EXIT_HYPOTHESIS, EXIT_NOT_EXIST, EXIT_OK, EXIT_USAGE,
-                        main)
-from dualgi.errors import DimensionError
+from dualgi.cli import (EXIT_HYPOTHESIS, EXIT_NOT_EXIST, EXIT_NUMERICAL,
+                        EXIT_OK, EXIT_USAGE, main)
+from dualgi.errors import DimensionError, DualgiError, NumericalError
 from dualgi.io import (dual_vector_to_dict, read_dual_matrix,
                        read_dual_vector, write_dual_matrix)
 from helpers import (existing_dual, existing_dual_b3, random_dual,
@@ -183,3 +183,52 @@ class TestCLICommands:
             code = main(["inverse", "--kind", kind, path])
             capsys.readouterr()
             assert code in (EXIT_OK, EXIT_NOT_EXIST)
+
+
+class TestCLIReportForm:
+    def test_report_is_one_line(self, existing_file, tmp_path, capsys):
+        path, _ = existing_file
+        out = tmp_path / "report.json"
+        assert main(["inverse", "--kind", "cep", path,
+                     "--output", str(out)]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text)["exists"] is True
+        assert out.read_text() == text
+
+    def test_error_report_is_one_line(self, nonexisting_file, tmp_path,
+                                      capsys):
+        # the solver's InverseNotExistError is reported by ``main``
+        path, ah = nonexisting_file
+        rhs = tmp_path / "b.json"
+        write_vector(rhs, random_dual_vector(RNG, ah.shape[0]))
+        assert main(["solve", path, str(rhs)]) == EXIT_NOT_EXIST
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1
+        assert json.loads(text)["exists"] is False
+
+
+class TestNumericalFailure:
+    @staticmethod
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def test_svd_failure_is_typed(self, existing_file, monkeypatch):
+        _, ah = existing_file
+        monkeypatch.setattr(np.linalg, "svd", self.failing)
+        with pytest.raises(NumericalError) as info:
+            dcepgi(ah)
+        assert isinstance(info.value, DualgiError)
+        assert not isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("routine", ["svd", "inv"])
+    def test_cli_exit_code(self, routine, existing_file, monkeypatch,
+                           capsys):
+        # an SVD failure arrives as NumericalError, any other LAPACK
+        # failure (here the inverse of T1) as LinAlgError
+        path, _ = existing_file
+        monkeypatch.setattr(np.linalg, routine, self.failing)
+        assert main(["inverse", "--kind", "cep", path]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

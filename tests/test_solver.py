@@ -7,8 +7,11 @@ from dualgi import (DualMatrix, DualVector, dcepgi, dmpgi, dual_power,
                     solve_general, solve_unique_in_range)
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
 from dualgi.inverses import _eff_index
+from dualgi.realkernel import DEFAULT_TOL, core_ep_decompose
+from dualgi.relations import _column_membership_residual, _stacked
+from dualgi.solver import _range_residual
 from helpers import (existing_dual, existing_dual_b3, random_dual,
-                     random_dual_vector, random_frame)
+                     random_dual_vector, random_frame, reducing_dual)
 
 RNG = np.random.default_rng(20240822)
 
@@ -126,3 +129,48 @@ class TestSolveUniqueInRange:
         bhat = random_dual_vector(RNG, 3)
         xhat = solve_unique_in_range(ah, bhat, tol=1e-7)
         assert (ah @ xhat - bhat).norm() < 1e-8
+
+
+class TestFrameRangeCheck:
+    """The dual-range check of ``solve_unique_in_range`` measures the
+    residual at one feasible preimage in the core-EP frame, against the
+    least-squares residual over the stacked [[A^m, O], [S, A^m]]."""
+
+    @staticmethod
+    def draws(count):
+        rng = np.random.default_rng(20261018)
+        for i in range(count):
+            f = random_frame(rng, n_max=12, m_max=4)
+            ah = (existing_dual if i % 2 else reducing_dual)(rng, f)
+            frame = core_ep_decompose(ah.std)
+            yield rng, ah, frame, dual_power(ah, frame.mp)
+
+    @staticmethod
+    def lstsq_residual(ahm, vh):
+        col = np.concatenate([vh.std, vh.inf])[:, None]
+        return _column_membership_residual(col, _stacked(ahm))
+
+    def test_never_below_least_squares(self):
+        for rng, ah, frame, ahm in self.draws(60):
+            vh = random_dual_vector(rng, frame.n)
+            res = _range_residual(frame, ahm.inf, vh)
+            # equal when the least-squares preimage is the frame's one;
+            # the slack covers the roundoff of that tie
+            assert res >= self.lstsq_residual(ahm, vh) * (1 - 1e-12)
+
+    def test_built_solutions_pass(self):
+        for rng, ah, frame, ahm in self.draws(60):
+            xhat = dcepgi(ah) @ random_dual_vector(rng, frame.n)
+            assert _range_residual(frame, ahm.inf, xhat) <= DEFAULT_TOL
+
+    def test_rejects_component_outside_range(self):
+        # U[:, t:] spans the orthogonal complement of R(A^m); a part of
+        # either the standard or the infinitesimal vector along it
+        # leaves the dual range
+        for rng, ah, frame, ahm in self.draws(20):
+            xhat = dcepgi(ah) @ random_dual_vector(rng, frame.n)
+            off = 1e-6 * frame.U[:, frame.t]
+            for vh in (xhat + DualVector(off, np.zeros(frame.n)),
+                       xhat + DualVector(np.zeros(frame.n), off)):
+                assert _range_residual(frame, ahm.inf, vh) > DEFAULT_TOL
+                assert self.lstsq_residual(ahm, vh) > DEFAULT_TOL
