@@ -7,11 +7,12 @@
 Reports are emitted as compact one-line JSON on standard output.  Exit
 statuses: 0 success, 1 usage/parse error, 2 proven nonexistence, 3
 theorem hypothesis failure, 4 numerical failure (a factorization did
-not converge).  The default tolerance (1e-10) can be overridden
-with --tol or the DUALGI_TOL environment variable.
+not converge).  The default tolerance (1e-10) can be overridden, by
+a finite number > 0, with --tol or the DUALGI_TOL environment variable.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ import time
 import numpy as np
 
 from . import decomposition, inverses, io, solver
-from .dual import DualVector, dual_power
+from .dual import DualVector
 from .errors import (DimensionError, HypothesisError, InverseNotExistError,
                      NumericalError)
 from .realkernel import DEFAULT_TOL
@@ -63,12 +64,22 @@ def _certificate_dict(cert):
     }
 
 
+def _tolerance(text):
+    """A residual tolerance, finite and > 0: a nan, zero or negative one
+    would reject every input, an infinite one accept every input."""
+    tol = float(text)
+    if not 0 < tol < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number > 0, got {text!r}")
+    return tol
+
+
 def _default_tol():
     env = os.environ.get(TOL_ENV_VAR)
     if env is not None:
         try:
-            return float(env)
-        except ValueError:
+            return _tolerance(env)
+        except (ValueError, argparse.ArgumentTypeError):
             raise SystemExit(f"invalid {TOL_ENV_VAR} value: {env!r}")
     return DEFAULT_TOL
 
@@ -113,8 +124,8 @@ def cmd_inverse(args):
 def cmd_decompose(args):
     name, ah = io.read_dual_matrix(args.input)
     start = time.perf_counter()
-    frame = inverses._frame(ah, "dual_core_ep_decompose")
-    d = decomposition._decompose(ah, frame, args.tol)
+    df = inverses._Frame(ah, "dual_core_ep_decompose")
+    d = decomposition._decompose(df, args.tol)
     recon_res = (d.reconstruct() - ah).norm() / (1.0 + ah.norm())
     report = {
         "command": "decompose",
@@ -130,7 +141,7 @@ def cmd_decompose(args):
         "U3": d.U3.tolist(),
         "reconstruction_residual": recon_res,
     }
-    cert = inverses._dcepgi_certificate(ah, frame, args.tol)
+    cert = inverses._dcepgi_certificate(df, args.tol)
     report["dcepgi_certificate"] = _certificate_dict(cert)
     if cert.exists:
         core = ah @ cert.witness @ ah
@@ -154,8 +165,8 @@ def cmd_solve(args):
         "seed": args.seed,
     }
     if args.mode == "general":
-        frame = solver._checked_frame(ah, bhat)
-        sol = solver._solve_general(ah, bhat, frame, args.tol)
+        df = solver._checked_frame(ah, bhat)
+        sol = solver._solve_general(df, bhat, args.tol)
         report["particular"] = io.dual_vector_to_dict(sol.particular,
                                                       name="particular")
         report["homogeneous_projector"] = io.dual_matrix_to_dict(
@@ -163,7 +174,7 @@ def cmd_solve(args):
         report["residual"] = sol.residual
         # spot-check random homogeneous shifts
         rng = np.random.default_rng(args.seed)
-        power = dual_power(ah, frame.mp + 1)
+        power = df.ahm @ ah  # Ahat^(m+1)
         checks = []
         for _ in range(args.spot_checks):
             yhat = DualVector(rng.standard_normal(len(bhat)),
@@ -180,14 +191,16 @@ def cmd_solve(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="dualgi",
         description="Generalized inverses of dual-number matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="residual tolerance (default 1e-10, or "
                             f"{TOL_ENV_VAR})")
         p.add_argument("--output", default=None,
@@ -218,9 +231,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     if args.tol is None:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualMatrix
-from .errors import DimensionError, InverseNotExistError
-from .inverses import _dcepgi_witness, _frame
-from .realkernel import DEFAULT_TOL, _svd_rank, core_ep_decompose
+from .errors import InverseNotExistError
+from .inverses import _dcepgi_witness, _Frame
+from .realkernel import DEFAULT_TOL, _svd_rank
 
 __all__ = [
     "DualCoreEPDecomposition",
@@ -101,19 +101,16 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     Pass ``u`` to pin the real orthogonal frame (useful for matching a
     hand-picked basis); otherwise it comes from an SVD of A^m.
     """
-    if not ah.is_square:
-        raise DimensionError(f"dual_core_ep_decompose needs a square dual "
-                             f"matrix, got {ah.shape}")
-    return _decompose(ah, core_ep_decompose(ah.std, u=u), tol)
+    return _decompose(_Frame(ah, "dual_core_ep_decompose", u=u), tol)
 
 
-def _decompose(ah, frame, tol):
-    """``dual_core_ep_decompose`` in a given frame of the standard part."""
-    b = ah.inf
+def _decompose(df, tol):
+    """``dual_core_ep_decompose`` in the dual frame ``df``."""
+    frame = df.blocks
     t, n = frame.t, frame.n
     t1, t2, nb = frame.T1, frame.T2, frame.N
-    b1, b2, b3, b4 = frame.split_blocks(b)
-    u3 = frame.sylvester(b3)
+    b1, b2, _, b4 = df.b_blocks
+    u3 = df.u3
 
     u0 = frame.U @ np.block([[np.zeros((t, t)), -u3.T],
                              [u3, np.zeros((n - t, n - t))]])
@@ -122,7 +119,7 @@ def _decompose(ah, frame, tol):
     t1_hat = DualMatrix(t1, t2 @ u3 + b1)
     t2_hat = DualMatrix(t2, b2 + u3.T @ nb - t1 @ u3.T)
     n_hat = DualMatrix(nb, b4 - u3 @ t2)
-    scale = 1.0 + np.linalg.norm(b)
+    scale = 1.0 + np.linalg.norm(df.ah.inf)
     canonical = bool(np.linalg.norm(t2 @ u3) <= tol * scale
                      and np.linalg.norm(u3 @ t2) <= tol * scale)
     return DualCoreEPDecomposition(U_hat=u_hat, T1_hat=t1_hat, T2_hat=t2_hat,
@@ -138,8 +135,7 @@ def dual_cn_split(ah, tol=DEFAULT_TOL):
     split of the dual core-EP decomposition when the decomposition is
     canonical.
     """
-    frame = _frame(ah, "dual_cn_split")
-    x = _dcepgi_witness(ah, frame, tol,
+    x = _dcepgi_witness(_Frame(ah, "dual_cn_split"), tol,
                         "dual core-nilpotent split needs the DCEPGI to exist")
     core = ah @ x @ ah
     return DualCNSplit(core=core, nilpotent=ah - core)

@@ -9,14 +9,16 @@ Existence is decided numerically: each certificate lists relative
 residuals (scaled by 1 + input norm) and the inverse exists exactly
 when every listed residual is at or below the tolerance.  The DCEPGI
 and DDGI certificates read all their residuals off one (n-t) x (n-t)
-defect block of S = (Ahat^m).inf in the core-EP frame (``_defect``),
-so neither factors a 2n x 2n matrix.
+defect block of S = (Ahat^m).inf in the core-EP frame, so neither
+factors a 2n x 2n matrix.
 
-Each public call builds the core-EP frame of A at most once; the private
-helpers take that frame, so other modules can share it too.
+Each public call builds one dual frame (``_Frame``), which forms S,
+Ahat^m, U^T B U, U3 and D at most once; the private helpers take that
+frame, so other modules share it too.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 from .dual import DualMatrix, dual_power, s_matrix
 from .errors import DimensionError, InverseNotExistError
 from .realkernel import (DEFAULT_TOL, _pinv, _svd_rank, core_ep_decompose,
-                         core_ep_inverse, drazin, index, moore_penrose)
+                         core_ep_inverse, drazin, moore_penrose)
 
 __all__ = [
     "ExistenceCertificate",
@@ -82,21 +84,53 @@ def _certified(cert, message):
     return cert
 
 
-def _require_square(ah, op):
-    if not ah.is_square:
-        raise DimensionError(f"{op} needs a square dual matrix, got {ah.shape}")
+class _Frame:
+    """The dual core-EP frame of a square dual matrix Ahat = A + eps B:
+    ``blocks``, the real core-EP frame of A (``u`` as in
+    ``core_ep_decompose``), and what the certificates, inverses,
+    decomposition and solvers share, each formed once, on first use."""
 
+    def __init__(self, ah, op, u=None):
+        if not ah.is_square:
+            raise DimensionError(f"{op} needs a square dual matrix, "
+                                 f"got {ah.shape}")
+        self.ah = ah
+        self.blocks = core_ep_decompose(ah.std, u=u)
 
-def _frame(ah, op):
-    """The core-EP frame of the standard part of a square dual matrix."""
-    _require_square(ah, op)
-    return core_ep_decompose(ah.std)
+    @cached_property
+    def s(self):
+        """S = (Ahat^m).inf = sum_{i=1..m} A^(m-i) B A^(i-1)."""
+        return s_matrix(self.ah.std, self.ah.inf, self.blocks.mp)
 
+    @cached_property
+    def ahm(self):
+        """Ahat^m = A^m + eps S."""
+        return DualMatrix(self.blocks.am, self.s)
 
-def _eff_index(a):
-    """Index clamped to >= 1 so the S-matrix and power formulas are
-    well formed (invertible A has index 0 but behaves as m = 1)."""
-    return max(index(a), 1)
+    @cached_property
+    def b_blocks(self):
+        """(B1, B2, B3, B4), the blocks of U^T B U."""
+        return self.blocks.split_blocks(self.ah.inf)
+
+    @cached_property
+    def u3(self):
+        """U3, the solution of N U3 + B3 - U3 T1 = O."""
+        return self.blocks.sylvester(self.b_blocks[2])
+
+    @cached_property
+    def defect(self):
+        """The defect block D = W4 - W3 K of S, and K.
+
+        W3 and W4 are the lower blocks of W = U^T S U, and K = T1^-m
+        Ttilde.  In the frame (I - A^m (A^m)#) S (I - (A^m)# A^m) =
+        U [[O, O], [O, D]] U^T, with # the core-EP inverse: S is
+        compatible with A exactly when D = O.  D is (n-t) x (n-t).
+        """
+        f = self.blocks
+        t, m = f.t, f.mp
+        k = f.t1_inv_powers[m] @ f.t_tildes[m]
+        lower = f.U[:, t:].T @ self.s @ f.U  # [W3, W4]
+        return lower[:, t:] - lower[:, :t] @ k, k
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +244,18 @@ def ddgi_exists(ah, tol=DEFAULT_TOL):
     the augmented rank test on [[S, A^m], [A^m, O]] and against the
     existence of the dual MP inverse of Ahat^m.  All three residuals
     come from the defect block D of S in the core-EP frame (see
-    ``_defect``); the augmented rank is 2 t + rank(D) (Marsaglia and
-    Styan), so no 2n x 2n matrix is factored.
+    ``_Frame.defect``); the augmented rank is 2 t + rank(D) (Marsaglia
+    and Styan), so no 2n x 2n matrix is factored.
     """
-    return _ddgi_certificates(ah, _frame(ah, "ddgi_exists"), tol)[0]
+    return _ddgi_certificate(_Frame(ah, "ddgi_exists"), tol)
 
 
-def _ddgi_certificates(ah, frame, tol):
-    """The DDGI certificate, Ahat^m, and the DMPGI certificate of
-    Ahat^m behind the ``power_mp`` residual.  The witness of the last,
-    (Ahat^m)^+, rests on the frame's rank-t (A^m)^+."""
-    a, b = ah.std, ah.inf
+def _ddgi_certificate(df, tol):
+    """``ddgi_exists`` in the dual frame ``df``."""
+    frame = df.blocks
     m = frame.mp
-    s = s_matrix(a, b, m)
-    s_norm = np.linalg.norm(s)
-    d, k = _defect(frame, s)
+    s_norm = np.linalg.norm(df.s)
+    d, k = df.defect
     # in the frame (I - A A^D) S (I - A A^D) = U [[O, -K D], [O, D]] U^T,
     # and (I - A^m (A^m)^+) S (I - (A^m)^+ A^m) has the norm of D L^-T,
     # for L L^T = I + K^T K the Gram matrix of [-K; I], a basis of N(A^m)
@@ -234,18 +265,14 @@ def _ddgi_certificates(ah, frame, tol):
     # of the computed power
     rank_gap = _svd_rank(d, rel=tol,
                          floor=max(frame.sigma_max ** m, s_norm))[0]
-    ahm = DualMatrix(frame.am, s)
-    power_cert = _certify({"penrose_projector": power_mp}, tol,
-                          lambda: _dmpgi_formula(ahm, frame.am_pinv))
     residuals = {
         "drazin_projector": _rel(np.hypot(np.linalg.norm(k @ d),
                                           np.linalg.norm(d)), s_norm),
         "rank_gap": float(rank_gap),
         "power_mp": power_mp,
     }
-    cert = _certify(residuals, tol,
-                    lambda: _ddgi_formula(ah, m, drazin(a, blocks=frame)))
-    return cert, ahm, power_cert
+    return _certify(residuals, tol, lambda: _ddgi_formula(
+        df.ah, m, drazin(df.ah.std, blocks=frame)))
 
 
 def _ddgi_formula(ah, m, ad):
@@ -278,71 +305,55 @@ def dual_group(ah, tol=DEFAULT_TOL):
 
 
 def _dual_group(ah, tol):
-    frame = _frame(ah, "dual_group")
-    if frame.m > 1:
+    df = _Frame(ah, "dual_group")
+    if df.blocks.m > 1:
         raise DimensionError("dual group inverse needs index(A) <= 1, "
-                             f"got {frame.m}")
-    return _certified(_ddgi_certificates(ah, frame, tol)[0], _NO_DDGI)
+                             f"got {df.blocks.m}")
+    return _certified(_ddgi_certificate(df, tol), _NO_DDGI)
 
 
 # ---------------------------------------------------------------------------
 # DCEPGI
 # ---------------------------------------------------------------------------
 
-def _defect(frame, s):
-    """The defect block D = W4 - W3 K of S in the core-EP frame, and K.
-
-    W3 and W4 are the lower blocks of W = U^T S U, and K = T1^-m Ttilde.
-    In the frame (I - A^m (A^m)#) S (I - (A^m)# A^m) = U [[O, O], [O, D]]
-    U^T, with # the core-EP inverse: S is compatible with A exactly
-    when D = O.  D is (n-t) x (n-t).
-    """
-    t, m = frame.t, frame.mp
-    k = frame.t1_inv_powers[m] @ frame.t_tildes[m]
-    lower = frame.U[:, t:].T @ s @ frame.U  # [W3, W4]
-    return lower[:, t:] - lower[:, :t] @ k, k
-
-
 def dcepgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual core-EP generalized inverse.
 
     Verdict from (I - A^m (A^m)#) S (I - (A^m)# A^m) = O with # the
     core-EP inverse.  In the core-EP frame that matrix is the defect
-    block D = S4 - S3 T1^-m Ttilde (see ``_defect``); the two
+    block D = S4 - S3 T1^-m Ttilde (see ``_Frame.defect``); the two
     residuals are ||D|| relative to S (``core_ep_projector``) and to B
     (``block_condition``).
     """
-    return _dcepgi_certificate(ah, _frame(ah, "dcepgi_exists"), tol)
+    return _dcepgi_certificate(_Frame(ah, "dcepgi_exists"), tol)
 
 
-def _dcepgi_certificate(ah, frame, tol):
-    """``dcepgi_exists`` in a given frame of the standard part."""
-    a, b = ah.std, ah.inf
-    s = s_matrix(a, b, frame.mp)
-    defect = np.linalg.norm(_defect(frame, s)[0])
-    residuals = {"core_ep_projector": _rel(defect, np.linalg.norm(s)),
-                 "block_condition": _rel(defect, np.linalg.norm(b))}
-    return _certify(residuals, tol, lambda: _dcepgi_canonical(ah, frame))
+def _dcepgi_certificate(df, tol):
+    """``dcepgi_exists`` in the dual frame ``df``."""
+    defect = np.linalg.norm(df.defect[0])
+    residuals = {"core_ep_projector": _rel(defect, np.linalg.norm(df.s)),
+                 "block_condition": _rel(defect, np.linalg.norm(df.ah.inf))}
+    return _certify(residuals, tol, lambda: _dcepgi_canonical(df))
 
 
-def _dcepgi_canonical(ah, frame):
+def _dcepgi_canonical(df):
     """Canonical block representation of the DCEPGI:
     U [[T1^-1, O], [O, O]] U^T + eps U [[R11, T1^-1 U3^T], [K, O]] U^T
     with K = U3 T1^-1 and R11 = -T1^-1 B1 T1^-1 - T1^-1 T2 K."""
+    frame = df.blocks
     t, n = frame.t, frame.n
     t1_inv = frame.t1_inv
-    b1, _, b3, _ = frame.split_blocks(ah.inf)
-    u3 = frame.sylvester(b3)
+    b1, u3 = df.b_blocks[0], df.u3
     k = u3 @ t1_inv
     r11 = -t1_inv @ b1 @ t1_inv - t1_inv @ frame.T2 @ k
     r = frame.assemble(r11, t1_inv @ u3.T, k, np.zeros((n - t, n - t)))
-    return DualMatrix(core_ep_inverse(ah.std, blocks=frame), r)
+    return DualMatrix(core_ep_inverse(df.ah.std, blocks=frame), r)
 
 
-def _dcepgi_witness(ah, frame, tol, message=_NO_DCEPGI):
+def _dcepgi_witness(df, tol, message=_NO_DCEPGI):
     """The DCEPGI from ``_dcepgi_certificate``; InverseNotExistError
     with ``message`` when it does not exist."""
-    return _certified(_dcepgi_certificate(ah, frame, tol), message).witness
+    return _certified(_dcepgi_certificate(df, tol), message).witness
 
 
 def dcepgi(ah, tol=DEFAULT_TOL):
@@ -369,12 +380,13 @@ def dcepgi_compact(ah, tol=DEFAULT_TOL):
 
 def _dcepgi_compact(ah, tol):
     """The DCEPGI certificate, with the compact product as its witness."""
-    frame = _frame(ah, "dcepgi_compact")
-    cep_cert = _certified(_dcepgi_certificate(ah, frame, tol), _NO_DCEPGI)
-    d_cert, ahm, power_cert = _ddgi_certificates(ah, frame, tol)
-    _certified(d_cert, _NO_DDGI + " (required by the compact formula)")
-    return replace(cep_cert,
-                   witness=d_cert.witness @ ahm @ power_cert.witness)
+    df = _Frame(ah, "dcepgi_compact")
+    cep_cert = _certified(_dcepgi_certificate(df, tol), _NO_DCEPGI)
+    d_cert = _certified(_ddgi_certificate(df, tol),
+                        _NO_DDGI + " (required by the compact formula)")
+    # (Ahat^m)^+, certified by power_mp, at the frame's rank-t (A^m)^+
+    ahm_pinv = _dmpgi_formula(df.ahm, df.blocks.am_pinv)
+    return replace(cep_cert, witness=d_cert.witness @ df.ahm @ ahm_pinv)
 
 
 def _vec(x):
@@ -404,12 +416,12 @@ def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
     Returns X + eps R when the least-squares residual is below
     tolerance, else None.  Test-scale only (dense n^2 unknowns).
     """
-    _require_square(ah, "dcepgi_bruteforce_oracle")
+    df = _Frame(ah, "dcepgi_bruteforce_oracle")
     a, b = ah.std, ah.inf
     n = a.shape[0]
-    m = _eff_index(a)
-    x = core_ep_inverse(a)
-    s = s_matrix(a, b, m)
+    m = df.blocks.mp
+    x = core_ep_inverse(a, blocks=df.blocks)
+    s = df.s
     am = np.linalg.matrix_power(a, m)
     eye_n = np.eye(n)
     eye_n2 = np.eye(n * n)
@@ -443,11 +455,11 @@ def dual_core_inverse(ah, tol=DEFAULT_TOL):
 
 
 def _dual_core_inverse(ah, tol):
-    frame = _frame(ah, "dual_core_inverse")
-    if frame.m > 1:
+    df = _Frame(ah, "dual_core_inverse")
+    if df.blocks.m > 1:
         raise InverseNotExistError(
             "dual core inverse needs index(A) <= 1; the block form "
             "[[T1, T2], [O, O]] is not attained", None)
     return _certified(
-        _dcepgi_certificate(ah, frame, tol),
+        _dcepgi_certificate(df, tol),
         "dual core inverse does not exist (block form not attained)")

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualMatrix, s_matrix
+from .dual import DualMatrix
 from .errors import DimensionError, HypothesisError
-from .inverses import _dcepgi_witness, _frame, _rel
-from .realkernel import (DEFAULT_TOL, _svd_rank, core_ep_decompose,
-                         numerical_rank)
+from .inverses import _dcepgi_witness, _Frame, _rel
+from .realkernel import DEFAULT_TOL, _svd_rank, numerical_rank
 
 __all__ = [
     "EquivalenceReport",
@@ -49,22 +48,20 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     """Evaluate the five conditions linked to the first-order form
     Ahat^cep = A^cep - eps A^cep B A^cep (see EquivalenceReport for
     which of them are mutually equivalent)."""
-    frame = _frame(ah, "first_order_form_report")
-    return _first_order_form_report(ah, frame, _dcepgi_witness(ah, frame, tol),
-                                    tol)
+    df = _Frame(ah, "first_order_form_report")
+    return _first_order_form_report(df, _dcepgi_witness(df, tol), tol)
 
 
-def _first_order_form_report(ah, frame, x, tol):
-    """``first_order_form_report`` for the DCEPGI ``x`` of ``ah`` in a
-    given frame of the standard part."""
-    a, b = ah.std, ah.inf
-    n = frame.n
-    s = s_matrix(a, b, frame.mp)
+def _first_order_form_report(df, x, tol):
+    """``first_order_form_report`` for the DCEPGI ``x`` in the dual
+    frame ``df``."""
+    a, b = df.ah.std, df.ah.inf
+    n, s = df.blocks.n, df.s
     a_cep = x.std  # the real core-EP inverse of A
     s_scale = np.linalg.norm(s)
 
     first_order = DualMatrix(a_cep, -a_cep @ b @ a_cep)
-    p_am = frame.am @ frame.am_pinv
+    p_am = df.blocks.am @ df.blocks.am_pinv
     conds = {
         "first_order_form": _rel((x - first_order).norm(), x.norm()),
         "power_projector": _rel(np.linalg.norm((np.eye(n) - p_am) @ s), s_scale),
@@ -83,27 +80,26 @@ def _first_order_form_report(ah, frame, x, tol):
                              all_equivalent_observed=len(verdicts) == 1)
 
 
-def _first_order_dcepgi(ah, frame, tol):
-    """The DCEPGI X of ``ah`` and Ahat^m, once the first-order form
+def _first_order_dcepgi(df, tol):
+    """The DCEPGI X in the dual frame ``df``, once the first-order form
     Ahat^cep = A^cep - eps A^cep B A^cep is checked (HypothesisError
     otherwise)."""
-    x = _dcepgi_witness(ah, frame, tol)
-    report = _first_order_form_report(ah, frame, x, tol)
+    x = _dcepgi_witness(df, tol)
+    report = _first_order_form_report(df, x, tol)
     holds, res = report.conditions["first_order_form"]
     if not holds:
         raise HypothesisError(
             f"first-order form does not hold (residual {res:.3e})")
-    return x, DualMatrix(frame.am, s_matrix(ah.std, ah.inf, frame.mp))
+    return x
 
 
 def rank_test(ah, tol=DEFAULT_TOL):
     """rank([A^m  S]) == rank(A^m); equivalent to the first-order form."""
-    frame = _frame(ah, "rank_test")
-    _dcepgi_witness(ah, frame, tol, "rank test needs the DCEPGI to exist")
-    m = frame.mp
-    s = s_matrix(ah.std, ah.inf, m)
-    return _svd_rank(np.hstack([frame.am, s]), rel=tol,
-                     floor=frame.sigma_max ** m)[0] == frame.t
+    df = _Frame(ah, "rank_test")
+    _dcepgi_witness(df, tol, "rank test needs the DCEPGI to exist")
+    frame = df.blocks
+    return _svd_rank(np.hstack([frame.am, df.s]), rel=tol,
+                     floor=frame.sigma_max ** frame.mp)[0] == frame.t
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +147,8 @@ def range_null_report(ah, tol=DEFAULT_TOL):
     Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep
     to hold; raises HypothesisError otherwise.
     """
-    x, ahm = _first_order_dcepgi(ah, _frame(ah, "range_null_report"), tol)
+    df = _Frame(ah, "range_null_report")
+    x, ahm = _first_order_dcepgi(df, tol), df.ahm
     sx = _stacked(x)
     sm = _stacked(ahm)
     smt = _stacked(ahm.T)
@@ -224,7 +221,7 @@ def order_law_check(ah, bh, tol=DEFAULT_TOL):
     xs = []
     for name, mh in (("first factor", ah), ("second factor", bh),
                      ("product", ah @ bh)):
-        xs.append(_dcepgi_witness(mh, core_ep_decompose(mh.std), tol,
+        xs.append(_dcepgi_witness(_Frame(mh, "order_law_check"), tol,
                                   f"DCEPGI of the {name} does not exist"))
     xa, xb, xab = xs
     scale = xab.norm()

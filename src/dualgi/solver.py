@@ -17,8 +17,9 @@ import numpy as np
 
 from .dual import DualMatrix, DualVector
 from .errors import DimensionError, HypothesisError
-from .inverses import _certified, _dcepgi_witness, _ddgi_certificates, _rel
-from .realkernel import DEFAULT_TOL, core_ep_decompose
+from .inverses import (_certified, _dcepgi_witness, _ddgi_certificate,
+                       _dmpgi_formula, _Frame, _rel)
+from .realkernel import DEFAULT_TOL
 from .relations import _first_order_dcepgi
 
 __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
@@ -42,13 +43,11 @@ class SolutionReport:
 
 
 def _checked_frame(ah, bhat):
-    """The core-EP frame of the standard part, once the shapes fit."""
-    if not ah.is_square:
-        raise DimensionError(f"solver needs a square dual matrix, got {ah.shape}")
+    """The dual frame of ``ah``, once the right-hand side fits."""
     if len(bhat) != ah.shape[0]:
         raise DimensionError(f"right-hand side length {len(bhat)} does not "
                              f"match matrix size {ah.shape[0]}")
-    return core_ep_decompose(ah.std)
+    return _Frame(ah, "solver")
 
 
 def solve_general(ah, bhat, tol=DEFAULT_TOL):
@@ -58,17 +57,19 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     I - Ahat^D Ahat spanning the homogeneous solutions.  Requires both
     the DCEPGI and the DDGI.
     """
-    return _solve_general(ah, bhat, _checked_frame(ah, bhat), tol)
+    return _solve_general(_checked_frame(ah, bhat), bhat, tol)
 
 
-def _solve_general(ah, bhat, frame, tol):
-    x_cep = _dcepgi_witness(ah, frame, tol)
-    d_cert, ahm, power_cert = _ddgi_certificates(ah, frame, tol)
-    _certified(d_cert, "dual Drazin inverse does not exist "
-                       "(required by the general solution)")
+def _solve_general(df, bhat, tol):
+    ah, ahm = df.ah, df.ahm
+    x_cep = _dcepgi_witness(df, tol)
+    d_cert = _certified(_ddgi_certificate(df, tol),
+                        "dual Drazin inverse does not exist "
+                        "(required by the general solution)")
     particular = x_cep @ bhat
-    projector = DualMatrix.eye(frame.n) - d_cert.witness @ ah
-    rhs = ahm @ (ahm @ (power_cert.witness @ bhat))
+    projector = DualMatrix.eye(df.blocks.n) - d_cert.witness @ ah
+    # (Ahat^m)^+, certified by power_mp, at the frame's rank-t (A^m)^+
+    rhs = ahm @ (ahm @ (_dmpgi_formula(ahm, df.blocks.am_pinv) @ bhat))
     residual = _rel((ah @ (ahm @ particular) - rhs).norm(), bhat.norm())
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
@@ -99,10 +100,10 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     membership in the dual range and the equation residual are
     verified before returning.
     """
-    frame = _checked_frame(ah, bhat)
-    x_cep, ahm = _first_order_dcepgi(ah, frame, tol)
+    df = _checked_frame(ah, bhat)
+    x_cep = _first_order_dcepgi(df, tol)
     xhat = x_cep @ bhat
-    member = _range_residual(frame, ahm.inf, xhat)
+    member = _range_residual(df.blocks, df.s, xhat)
     if member > tol:
         raise HypothesisError(
             f"solution fails dual-range membership (residual {member:.3e})")

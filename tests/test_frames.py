@@ -3,12 +3,16 @@
 ``core_ep_decompose`` is wrapped wherever ``dualgi`` binds it, and each
 public call is counted on an index-3 input: every certificate, inverse,
 decomposition and solution of one call derives from a single frame.
+The dual half of that frame is counted the same way: ``s_matrix``
+(also inside ``dual_power``), the block split of U^T B U and the
+Sylvester solve for U3 each run at most once per call.
 The SVDs and least-squares solves of a call are recorded the same way,
 ``numpy.linalg.svd`` and ``lstsq`` wrapped also where ``norm(x, 2)``
 looks them up: the DDGI and solver paths factor nothing larger than
 n x n.
 """
 
+import collections
 import json
 import sys
 
@@ -17,7 +21,7 @@ import numpy.linalg._linalg as linalg_impl
 import pytest
 
 import dualgi
-from dualgi import DualMatrix
+from dualgi import CoreEPBlocks, DualMatrix, s_matrix
 from dualgi.cli import main
 from dualgi.io import dual_vector_to_dict, write_dual_matrix
 from dualgi.realkernel import core_ep_decompose
@@ -39,6 +43,28 @@ def frame_calls(monkeypatch):
                 and getattr(module, "core_ep_decompose", None) \
                 is core_ep_decompose:
             monkeypatch.setattr(module, "core_ep_decompose", counted)
+    return calls
+
+
+@pytest.fixture
+def dual_frame_calls(monkeypatch):
+    """How often S, the block split of U^T B U and U3 are formed."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    wrapped = counted("s_matrix", s_matrix)
+    for name, module in list(sys.modules.items()):
+        if (name == "dualgi" or name.startswith("dualgi.")) \
+                and getattr(module, "s_matrix", None) is s_matrix:
+            monkeypatch.setattr(module, "s_matrix", wrapped)
+    for name in ("split_blocks", "sylvester"):
+        monkeypatch.setattr(CoreEPBlocks, name,
+                            counted(name, getattr(CoreEPBlocks, name)))
     return calls
 
 
@@ -87,6 +113,24 @@ def test_one_frame(name, frame_calls, index_three):
     assert frame_calls[0] is ah.std
 
 
+@pytest.mark.parametrize("name", ONE_FRAME)
+def test_one_dual_frame(name, dual_frame_calls, index_three):
+    ah, bh = index_three
+    getattr(dualgi, name)(*((ah, bh) if name.startswith("solve") else (ah,)))
+    assert max(dual_frame_calls.values()) == 1, dual_frame_calls
+
+
+@pytest.mark.parametrize("name", ["ddgi_exists", "ddgi", "dual_group"])
+def test_ddgi_builds_no_power_pinv(name, monkeypatch, index_three, index_one):
+    # the power_mp residual needs no (Ahat^m)^+ witness
+    calls = []
+    monkeypatch.setattr(dualgi.inverses, "_dmpgi_formula",
+                        lambda *args: calls.append(args))
+    ah = index_one if name == "dual_group" else index_three[0]
+    assert getattr(dualgi, name)(ah) is not None
+    assert calls == []
+
+
 def test_order_law_one_frame_per_matrix(frame_calls, index_three):
     ah, _ = index_three
     dualgi.order_law_check(ah, DualMatrix.eye(ah.shape[0]), tol=1e-8)
@@ -108,7 +152,9 @@ def test_mp_inverses_build_no_frame(frame_calls, index_three):
     # [[B, A], [A, O]], then A at the same cut, which also gives A^+
     ("dmpgi_exists", 2),
     # the frame's m + 2, and the (n-t) x (n-t) defect block for rank_gap
-    ("ddgi_exists", 3 + 3)])
+    ("ddgi_exists", 3 + 3),
+    # the frame's m + 2 give m, A^cep and S (lstsq calls no svd)
+    ("dcepgi_bruteforce_oracle", 3 + 2)])
 def test_svd_count(name, count, linalg_calls, index_three):
     ah, _ = index_three
     getattr(dualgi, name)(ah)
@@ -145,3 +191,13 @@ def test_cli_one_frame(argv, frame_calls, index_three, tmp_path, capsys):
     assert main(argv + files) == 0
     capsys.readouterr()
     assert len(frame_calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["inverse", "--kind", "cep"], ["inverse", "--kind", "cep-compact"],
+    ["decompose"], ["solve", "--mode", "general"],
+    ["solve", "--mode", "unique-in-range"]])
+def test_cli_one_dual_frame(argv, dual_frame_calls, frame_calls, index_three,
+                            tmp_path, capsys):
+    test_cli_one_frame(argv, frame_calls, index_three, tmp_path, capsys)
+    assert max(dual_frame_calls.values()) == 1, dual_frame_calls

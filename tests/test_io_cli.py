@@ -1,5 +1,6 @@
 """JSON file format and the command-line front end."""
 
+import argparse
 import json
 
 import numpy as np
@@ -176,6 +177,35 @@ class TestCLICommands:
         assert main(["inverse", "--kind", "cep", path,
                      "--tol", "1e-10"]) == EXIT_NOT_EXIST
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_invalid_tol_rejected(self, tol, existing_file, capsys,
+                                  monkeypatch):
+        # the input has the DCEPGI: nan, 0 and -1 would report it
+        # missing and inf would accept any input, so each is a usage error
+        path, _ = existing_file
+        assert main(["inverse", "--kind", "cep", path,
+                     "--tol", tol]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "tolerance must be a finite number > 0" in err
+        monkeypatch.setenv("DUALGI_TOL", tol)
+        with pytest.raises(SystemExit, match="invalid DUALGI_TOL value"):
+            main(["inverse", "--kind", "cep", path])
+
+    def test_parser_built_once(self, existing_file, capsys, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        path, _ = existing_file
+        for _ in range(2):
+            assert main(["inverse", "--kind", "mpdgi", path]) == EXIT_OK
+        capsys.readouterr()
+        assert progs.count("dualgi") <= 1
 
     def test_all_inverse_kinds_run(self, existing_file, capsys):
         path, ah = existing_file

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import dualgi
 from dualgi import (DualMatrix, DualVector, dcepgi, dmpgi, dual_power,
                     solve_general, solve_unique_in_range)
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
-from dualgi.inverses import _eff_index
 from dualgi.realkernel import DEFAULT_TOL, core_ep_decompose
 from dualgi.relations import _column_membership_residual, _stacked
 from dualgi.solver import _range_residual
@@ -17,7 +17,7 @@ RNG = np.random.default_rng(20240822)
 
 
 def surrogate_rhs(ah, bhat):
-    m = _eff_index(ah.std)
+    m = max(dualgi.index(ah.std), 1)
     ahm = dual_power(ah, m)
     return dual_power(ah, 2 * m) @ (dmpgi(ahm) @ bhat)
 
@@ -37,7 +37,7 @@ class TestSolveGeneral:
         ah = existing_dual(RNG, f)
         bhat = random_dual_vector(RNG, f.n)
         sol = solve_general(ah, bhat)
-        m = _eff_index(ah.std)
+        m = max(dualgi.index(ah.std), 1)
         rhs = surrogate_rhs(ah, bhat)
         for _ in range(10):
             yhat = random_dual_vector(RNG, f.n)
@@ -49,7 +49,7 @@ class TestSolveGeneral:
         f = random_frame(RNG)
         ah = existing_dual(RNG, f)
         sol = solve_general(ah, random_dual_vector(RNG, f.n))
-        m = _eff_index(ah.std)
+        m = max(dualgi.index(ah.std), 1)
         prod = dual_power(ah, m + 1) @ sol.homogeneous_projector
         assert prod.norm() < 1e-8 * (1 + ah.norm() ** (m + 1))
 
@@ -96,7 +96,7 @@ class TestSolveUniqueInRange:
         bhat = random_dual_vector(RNG, f.n)
         xhat = solve_unique_in_range(ah, bhat, tol=1e-8)
         x = dcepgi(ah)
-        m = _eff_index(ah.std)
+        m = max(dualgi.index(ah.std), 1)
         ahm = dual_power(ah, m)
         for _ in range(10):
             z = ahm @ random_dual_vector(RNG, f.n)
