@@ -74,6 +74,16 @@ def _tolerance(text):
     return tol
 
 
+def _count(text):
+    """A number of spot checks, an integer >= 0: a negative one would
+    report checks that never ran."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"count must be an integer >= 0, got {text!r}")
+    return count
+
+
 def _default_tol():
     env = os.environ.get(TOL_ENV_VAR)
     if env is not None:
@@ -222,7 +232,9 @@ def build_parser():
     p_sol.add_argument("rhs", help="dual vector JSON file")
     p_sol.add_argument("--mode", choices=["general", "unique-in-range"],
                        default="general")
-    p_sol.add_argument("--spot-checks", type=int, default=5)
+    p_sol.add_argument("--spot-checks", type=_count, default=5,
+                       help="random homogeneous solutions to check "
+                            "(default 5)")
     p_sol.add_argument("--seed", type=int, default=0,
                        help="seed for randomized spot checks")
     add_common(p_sol)

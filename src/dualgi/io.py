@@ -39,12 +39,19 @@ def _load(path, cols=None):
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     try:
-        rows, cols = int(doc["rows"]), int(doc.get("cols", cols))
+        rows, cols = _size(doc["rows"]), _size(doc.get("cols", cols))
         parts = [_parse_part(doc, key, rows, cols)
                  for key in ("standard", "infinitesimal")]
-    except TypeError as exc:  # "rows": null, a non-numeric entry, ...
+    except TypeError as exc:  # a null or nested entry in an array, ...
         raise ValueError(f"malformed document: {exc}") from None
     return doc.get("name", ""), *parts
+
+
+def _size(value):
+    """A declared 'rows' or 'cols': a JSON integer, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'rows' and 'cols' must be integers, got {value!r}")
+    return value
 
 
 def _parse_part(doc, key, rows, cols):

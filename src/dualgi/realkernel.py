@@ -44,11 +44,11 @@ def _svd_rank(a, rel=None, floor=0.0, uv=False):
     singular values above rel * max(sigma_max(a), floor).
 
     rel defaults to max(shape) * eps; certificates pass their tolerance.
-    ``floor`` is the roundoff floor of a computed power A^k,
-    sigma_max(A)^k.  Returns (rank, sigma_max(a), svd), svd being the
-    singular values, or (U, sv, Vt) with ``uv``, so that a basis or
-    pseudo-inverse from these factors has that rank.  An SVD that does
-    not converge raises NumericalError.
+    ``floor`` is sigma_max of the matrix whose roundoff ``a`` carries (A
+    for a staircase block, A^m for one built from A^m).  Returns (rank,
+    sigma_max(a), svd), svd being the singular values, or (U, sv, Vt)
+    with ``uv``, so that a basis or pseudo-inverse from these factors
+    has that rank.  An SVD that does not converge raises NumericalError.
     """
     a = np.asarray(a, dtype=float)
     try:
@@ -74,31 +74,37 @@ def numerical_rank(a):
     return _svd_rank(a)[0]
 
 
-def _index(a):
-    """``index`` and sigma_max(A), read from the first power's SVD."""
+#: The staircase cut is this times n sigma_max(A); README says why 100.
+_STAIRCASE_REL = 100 * np.finfo(float).eps
+
+
+def _staircase(a):
+    """(U, t, m, sigma_max(A)) by staircase deflation of A^T (Kublanovskaya
+    1966; Van Dooren 1979): each step's SVD of the trailing block (A^T at
+    first), cut at 100 n eps sigma_max(A), moves the block's null space
+    V_0 behind the rest V_r and goes on with V_r^T blk V_r, until a block
+    is nonsingular.  The m steps' deflated columns span N((A^T)^m), the
+    complement of R(A^m), so U^T A U is block upper triangular.
+    """
     n = a.shape[0]
-    prev_rank, sigma = n, 0.0  # rank(A^0)
-    p = np.eye(n)
-    for s in range(n + 1):
-        p = p @ a
-        # roundoff in the computed power grows like sigma_max(A)^k, not
-        # like sigma_max(A^k), which can be much smaller
-        r, sig, _ = _svd_rank(p, floor=sigma ** (s + 1))
-        if s == 0:
-            sigma = sig
-        if r == prev_rank:
-            return s, sigma
-        prev_rank = r
-    return n, sigma  # not reachable: rank strictly decreases until it stabilizes
+    u, blk, t, m, sigma = np.eye(n), a.T, n, 0, 0.0
+    while t:
+        r, sig, (_, _, vt) = _svd_rank(blk, rel=_STAIRCASE_REL * n,
+                                       floor=sigma, uv=True)
+        sigma = max(sigma, sig)
+        if r == t:
+            break
+        u[:, :t] = u[:, :t] @ vt.T
+        blk, t, m = vt[:r] @ blk @ vt[:r].T, r, m + 1
+    return u, t, m, sigma
 
 
 def index(a):
-    """Smallest s >= 0 with rank(A^(s+1)) == rank(A^s).
-
-    For A == O this evaluates to 1 (rank(A^0) = n > 0 = rank(A)),
-    which is also what the downstream dual formulas need.
+    """Smallest s >= 0 with rank(A^(s+1)) == rank(A^s), the number of
+    deflating staircase steps.  For A == O this is 1 (rank(A^0) = n >
+    0 = rank(A)), which is also what the downstream dual formulas need.
     """
-    return _index(_square(a, "index"))[0]
+    return _staircase(_square(a, "index"))[2]
 
 
 def moore_penrose(a):
@@ -222,28 +228,24 @@ class CoreEPBlocks:
 def core_ep_decompose(a, u=None):
     """Core-EP decomposition of a square matrix.
 
-    The orthogonal U is built from an SVD of A^max(m,1): its leading t
-    left singular vectors span range(A^m) (an A-invariant subspace),
-    the remaining ones complete the basis.  The singular values of the
-    same SVD decide t.  A caller-supplied orthogonal ``u`` whose
-    leading t columns span range(A^m) is accepted instead, which pins
-    down a particular block frame.
+    One staircase pass decides m = Ind(A) and t = rank(A^m) and builds
+    the orthogonal U: its leading t columns span range(A^m) (an
+    A-invariant subspace), the rest N((A^T)^m).  A caller-supplied
+    orthogonal ``u`` whose leading t columns span range(A^m) is
+    accepted instead, which pins down a particular block frame.
     """
     a = _square(a, "core_ep_decompose")
     n = a.shape[0]
-    m, sigma = _index(a)
-    mp = max(m, 1)
-    t, _, (u_am, _, _) = _svd_rank(np.linalg.matrix_power(a, mp),
-                                   floor=sigma ** mp, uv=True)
+    u_stair, t, m, sigma = _staircase(a)
     if u is None:
-        u = u_am
+        u = u_stair
     else:
         u = np.asarray(u, dtype=float)
         if u.shape != (n, n):
             raise DimensionError(f"basis must be {n}x{n}, got {u.shape}")
         if not np.allclose(u.T @ u, np.eye(n), atol=1e-10):
             raise ValueError("supplied basis is not orthogonal")
-        lead, basis = u[:, :t], u_am[:, :t]
+        lead, basis = u[:, :t], u_stair[:, :t]
         if not np.allclose(basis @ (basis.T @ lead), lead, atol=1e-8):
             raise ValueError("leading columns of supplied basis do not "
                              "span range(A^m)")

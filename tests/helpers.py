@@ -4,7 +4,8 @@ Instances are built in an explicit orthogonal frame
 
     A = U [[T1, T2], [O, N]] U^T
 
-with T1 well conditioned (singular values in [1, 2]) and N a nilpotent
+with T1 well conditioned (singular values in [1, 2], or graded over
+geomspace(1, cond) with ``Frame(..., cond=...)``) and N a nilpotent
 chain of index exactly m, so rank(A^m) = t and Ind(A) = m by
 construction.  The infinitesimal part B is assembled from blocks in the
 same frame, which makes the existence conditions easy to hit or miss on
@@ -49,6 +50,12 @@ def well_conditioned(rng, t):
     return orthogonal(rng, t) @ np.diag(sv) @ orthogonal(rng, t)
 
 
+def graded(rng, t, cond):
+    """t x t matrix with singular values geomspace(1, cond, t)."""
+    return orthogonal(rng, t) @ np.diag(np.geomspace(1.0, cond, t)) \
+        @ orthogonal(rng, t)
+
+
 def nilpotent_chain(rng, size, m):
     """size x size nilpotent with nilpotency index exactly m (m <= size,
     or m == 1 with N = O for any size including 0)."""
@@ -60,15 +67,17 @@ def nilpotent_chain(rng, size, m):
 
 class Frame:
     """A standard part with its construction frame, for placing the
-    infinitesimal part block by block."""
+    infinitesimal part block by block.  ``cond`` spreads the singular
+    values of T1 over geomspace(1, cond) instead of [1, 2]."""
 
-    def __init__(self, rng, n, t, m):
+    def __init__(self, rng, n, t, m, cond=None):
         if t == 0 or t == n or m > n - t:
             raise ValueError(f"need 0 < t < n and m <= n - t, got "
                              f"(n, t, m) = ({n}, {t}, {m})")
         self.n, self.t, self.m = n, t, m
         self.U = orthogonal(rng, n)
-        self.T1 = well_conditioned(rng, t)
+        self.T1 = well_conditioned(rng, t) if cond is None \
+            else graded(rng, t, cond)
         self.T2 = rng.standard_normal((t, n - t))
         self.N = nilpotent_chain(rng, n - t, m)
         mid = np.block([[self.T1, self.T2],

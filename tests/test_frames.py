@@ -146,20 +146,24 @@ def test_mp_inverses_build_no_frame(frame_calls, index_three):
 
 
 @pytest.mark.parametrize("name, count", [
-    # the index loop's m + 1 powers, the first of which gives sigma_max(A),
-    # and the SVD of A^m that gives U and t
-    ("dcepgi_exists", 3 + 2),
+    # the staircase's m + 1 steps: A^T, then ever smaller trailing blocks,
+    # the first of which gives sigma_max(A)
+    ("dcepgi_exists", 3 + 1),
     # [[B, A], [A, O]], then A at the same cut, which also gives A^+
     ("dmpgi_exists", 2),
-    # the frame's m + 2, and the (n-t) x (n-t) defect block for rank_gap
-    ("ddgi_exists", 3 + 3),
-    # the frame's m + 2 give m, A^cep and S (lstsq calls no svd)
-    ("dcepgi_bruteforce_oracle", 3 + 2)])
+    # the frame's m + 1, and the (n-t) x (n-t) defect block for rank_gap
+    ("ddgi_exists", 3 + 2),
+    # the frame's m + 1 give m, A^cep and S (lstsq calls no svd)
+    ("dcepgi_bruteforce_oracle", 3 + 1)])
 def test_svd_count(name, count, linalg_calls, index_three):
     ah, _ = index_three
     getattr(dualgi, name)(ah)
     svds = [shape for kind, shape in linalg_calls if kind == "svd"]
     assert len(svds) == count, linalg_calls
+    if name != "dmpgi_exists":  # only a frame's first SVD is n x n
+        n = ah.shape[0]
+        assert svds[0] == (n, n), svds
+        assert all(max(shape) < n for shape in svds[1:]), svds
 
 
 @pytest.mark.parametrize("name", [

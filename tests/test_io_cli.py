@@ -12,7 +12,7 @@ from dualgi.cli import (EXIT_HYPOTHESIS, EXIT_NOT_EXIST, EXIT_NUMERICAL,
 from dualgi.errors import DimensionError, DualgiError, NumericalError
 from dualgi.io import (dual_vector_to_dict, read_dual_matrix,
                        read_dual_vector, write_dual_matrix)
-from helpers import (existing_dual, existing_dual_b3, random_dual,
+from helpers import (Frame, existing_dual, existing_dual_b3, random_dual,
                      random_dual_vector, random_frame)
 
 RNG = np.random.default_rng(20240823)
@@ -73,6 +73,21 @@ class TestIO:
                                     "infinitesimal": [[1, 0, 0], [0, 1, 0]]}))
         with pytest.raises(DimensionError):
             read_dual_matrix(path)
+
+    @pytest.mark.parametrize("rows, cols", [
+        (2.9, True), (2.0, 2), (True, 2), (2, "2")],
+        ids=["float-bool", "float", "bool", "string"])
+    def test_non_integer_shape_rejected(self, rows, cols, tmp_path, capsys):
+        # int() would truncate each of these to a shape the arrays have
+        shape = (int(rows), int(cols))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "rows": rows, "cols": cols, "standard": np.eye(*shape).tolist(),
+            "infinitesimal": np.zeros(shape).tolist()}))
+        with pytest.raises(ValueError, match="must be integers"):
+            read_dual_matrix(path)
+        assert main(["inverse", "--kind", "mpdgi", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCLIExitCodes:
@@ -213,6 +228,19 @@ class TestCLICommands:
             code = main(["inverse", "--kind", kind, path])
             capsys.readouterr()
             assert code in (EXIT_OK, EXIT_NOT_EXIST)
+
+    def test_negative_spot_checks_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        f = Frame(rng, 5, 2, 2)
+        mat, rhs = tmp_path / "m.json", tmp_path / "b.json"
+        write_dual_matrix(mat, existing_dual(rng, f))
+        write_vector(rhs, random_dual_vector(rng, f.n))
+        argv = ["solve", str(mat), str(rhs), "--spot-checks"]
+        assert main(argv + ["-3"]) == EXIT_USAGE
+        assert "count must be an integer >= 0" in capsys.readouterr().err
+        assert main(argv + ["0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)[
+            "spot_check_residuals"] == []
 
 
 class TestCLIReportForm:

@@ -3,16 +3,19 @@
 Integer matrices built with a known core-EP structure are checked
 against exact ranks of their powers over the rationals (sympy), and
 the rank decisions of the certificates must not move under scaling or
-an orthogonal change of frame.
+an orthogonal change of frame.  Frames whose T1 has singular values
+spread over geomspace(1, cond) must come out with the built (t, m),
+a lower-left block at roundoff and N^m = O, up to cond(T1) = 1e6.
 """
 
 import numpy as np
 import pytest
 import sympy
 
-from dualgi import (DualMatrix, core_ep_decompose, ddgi_exists, dmpgi_exists,
-                    index)
-from helpers import existing_dual, orthogonal, random_dual, random_frame
+from dualgi import (DualMatrix, core_ep_decompose, dcepgi_exists, ddgi_exists,
+                    dmpgi_exists, index)
+from helpers import (Frame, existing_dual, orthogonal, random_dual,
+                     random_frame)
 
 RNG = np.random.default_rng(20261018)
 
@@ -57,7 +60,7 @@ def exact_index_and_t(a):
 
 
 def test_exact_integer_oracle():
-    for _ in range(100):
+    for _ in range(1000):
         a = integer_core_ep(RNG)
         m, t = exact_index_and_t(a)
         a_float = np.array(a.tolist(), dtype=float)
@@ -83,3 +86,41 @@ def test_rank_decisions_scale_and_frame_free(build):
         q = orthogonal(RNG, f.n)
         assert rank_decisions(DualMatrix(q @ ah.std @ q.T,
                                          q @ ah.inf @ q.T)) == want
+
+
+def assert_graded_frame(n, m, cond, seed):
+    """The frame of Frame(n, n/2, m, cond) has the built (t, m), a
+    lower-left block of U^T A U within n eps ||A||_2, and N^m = O to
+    the same bound."""
+    f = Frame(np.random.default_rng(seed), n, n // 2, m, cond=cond)
+    frame = core_ep_decompose(f.A)
+    assert (frame.t, frame.m, index(f.A)) == (f.t, f.m, f.m)
+    bound = n * np.finfo(float).eps * np.linalg.norm(f.A, 2)
+    lower_left = (frame.U.T @ f.A @ frame.U)[frame.t:, :frame.t]
+    assert np.linalg.norm(lower_left, 2) <= bound
+    n_power = np.linalg.matrix_power(frame.N, frame.mp)
+    assert np.linalg.norm(n_power, 2) <= bound
+
+
+@pytest.mark.parametrize("n", [20, 50, 200])
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+def test_ill_conditioned_frame(n, cond):
+    for m in range(1, 5):
+        for seed in range(2 if n >= 200 else 5):
+            assert_graded_frame(n, m, cond, seed)
+
+
+def test_ill_conditioned_frame_n400():
+    assert_graded_frame(400, 4, 1e6, 0)
+
+
+def test_frame_where_svd_of_a_power_failed():
+    # LAPACK's SVD of the computed A^3 does not converge on this input
+    assert_graded_frame(200, 3, 1e2, 1)
+
+
+def test_dcepgi_accepted_at_cond_1e3():
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        ah = existing_dual(rng, Frame(rng, 20, 10, 3, cond=1e3))
+        assert dcepgi_exists(ah).exists, seed

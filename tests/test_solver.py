@@ -10,7 +10,7 @@ from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
 from dualgi.realkernel import DEFAULT_TOL, core_ep_decompose
 from dualgi.relations import _column_membership_residual, _stacked
 from dualgi.solver import _range_residual
-from helpers import (existing_dual, existing_dual_b3, random_dual,
+from helpers import (Frame, existing_dual, existing_dual_b3, random_dual,
                      random_dual_vector, random_frame, reducing_dual)
 
 RNG = np.random.default_rng(20240822)
@@ -129,6 +129,21 @@ class TestSolveUniqueInRange:
         bhat = random_dual_vector(RNG, 3)
         xhat = solve_unique_in_range(ah, bhat, tol=1e-7)
         assert (ah @ xhat - bhat).norm() < 1e-8
+
+    def test_checks_only_the_first_order_form(self, monkeypatch):
+        # the hypothesis needs one residual, not the five-condition report
+        def refuse(*args):
+            raise AssertionError("five-condition report evaluated")
+
+        monkeypatch.setattr(dualgi.relations, "_first_order_form_report",
+                            refuse)
+        rng = np.random.default_rng(11)
+        f = Frame(rng, 6, 2, 3)
+        ah = existing_dual(rng, f)
+        bhat = random_dual_vector(rng, f.n)
+        xhat = solve_unique_in_range(ah, bhat)
+        assert (xhat - dcepgi(ah) @ bhat).norm() < 1e-12
+        assert dualgi.range_null_report(ah).all_hold
 
 
 class TestFrameRangeCheck:
