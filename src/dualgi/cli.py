@@ -136,7 +136,7 @@ def cmd_decompose(args):
     start = time.perf_counter()
     df = inverses._Frame(ah, "dual_core_ep_decompose")
     d = decomposition._decompose(df, args.tol)
-    recon_res = (d.reconstruct() - ah).norm() / (1.0 + ah.norm())
+    recon_res = inverses._rel((d.reconstruct() - ah).norm(), ah.norm())
     report = {
         "command": "decompose",
         "inputs": {args.input: _digest(args.input)},
@@ -184,14 +184,13 @@ def cmd_solve(args):
         report["residual"] = sol.residual
         # spot-check random homogeneous shifts
         rng = np.random.default_rng(args.seed)
-        power = df.ahm @ ah  # Ahat^(m+1)
+        power, rhs = df.ahm @ ah, sol.surrogate_rhs  # power = Ahat^(m+1)
         checks = []
         for _ in range(args.spot_checks):
             yhat = DualVector(rng.standard_normal(len(bhat)),
                               rng.standard_normal(len(bhat)))
             xh = sol.solution(yhat)
-            res = (power @ xh - sol.surrogate_rhs).norm() / (1.0 + bhat.norm())
-            checks.append(res)
+            checks.append(inverses._rel((power @ xh - rhs).norm(), rhs.norm()))
         report["spot_check_residuals"] = checks
     else:
         xhat = solver.solve_unique_in_range(ah, bhat, args.tol)

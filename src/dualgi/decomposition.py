@@ -22,7 +22,7 @@ import numpy as np
 
 from .dual import DualMatrix
 from .errors import InverseNotExistError
-from .inverses import _dcepgi_witness, _Frame
+from .inverses import _dcepgi_witness, _Frame, _rel
 from .realkernel import DEFAULT_TOL, _svd_rank
 
 __all__ = [
@@ -119,9 +119,9 @@ def _decompose(df, tol):
     t1_hat = DualMatrix(t1, t2 @ u3 + b1)
     t2_hat = DualMatrix(t2, b2 + u3.T @ nb - t1 @ u3.T)
     n_hat = DualMatrix(nb, b4 - u3 @ t2)
-    scale = 1.0 + np.linalg.norm(df.ah.inf)
-    canonical = bool(np.linalg.norm(t2 @ u3) <= tol * scale
-                     and np.linalg.norm(u3 @ t2) <= tol * scale)
+    b_norm = np.linalg.norm(df.ah.inf)
+    canonical = bool(_rel(np.linalg.norm(t2 @ u3), b_norm) <= tol
+                     and _rel(np.linalg.norm(u3 @ t2), b_norm) <= tol)
     return DualCoreEPDecomposition(U_hat=u_hat, T1_hat=t1_hat, T2_hat=t2_hat,
                                    N_hat=n_hat, U3=u3, canonical=canonical,
                                    t=t, m=frame.m)

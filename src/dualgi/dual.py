@@ -237,11 +237,19 @@ def s_matrix(a, b, m):
     m = int(m)
     if m < 1:
         raise ValueError("s_matrix needs m >= 1")
+    return _s_terms(a, b, m)[0]
+
+
+def _s_terms(a, b, m):
+    """(S, sum_{i=1..m} ||A^(m-i) B A^(i-1)||_F): S and the size of its
+    terms, the scale of every residual of S."""
     n = a.shape[0]
     powers = [np.eye(n)]
     for _ in range(m - 1):
         powers.append(powers[-1] @ a)
-    s = np.zeros((n, n))
+    s, size = np.zeros((n, n)), 0.0
     for i in range(1, m + 1):
-        s += powers[m - i] @ b @ powers[i - 1]
-    return s
+        term = powers[m - i] @ b @ powers[i - 1]
+        s += term
+        size += np.linalg.norm(term)
+    return s, size

@@ -5,12 +5,12 @@ the dual Drazin inverse (DDGI), the dual group and dual core inverses,
 and the dual core-EP generalized inverse (DCEPGI) together with its
 compact product formula and a brute-force linear-system oracle.
 
-Existence is decided numerically: each certificate lists relative
-residuals (scaled by 1 + input norm) and the inverse exists exactly
-when every listed residual is at or below the tolerance.  The DCEPGI
-and DDGI certificates read all their residuals off one (n-t) x (n-t)
-defect block of S = (Ahat^m).inf in the core-EP frame, so neither
-factors a 2n x 2n matrix.
+Existence is decided numerically: each certificate lists residuals,
+identity differences over the size of their terms (``_rel``), and the
+inverse exists exactly when every one is at or below the tolerance.
+The DCEPGI and DDGI certificates read all their residuals off one
+(n-t) x (n-t) defect block of S = (Ahat^m).inf in the core-EP frame,
+so neither factors a 2n x 2n matrix.
 
 Each public call builds one dual frame (``_Frame``), which forms S,
 Ahat^m, U^T B U, U3 and D at most once; the private helpers take that
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import DualMatrix, dual_power, s_matrix
+from .dual import DualMatrix, DualVector, _s_terms, dual_power
 from .errors import DimensionError, InverseNotExistError
 from .realkernel import (DEFAULT_TOL, _pinv, _svd_rank, core_ep_decompose,
                          core_ep_inverse, drazin, moore_penrose)
@@ -51,9 +51,9 @@ __all__ = [
 class ExistenceCertificate:
     """Outcome of an existence test.
 
-    ``residuals`` maps identity names to relative residual norms;
-    ``exists`` is true iff every residual is <= ``tolerance``.  When
-    the inverse exists, ``witness`` holds it.
+    ``residuals`` maps identity names to scale-free residuals (``_rel``)
+    or rank gaps; ``exists`` is true iff every residual is <=
+    ``tolerance``.  When the inverse exists, ``witness`` holds it.
     """
 
     exists: bool
@@ -67,7 +67,9 @@ _NO_DCEPGI = "dual core-EP inverse does not exist"
 
 
 def _rel(value, scale):
-    return float(value) / (1.0 + float(scale))
+    """The one residual normalization: value / scale, for ``scale`` the
+    size of the identity's terms (``value`` itself when that is 0)."""
+    return float(value) / float(scale) if scale else float(value)
 
 
 def _certify(residuals, tol, witness_fn=None):
@@ -98,9 +100,14 @@ class _Frame:
         self.blocks = core_ep_decompose(ah.std, u=u)
 
     @cached_property
-    def s(self):
-        """S = (Ahat^m).inf = sum_{i=1..m} A^(m-i) B A^(i-1)."""
-        return s_matrix(self.ah.std, self.ah.inf, self.blocks.mp)
+    def s_terms(self):
+        """(``s``, ``s_size``): S = (Ahat^m).inf = sum_{i=1..m}
+        A^(m-i) B A^(i-1), and the size of its terms, the scale of the
+        residuals of S (unlike ||S||, it stays put when they cancel)."""
+        return _s_terms(self.ah.std, self.ah.inf, self.blocks.mp)
+
+    s = property(lambda self: self.s_terms[0])
+    s_size = property(lambda self: self.s_terms[1])
 
     @cached_property
     def ahm(self):
@@ -223,6 +230,19 @@ def _dmpgi_formula(ah, ap):
     return DualMatrix(ap, corr)
 
 
+def _dmpgi_apply(ah, ap, xh):
+    """``_dmpgi_formula(ah, ap) @ xh`` for a dual vector ``xh``, its
+    three correction terms applied right to left: matrix-vector
+    products only."""
+    a, b = ah.std, ah.inf
+    x, x1 = xh.std, xh.inf
+    y = ap @ x
+    w = b.T @ (ap.T @ y)
+    corr = (-ap @ (b @ y) + ap @ (ap.T @ (b.T @ (x - a @ y)))
+            + w - ap @ (a @ w))
+    return DualVector(y, ap @ x1 + corr)
+
+
 def dmpgi(ah, tol=DEFAULT_TOL):
     """Dual Moore-Penrose inverse (all four dual Penrose equations)."""
     return _dmpgi(ah, tol).witness
@@ -244,8 +264,9 @@ def ddgi_exists(ah, tol=DEFAULT_TOL):
     the augmented rank test on [[S, A^m], [A^m, O]] and against the
     existence of the dual MP inverse of Ahat^m.  All three residuals
     come from the defect block D of S in the core-EP frame (see
-    ``_Frame.defect``); the augmented rank is 2 t + rank(D) (Marsaglia
-    and Styan), so no 2n x 2n matrix is factored.
+    ``_Frame.defect``), over the size of the terms of S; the augmented
+    rank is 2 t + rank(D) (Marsaglia and Styan), so no 2n x 2n matrix
+    is factored.
     """
     return _ddgi_certificate(_Frame(ah, "ddgi_exists"), tol)
 
@@ -260,14 +281,14 @@ def _ddgi_certificate(df, tol):
     # and (I - A^m (A^m)^+) S (I - (A^m)^+ A^m) has the norm of D L^-T,
     # for L L^T = I + K^T K the Gram matrix of [-K; I], a basis of N(A^m)
     chol = np.linalg.cholesky(np.eye(frame.n - frame.t) + k.T @ k)
-    power_mp = _rel(np.linalg.norm(np.linalg.solve(chol, d.T)), s_norm)
+    power_mp = _rel(np.linalg.norm(np.linalg.solve(chol, d.T)), df.s_size)
     # rank(D) = rank([[S, A^m], [A^m, O]]) - 2 t, cut above the roundoff
     # of the computed power
     rank_gap = _svd_rank(d, rel=tol,
                          floor=max(frame.sigma_max ** m, s_norm))[0]
     residuals = {
         "drazin_projector": _rel(np.hypot(np.linalg.norm(k @ d),
-                                          np.linalg.norm(d)), s_norm),
+                                          np.linalg.norm(d)), df.s_size),
         "rank_gap": float(rank_gap),
         "power_mp": power_mp,
     }
@@ -321,18 +342,17 @@ def dcepgi_exists(ah, tol=DEFAULT_TOL):
 
     Verdict from (I - A^m (A^m)#) S (I - (A^m)# A^m) = O with # the
     core-EP inverse.  In the core-EP frame that matrix is the defect
-    block D = S4 - S3 T1^-m Ttilde (see ``_Frame.defect``); the two
-    residuals are ||D|| relative to S (``core_ep_projector``) and to B
-    (``block_condition``).
+    block D = S4 - S3 T1^-m Ttilde (see ``_Frame.defect``); the one
+    residual, ``core_ep_projector``, is ||D||_F over the size of the
+    terms of S, sum_i ||A^(m-i) B A^(i-1)||_F.
     """
     return _dcepgi_certificate(_Frame(ah, "dcepgi_exists"), tol)
 
 
 def _dcepgi_certificate(df, tol):
     """``dcepgi_exists`` in the dual frame ``df``."""
-    defect = np.linalg.norm(df.defect[0])
-    residuals = {"core_ep_projector": _rel(defect, np.linalg.norm(df.s)),
-                 "block_condition": _rel(defect, np.linalg.norm(df.ah.inf))}
+    residuals = {"core_ep_projector": _rel(np.linalg.norm(df.defect[0]),
+                                           df.s_size)}
     return _certify(residuals, tol, lambda: _dcepgi_canonical(df))
 
 
@@ -413,7 +433,9 @@ def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
         A X R + A R X - R = -B X^2
         R A^(m+1) = S - X A S - X B A^m
 
-    Returns X + eps R when the least-squares residual is below
+    Returns X + eps R when the least-squares backward error
+    ||M r - c|| / (||M|| ||r|| + ||c||) of that system M r = c, each
+    block of equations over its matrix's norm, is at or below
     tolerance, else None.  Test-scale only (dense n^2 unknowns).
     """
     df = _Frame(ah, "dcepgi_bruteforce_oracle")
@@ -434,10 +456,13 @@ def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
     m3 = np.kron((a @ am).T, eye_n)
     rhs3 = _vec(s - x @ a @ s - x @ b @ am)
 
-    big = np.vstack([m1, m2, m3])
-    rhs = np.concatenate([rhs1, rhs2, rhs3])
+    sizes = [np.linalg.norm(mk) or 1.0 for mk in (m1, m2, m3)]
+    big = np.vstack([m1 / sizes[0], m2 / sizes[1], m3 / sizes[2]])
+    rhs = np.concatenate([rhs1 / sizes[0], rhs2 / sizes[1], rhs3 / sizes[2]])
     sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-    residual = _rel(np.linalg.norm(big @ sol - rhs), ah.norm())
+    residual = _rel(np.linalg.norm(big @ sol - rhs),
+                    np.linalg.norm(big) * np.linalg.norm(sol)
+                    + np.linalg.norm(rhs))
     if residual > tol:
         return None
     r = sol.reshape((n, n), order="F")

@@ -64,22 +64,21 @@ def _first_order_form_report(df, x, tol):
     """``first_order_form_report`` for the DCEPGI ``x`` in the dual
     frame ``df``."""
     a = df.ah.std
-    n, s = df.blocks.n, df.s
+    n, s, s_size = df.blocks.n, df.s, df.s_size
     a_cep = x.std
-    s_scale = np.linalg.norm(s)
 
     p_am = df.blocks.am @ df.blocks.am_pinv
+    off_range = np.linalg.norm((np.eye(n) - p_am) @ s)
     conds = {
         "first_order_form": _first_order_form_residual(df, x),
-        "power_projector": _rel(np.linalg.norm((np.eye(n) - p_am) @ s), s_scale),
+        "power_projector": _rel(off_range, s_size),
         "cep_projector": _rel(np.linalg.norm((np.eye(n) - a @ a_cep) @ s),
-                              s_scale),
+                              s_size),
         "two_sided_projector": _rel(
             max(np.linalg.norm(a @ a_cep @ s - s),
-                np.linalg.norm(s @ a @ a_cep - s)), s_scale),
+                np.linalg.norm(s @ a @ a_cep - s)), s_size),
         "range_null_inclusions": _rel(
-            max(np.linalg.norm((np.eye(n) - p_am) @ s),
-                np.linalg.norm(s @ (np.eye(n) - p_am))), s_scale),
+            max(off_range, np.linalg.norm(s @ (np.eye(n) - p_am))), s_size),
     }
     conditions = {name: (res <= tol, res) for name, res in conds.items()}
     verdicts = {holds for holds, _ in conditions.values()}
@@ -123,10 +122,8 @@ def _column_membership_residual(gen, space):
     """Max relative least-squares residual of the columns of ``gen``
     against the column space of ``space``."""
     sol, *_ = np.linalg.lstsq(space, gen, rcond=None)
-    resid = space @ sol - gen
-    col_norms = np.linalg.norm(gen, axis=0)
-    res = np.linalg.norm(resid, axis=0) / (1.0 + col_norms)
-    return float(res.max()) if res.size else 0.0
+    resid = np.linalg.norm(space @ sol - gen, axis=0)
+    return max(map(_rel, resid, np.linalg.norm(gen, axis=0)), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -237,15 +234,14 @@ def order_law_check(ah, bh, tol=DEFAULT_TOL):
     a, a0 = ah.std, ah.inf
     b, b0 = bh.std, bh.inf
     a_cep, b_cep = xa.std, xb.std  # the real core-EP inverses
-    mat_scale = max(np.linalg.norm(a), np.linalg.norm(b))
-    raw = {
-        "commute": np.linalg.norm(a @ b - b @ a),
-        "transpose_commute": np.linalg.norm(a @ b.T - b.T @ a),
-        "transpose_commute_variant": np.linalg.norm(a.T @ b - b @ a.T),
-        "std_inf_commute_right": np.linalg.norm(b_cep @ a0 - a0 @ b_cep),
-        "std_inf_commute_left": np.linalg.norm(a_cep @ b0 - b0 @ a_cep),
-    }
-    conditions = {name: (_rel(v, mat_scale) <= tol, _rel(v, mat_scale))
-                  for name, v in raw.items()}
+    conditions = {}
+    for name, x, y in (("commute", a, b), ("transpose_commute", a, b.T),
+                       ("transpose_commute_variant", a.T, b),
+                       ("std_inf_commute_right", b_cep, a0),
+                       ("std_inf_commute_left", a_cep, b0)):
+        # x y - y x over the size of its terms
+        res = _rel(np.linalg.norm(x @ y - y @ x),
+                   np.linalg.norm(x) * np.linalg.norm(y))
+        conditions[name] = (res <= tol, res)
     return OrderLawReport(reverse_residual=reverse, forward_residual=forward,
                           sufficient_conditions=conditions, tolerance=tol)

@@ -18,7 +18,7 @@ import numpy as np
 from .dual import DualMatrix, DualVector
 from .errors import DimensionError, HypothesisError
 from .inverses import (_certified, _dcepgi_witness, _ddgi_certificate,
-                       _dmpgi_formula, _Frame, _rel)
+                       _dmpgi_apply, _Frame, _rel)
 from .realkernel import DEFAULT_TOL
 from .relations import _first_order_dcepgi
 
@@ -68,9 +68,9 @@ def _solve_general(df, bhat, tol):
                         "(required by the general solution)")
     particular = x_cep @ bhat
     projector = DualMatrix.eye(df.blocks.n) - d_cert.witness @ ah
-    # (Ahat^m)^+, certified by power_mp, at the frame's rank-t (A^m)^+
-    rhs = ahm @ (ahm @ (_dmpgi_formula(ahm, df.blocks.am_pinv) @ bhat))
-    residual = _rel((ah @ (ahm @ particular) - rhs).norm(), bhat.norm())
+    # (Ahat^m)^+ bhat, certified by power_mp, at the frame's rank-t (A^m)^+
+    rhs = ahm @ (ahm @ _dmpgi_apply(ahm, df.blocks.am_pinv, bhat))
+    residual = _rel((ah @ (ahm @ particular) - rhs).norm(), rhs.norm())
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
                           residual=residual, tolerance=tol,
@@ -107,7 +107,7 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     if member > tol:
         raise HypothesisError(
             f"solution fails dual-range membership (residual {member:.3e})")
-    eq_res = _rel((ah @ (x_cep @ xhat) - xhat).norm(), bhat.norm())
+    eq_res = _rel((ah @ (x_cep @ xhat) - xhat).norm(), xhat.norm())
     if eq_res > tol:
         raise HypothesisError(
             f"solution fails the defining equation (residual {eq_res:.3e})")

@@ -37,7 +37,7 @@ PAIR = ("two_sided_projector", "range_null_inclusions")
 
 def test_criterion_1_nonexistence_witness_regression():
     """3x3 index-2 witness: pinned core-EP inverse and S-matrix, DCEPGI
-    proven not to exist via the block condition."""
+    proven not to exist via the core-EP projector condition."""
     start = time.perf_counter()
     a = np.array([[1.0, 2, -2], [0, 0, -2], [0, 0, 0]])
     b = np.array([[1.0, 5, -2], [0, 3, -2], [2, 0, 4]])
@@ -54,13 +54,13 @@ def test_criterion_1_nonexistence_witness_regression():
 
     cert = dcepgi_exists(DualMatrix(a, b))
     assert not cert.exists
-    assert cert.residuals["block_condition"] > cert.tolerance
+    assert cert.residuals["core_ep_projector"] > cert.tolerance
     assert dcepgi_bruteforce_oracle(DualMatrix(a, b)) is None
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"\n[criterion 1] cep_err={cep_err:.2e} s_err={s_err:.2e} "
-          f"block_residual={cert.residuals['block_condition']:.3f} "
+          f"projector_residual={cert.residuals['core_ep_projector']:.3f} "
           f"elapsed={elapsed:.3f}s")
 
 
@@ -278,12 +278,13 @@ def test_criterion_6_equivalence_suites():
             return existing_dual(rng, f)
         return existing_dual_b3(rng, f) or existing_dual(rng, f)
 
-    # suite A: DCEPGI existence, projector condition vs block condition
+    # suite A: DCEPGI existence, the certificate vs the brute-force
+    # oracle vs the construction (random B has no DCEPGI)
     for k in range(500):
-        cert = dcepgi_exists(draw(k))
-        tol = cert.tolerance
-        assert (cert.residuals["core_ep_projector"] <= tol) \
-            == (cert.residuals["block_condition"] <= tol)
+        ah = draw(k)
+        verdict = dcepgi_exists(ah).exists
+        assert verdict == (dcepgi_bruteforce_oracle(ah) is not None), k
+        assert verdict == (k % 3 != 0), k
 
     # suite B: DDGI existence, projector vs augmented rank vs dual MP of
     # the m-th power

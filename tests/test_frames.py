@@ -3,9 +3,10 @@
 ``core_ep_decompose`` is wrapped wherever ``dualgi`` binds it, and each
 public call is counted on an index-3 input: every certificate, inverse,
 decomposition and solution of one call derives from a single frame.
-The dual half of that frame is counted the same way: ``s_matrix``
-(also inside ``dual_power``), the block split of U^T B U and the
-Sylvester solve for U3 each run at most once per call.
+The dual half of that frame is counted the same way: the pass that
+forms S (``dual._s_terms``, also inside ``s_matrix`` and
+``dual_power``), the block split of U^T B U and the Sylvester solve
+for U3 each run at most once per call.
 The SVDs and least-squares solves of a call are recorded the same way,
 ``numpy.linalg.svd`` and ``lstsq`` wrapped also where ``norm(x, 2)``
 looks them up: the DDGI and solver paths factor nothing larger than
@@ -21,7 +22,8 @@ import numpy.linalg._linalg as linalg_impl
 import pytest
 
 import dualgi
-from dualgi import CoreEPBlocks, DualMatrix, s_matrix
+from dualgi import CoreEPBlocks, DualMatrix
+from dualgi.dual import _s_terms
 from dualgi.cli import main
 from dualgi.io import dual_vector_to_dict, write_dual_matrix
 from dualgi.realkernel import core_ep_decompose
@@ -57,11 +59,11 @@ def dual_frame_calls(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    wrapped = counted("s_matrix", s_matrix)
+    wrapped = counted("s_terms", _s_terms)
     for name, module in list(sys.modules.items()):
         if (name == "dualgi" or name.startswith("dualgi.")) \
-                and getattr(module, "s_matrix", None) is s_matrix:
-            monkeypatch.setattr(module, "s_matrix", wrapped)
+                and getattr(module, "_s_terms", None) is _s_terms:
+            monkeypatch.setattr(module, "_s_terms", wrapped)
     for name in ("split_blocks", "sylvester"):
         monkeypatch.setattr(CoreEPBlocks, name,
                             counted(name, getattr(CoreEPBlocks, name)))

@@ -2,20 +2,24 @@
 
 Integer matrices built with a known core-EP structure are checked
 against exact ranks of their powers over the rationals (sympy), and
-the rank decisions of the certificates must not move under scaling or
-an orthogonal change of frame.  Frames whose T1 has singular values
-spread over geomspace(1, cond) must come out with the built (t, m),
-a lower-left block at roundoff and N^m = O, up to cond(T1) = 1e6.
+the rank decisions and verdicts of the certificates must not move
+under scaling or an orthogonal change of frame.  Frames whose T1 has
+singular values spread over geomspace(1, cond) must come out with the
+built (t, m), a lower-left block at roundoff and N^m = O, up to
+cond(T1) = 1e6.
 """
 
 import numpy as np
 import pytest
 import sympy
 
-from dualgi import (DualMatrix, core_ep_decompose, dcepgi_exists, ddgi_exists,
-                    dmpgi_exists, index)
-from helpers import (Frame, existing_dual, orthogonal, random_dual,
-                     random_frame)
+from dualgi import (DualMatrix, DualVector, core_ep_decompose, dcepgi_exists,
+                    ddgi_exists, dmpgi_exists, dual_core_ep_decompose,
+                    first_order_form_report, index, solve_unique_in_range)
+from dualgi.errors import HypothesisError, InverseNotExistError
+from helpers import (Frame, existing_dual, existing_dual_b3, orthogonal,
+                     random_dual, random_dual_vector, random_frame,
+                     reducing_dual)
 
 RNG = np.random.default_rng(20261018)
 
@@ -69,23 +73,42 @@ def test_exact_integer_oracle():
         assert (frame.t, frame.m) == (t, m), a
 
 
-def rank_decisions(ah):
+def decisions(ah, bh):
+    """The rank decisions, every existence verdict, ``canonical``, the
+    five first-order-form verdicts and how solve_unique_in_range ends."""
     frame = core_ep_decompose(ah.std)
-    return (frame.t, frame.m, ddgi_exists(ah).residuals["rank_gap"],
-            dmpgi_exists(ah).residuals["rank_gap"])
+    ddgi, dmpgi = ddgi_exists(ah), dmpgi_exists(ah)
+    try:
+        report = first_order_form_report(ah)
+        conditions = {k: holds for k, (holds, _) in report.conditions.items()}
+    except InverseNotExistError:
+        conditions = None
+    try:
+        solve_unique_in_range(ah, bh)
+        solved = "solved"
+    except (HypothesisError, InverseNotExistError) as exc:
+        solved = type(exc).__name__
+    return (frame.t, frame.m, ddgi.residuals["rank_gap"],
+            dmpgi.residuals["rank_gap"], dcepgi_exists(ah).exists,
+            ddgi.exists, dmpgi.exists,
+            dual_core_ep_decompose(ah).canonical, conditions, solved)
 
 
-@pytest.mark.parametrize("build", [existing_dual, random_dual])
+@pytest.mark.parametrize("build", [existing_dual, random_dual,
+                                   existing_dual_b3, reducing_dual])
 def test_rank_decisions_scale_and_frame_free(build):
     for _ in range(30):
         f = random_frame(RNG, n_max=7)
         ah = build(RNG, f)
-        want = rank_decisions(ah)
+        if ah is None:  # existing_dual_b3 found no B4 for its B3
+            continue
+        bh = random_dual_vector(RNG, f.n)
+        want = decisions(ah, bh)
         for c in (1e-6, 1e-3, 1e3, 1e6):
-            assert rank_decisions(DualMatrix(c * ah.std, c * ah.inf)) == want
+            assert decisions(DualMatrix(c * ah.std, c * ah.inf), bh) == want
         q = orthogonal(RNG, f.n)
-        assert rank_decisions(DualMatrix(q @ ah.std @ q.T,
-                                         q @ ah.inf @ q.T)) == want
+        assert decisions(DualMatrix(q @ ah.std @ q.T, q @ ah.inf @ q.T),
+                         DualVector(q @ bh.std, q @ bh.inf)) == want
 
 
 def assert_graded_frame(n, m, cond, seed):

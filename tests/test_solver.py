@@ -1,5 +1,7 @@
 """Dual linear system solver built on the DCEPGI."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import dualgi
 from dualgi import (DualMatrix, DualVector, dcepgi, dmpgi, dual_power,
                     solve_general, solve_unique_in_range)
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
+from dualgi.inverses import _dmpgi_formula, _Frame
 from dualgi.realkernel import DEFAULT_TOL, core_ep_decompose
 from dualgi.relations import _column_membership_residual, _stacked
 from dualgi.solver import _range_residual
@@ -74,6 +77,25 @@ class TestSolveGeneral:
         with pytest.raises(DimensionError):
             solve_general(DualMatrix(np.zeros((2, 3)), np.zeros((2, 3))),
                           random_dual_vector(RNG, 2))
+
+    def test_builds_no_power_pinv(self, monkeypatch):
+        # (Ahat^m)^+ bhat by matrix-vector products, not the whole matrix
+        def refuse(*args):
+            raise AssertionError("(Ahat^m)^+ was formed")
+
+        for name, module in list(sys.modules.items()):
+            if (name == "dualgi" or name.startswith("dualgi.")) and \
+                    getattr(module, "_dmpgi_formula", None) is _dmpgi_formula:
+                monkeypatch.setattr(module, "_dmpgi_formula", refuse)
+        for n, t, m in ((6, 2, 3), (12, 6, 2), (20, 10, 4)):
+            f = Frame(RNG, n, t, m)
+            ah, bhat = existing_dual(RNG, f), random_dual_vector(RNG, n)
+            got = solve_general(ah, bhat).surrogate_rhs
+            df = _Frame(ah, "test")
+            ahm = df.ahm
+            want = ahm @ (ahm @ (_dmpgi_formula(ahm, df.blocks.am_pinv)
+                                 @ bhat))
+            assert (got - want).norm() <= 1e-12 * want.norm()
 
 
 class TestSolveUniqueInRange:
