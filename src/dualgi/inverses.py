@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import DualMatrix, DualVector, _s_terms, dual_power
+from .dual import DualMatrix, _s_terms, dual_power
 from .errors import DimensionError, InverseNotExistError
 from .realkernel import (DEFAULT_TOL, _pinv, _svd_rank, core_ep_decompose,
                          core_ep_inverse, drazin, moore_penrose)
@@ -221,26 +221,21 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL):
 
 
 def _dmpgi_formula(ah, ap):
-    a, b = ah.std, ah.inf
-    m_rows, n_cols = a.shape
-    # (A^T A)^+ = A^+ (A^+)^T and (A A^T)^+ = (A^+)^T A^+
-    corr = (-ap @ b @ ap
-            + ap @ ap.T @ b.T @ (np.eye(m_rows) - a @ ap)
-            + (np.eye(n_cols) - ap @ a) @ b.T @ ap.T @ ap)
-    return DualMatrix(ap, corr)
+    return _dmpgi_apply(ah, ap, DualMatrix.eye(ah.shape[0]))
 
 
 def _dmpgi_apply(ah, ap, xh):
-    """``_dmpgi_formula(ah, ap) @ xh`` for a dual vector ``xh``, its
-    three correction terms applied right to left: matrix-vector
-    products only."""
+    """``_dmpgi_formula(ah, ap) @ xh``, of the type of the dual vector or
+    matrix ``xh``: the three correction terms, with (A^T A)^+ =
+    A^+ (A^+)^T and (A A^T)^+ = (A^+)^T A^+, applied right to left, so a
+    vector costs matrix-vector products only."""
     a, b = ah.std, ah.inf
     x, x1 = xh.std, xh.inf
     y = ap @ x
     w = b.T @ (ap.T @ y)
     corr = (-ap @ (b @ y) + ap @ (ap.T @ (b.T @ (x - a @ y)))
             + w - ap @ (a @ w))
-    return DualVector(y, ap @ x1 + corr)
+    return type(xh)(y, ap @ x1 + corr)
 
 
 def dmpgi(ah, tol=DEFAULT_TOL):

@@ -119,11 +119,12 @@ def _stacked(mh):
 
 
 def _column_membership_residual(gen, space):
-    """Max relative least-squares residual of the columns of ``gen``
-    against the column space of ``space``."""
+    """Largest least-squares residual of the columns of ``gen`` against
+    the column space of ``space``, over ||gen||: a column that is zero
+    but for roundoff misses by roundoff."""
     sol, *_ = np.linalg.lstsq(space, gen, rcond=None)
     resid = np.linalg.norm(space @ sol - gen, axis=0)
-    return max(map(_rel, resid, np.linalg.norm(gen, axis=0)), default=0.0)
+    return _rel(resid.max(initial=0.0), np.linalg.norm(gen))
 
 
 @dataclass(frozen=True)

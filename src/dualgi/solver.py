@@ -70,26 +70,39 @@ def _solve_general(df, bhat, tol):
     projector = DualMatrix.eye(df.blocks.n) - d_cert.witness @ ah
     # (Ahat^m)^+ bhat, certified by power_mp, at the frame's rank-t (A^m)^+
     rhs = ahm @ (ahm @ _dmpgi_apply(ahm, df.blocks.am_pinv, bhat))
-    residual = _rel((ah @ (ahm @ particular) - rhs).norm(), rhs.norm())
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
-                          residual=residual, tolerance=tol,
-                          surrogate_rhs=rhs)
+                          residual=_surrogate_residuals(
+                              df, x_cep, bhat, rhs, [particular])[0],
+                          tolerance=tol, surrogate_rhs=rhs)
 
 
-def _range_residual(frame, s, xhat):
-    """Relative residual of xhat = x + eps x' against the dual range of
+def _surrogate_residuals(df, x_cep, bhat, rhs, solutions):
+    """Residuals of Ahat^(m+1) xh = Ahat^(2m) (Ahat^m)^+ bhat = rhs, one
+    per xh in ``solutions``, over the size of the terms both sides are
+    formed from, not over ||xh|| or ||rhs||: for bhat in N((Ahat^m)^T)
+    both are roundoff."""
+    ah, ahm = df.ah, df.ahm
+    a_size = ah.norm() * ahm.norm()
+    b_size = bhat.norm() * (a_size * x_cep.norm() + ahm.norm() ** 2
+                            * np.linalg.norm(df.blocks.am_pinv))
+    return [_rel((ah @ (ahm @ xh) - rhs).norm(), a_size * xh.norm() + b_size)
+            for xh in solutions]
+
+
+def _range_residual(frame, s, xhat, scale):
+    """Residual of xhat = x + eps x' against the dual range of
     Ahat^m = A^m + eps S, at the preimage y = (A^m)^+ x,
-    y' = (A^m)^+ (x' - S y).  What that preimage misses is the part of x
-    and of x' - S y along U[:, t:], the orthogonal complement of R(A^m).
-    No preimage misses less than the least-squares one, so this check
-    is never laxer than a least-squares test on the stacked 2n x 2n
-    matrix."""
+    y' = (A^m)^+ (x' - S y), over ``scale``.
+    What that preimage misses is the part of x and of x' - S y along
+    U[:, t:], the orthogonal complement of R(A^m).  No preimage misses
+    less than the least-squares one, so this check is never laxer than
+    a least-squares test on the stacked 2n x 2n matrix."""
     x, x1 = xhat.std, xhat.inf
     u2t = frame.U[:, frame.t:].T
     miss = np.hypot(np.linalg.norm(u2t @ x),
                     np.linalg.norm(u2t @ (x1 - s @ (frame.am_pinv @ x))))
-    return _rel(miss, np.hypot(np.linalg.norm(x), np.linalg.norm(x1)))
+    return _rel(miss, scale)
 
 
 def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
@@ -98,16 +111,18 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
 
     Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep;
     membership in the dual range and the equation residual are
-    verified before returning.
+    verified before returning, each over ||Ahat^cep|| ||bhat||, the size
+    of xhat's own roundoff (xhat is zero for bhat in N(Ahat^cep)).
     """
     df = _checked_frame(ah, bhat)
     x_cep = _first_order_dcepgi(df, tol)
     xhat = x_cep @ bhat
-    member = _range_residual(df.blocks, df.s, xhat)
+    scale = x_cep.norm() * bhat.norm()
+    member = _range_residual(df.blocks, df.s, xhat, scale)
     if member > tol:
         raise HypothesisError(
             f"solution fails dual-range membership (residual {member:.3e})")
-    eq_res = _rel((ah @ (x_cep @ xhat) - xhat).norm(), xhat.norm())
+    eq_res = _rel((ah @ (x_cep @ xhat) - xhat).norm(), scale)
     if eq_res > tol:
         raise HypothesisError(
             f"solution fails the defining equation (residual {eq_res:.3e})")

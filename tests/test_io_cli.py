@@ -168,6 +168,20 @@ class TestCLICommands:
         assert report["residual"] < 1e-9
         assert all(r < 1e-8 for r in report["spot_check_residuals"])
 
+    @pytest.mark.parametrize("c", [1e-8, 1e8])
+    def test_solve_spot_checks_scale_free(self, tmp_path, capsys, c):
+        # the shifts yhat are not scaled with A and B: their roundoff in
+        # Ahat^(m+1) xh is not small against the right-hand side alone
+        f = random_frame(RNG)
+        ah = existing_dual(RNG, f)
+        path, rhs = tmp_path / "a.json", tmp_path / "b.json"
+        write_dual_matrix(path, DualMatrix(c * ah.std, c * ah.inf))
+        write_vector(rhs, random_dual_vector(RNG, f.n))
+        assert main(["solve", str(path), str(rhs),
+                     "--spot-checks", "5"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert max(report["spot_check_residuals"]) <= 1e-10
+
     def test_output_file(self, existing_file, tmp_path, capsys):
         path, _ = existing_file
         out = tmp_path / "report.json"

@@ -11,10 +11,10 @@ over ||S|| is of order one.
 import numpy as np
 import pytest
 
-from dualgi import (DualMatrix, DualVector, dcepgi_bruteforce_oracle,
-                    dcepgi_exists, ddgi_exists, order_law_check,
-                    solve_unique_in_range)
-from dualgi.inverses import _rel
+from dualgi import (DEFAULT_TOL, DualMatrix, DualVector, dcepgi,
+                    dcepgi_bruteforce_oracle, dcepgi_exists, ddgi_exists,
+                    order_law_check, solve_general, solve_unique_in_range)
+from dualgi.inverses import _dmpgi_apply, _Frame, _rel
 from helpers import (Frame, existing_dual, nilpotent_chain, orthogonal,
                      random_dual, random_dual_vector, random_frame)
 
@@ -96,6 +96,32 @@ def test_unique_in_range_at_small_scale():
         got = solve_unique_in_range(scaled(ah, 1e-6), bhat)
         got = DualVector(1e-6 * got.std, 1e-6 * got.inf)
         assert (got - want).norm() <= 1e-8 * want.norm()
+
+
+def test_unique_in_range_zero_solution():
+    # bhat in N(Ahat^cep): xhat is O exactly and roundoff as computed,
+    # so neither check may divide by ||xhat||
+    for _ in range(20):
+        f = random_frame(RNG)
+        ah = existing_dual(RNG, f)
+        x, yhat = dcepgi(ah), random_dual_vector(RNG, f.n)
+        bhat = yhat - ah @ (x @ yhat)
+        for c in (1e-6, 1.0, 1e6):
+            xhat = solve_unique_in_range(scaled(ah, c), bhat)
+            assert xhat.norm() <= 1e-10 * x.norm() / c * bhat.norm(), c
+
+
+def test_general_rhs_in_null_space_of_power_transpose():
+    # bhat in N((Ahat^m)^T): the surrogate right-hand side is O exactly
+    # and roundoff as computed, so the residual may not divide by it alone
+    for _ in range(20):
+        f = random_frame(RNG)
+        df = _Frame(existing_dual(RNG, f), "test")
+        yhat = random_dual_vector(RNG, f.n)
+        bhat = yhat - df.ahm @ _dmpgi_apply(df.ahm, df.blocks.am_pinv, yhat)
+        for c in (1e-6, 1.0, 1e6):
+            sol = solve_general(scaled(df.ah, c), bhat)
+            assert sol.residual <= DEFAULT_TOL, (c, sol.residual)
 
 
 def test_commute_condition_scale_free():
