@@ -99,7 +99,7 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     """Dual core-EP decomposition of a square dual matrix.
 
     Pass ``u`` to pin the real orthogonal frame (useful for matching a
-    hand-picked basis); otherwise it comes from an SVD of A^m.
+    hand-picked basis); otherwise it comes from the staircase.
     """
     return _decompose(_Frame(ah, "dual_core_ep_decompose", u=u), tol)
 

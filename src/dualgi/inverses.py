@@ -8,7 +8,7 @@ compact product formula and a brute-force linear-system oracle.
 Existence is decided numerically: each certificate lists residuals,
 identity differences over the size of their terms (``_rel``), and the
 inverse exists exactly when every one is at or below the tolerance.
-The DCEPGI and DDGI certificates read all their residuals off one
+The DCEPGI and DDGI certificates share one residual, the size of one
 (n-t) x (n-t) defect block of S = (Ahat^m).inf in the core-EP frame,
 so neither factors a 2n x 2n matrix.
 
@@ -17,7 +17,7 @@ Ahat^m, U^T B U, U3 and D at most once; the private helpers take that
 frame, so other modules share it too.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -52,7 +52,7 @@ class ExistenceCertificate:
     """Outcome of an existence test.
 
     ``residuals`` maps identity names to scale-free residuals (``_rel``)
-    or rank gaps; ``exists`` is true iff every residual is <=
+    or the DMPGI's rank gap; ``exists`` is true iff every residual is <=
     ``tolerance``.  When the inverse exists, ``witness`` holds it.
     """
 
@@ -125,19 +125,22 @@ class _Frame:
         return self.blocks.sylvester(self.b_blocks[2])
 
     @cached_property
-    def defect(self):
-        """The defect block D = W4 - W3 K of S, and K.
+    def defect_residual(self):
+        """||D||_F over the size of the terms of S, for the defect block
+        D = W4 - W3 K of S: the one residual of the DCEPGI, the DDGI and
+        (Ahat^m)^+, each of which exists exactly when D = O.
 
         W3 and W4 are the lower blocks of W = U^T S U, and K = T1^-m
         Ttilde.  In the frame (I - A^m (A^m)#) S (I - (A^m)# A^m) =
-        U [[O, O], [O, D]] U^T, with # the core-EP inverse: S is
-        compatible with A exactly when D = O.  D is (n-t) x (n-t).
+        U [[O, O], [O, D]] U^T, with # the core-EP inverse.  D is
+        (n-t) x (n-t).
         """
         f = self.blocks
         t, m = f.t, f.mp
         k = f.t1_inv_powers[m] @ f.t_tildes[m]
         lower = f.U[:, t:].T @ self.s @ f.U  # [W3, W4]
-        return lower[:, t:] - lower[:, :t] @ k, k
+        return _rel(np.linalg.norm(lower[:, t:] - lower[:, :t] @ k),
+                    self.s_size)
 
 
 # ---------------------------------------------------------------------------
@@ -255,44 +258,24 @@ def _dmpgi(ah, tol):
 def ddgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual Drazin inverse.
 
-    Verdict from (I - A A^D) S (I - A A^D) = O, cross-checked against
-    the augmented rank test on [[S, A^m], [A^m, O]] and against the
-    existence of the dual MP inverse of Ahat^m.  All three residuals
-    come from the defect block D of S in the core-EP frame (see
-    ``_Frame.defect``), over the size of the terms of S; the augmented
-    rank is 2 t + rank(D) (Marsaglia and Styan), so no 2n x 2n matrix
-    is factored.
+    Verdict from (I - A A^D) S (I - A A^D) = U [[O, -K D], [O, D]] U^T,
+    which is O exactly when the defect block D of S is: the DDGI exists
+    exactly when the DCEPGI does, and ``drazin_projector`` is the
+    DCEPGI's ``core_ep_projector`` (``_Frame.defect_residual``).
     """
     return _ddgi_certificate(_Frame(ah, "ddgi_exists"), tol)
 
 
 def _ddgi_certificate(df, tol):
     """``ddgi_exists`` in the dual frame ``df``."""
-    frame = df.blocks
-    m = frame.mp
-    s_norm = np.linalg.norm(df.s)
-    d, k = df.defect
-    # in the frame (I - A A^D) S (I - A A^D) = U [[O, -K D], [O, D]] U^T,
-    # and (I - A^m (A^m)^+) S (I - (A^m)^+ A^m) has the norm of D L^-T,
-    # for L L^T = I + K^T K the Gram matrix of [-K; I], a basis of N(A^m)
-    chol = np.linalg.cholesky(np.eye(frame.n - frame.t) + k.T @ k)
-    power_mp = _rel(np.linalg.norm(np.linalg.solve(chol, d.T)), df.s_size)
-    # rank(D) = rank([[S, A^m], [A^m, O]]) - 2 t, cut above the roundoff
-    # of the computed power
-    rank_gap = _svd_rank(d, rel=tol,
-                         floor=max(frame.sigma_max ** m, s_norm))[0]
-    residuals = {
-        "drazin_projector": _rel(np.hypot(np.linalg.norm(k @ d),
-                                          np.linalg.norm(d)), df.s_size),
-        "rank_gap": float(rank_gap),
-        "power_mp": power_mp,
-    }
-    return _certify(residuals, tol, lambda: _ddgi_formula(
-        df.ah, m, drazin(df.ah.std, blocks=frame)))
+    return _certify({"drazin_projector": df.defect_residual}, tol,
+                    lambda: _ddgi_witness(df))
 
 
-def _ddgi_formula(ah, m, ad):
-    a, b = ah.std, ah.inf
+def _ddgi_witness(df):
+    """The DDGI formula in the dual frame ``df``, whose defect is O."""
+    a, b, m = df.ah.std, df.ah.inf, df.blocks.mp
+    ad = drazin(a, blocks=df.blocks)
     n = a.shape[0]
     proj = np.eye(n) - a @ ad
     corr = -ad @ b @ ad
@@ -335,20 +318,11 @@ def _dual_group(ah, tol):
 def dcepgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual core-EP generalized inverse.
 
-    Verdict from (I - A^m (A^m)#) S (I - (A^m)# A^m) = O with # the
-    core-EP inverse.  In the core-EP frame that matrix is the defect
-    block D = S4 - S3 T1^-m Ttilde (see ``_Frame.defect``); the one
-    residual, ``core_ep_projector``, is ||D||_F over the size of the
-    terms of S, sum_i ||A^(m-i) B A^(i-1)||_F.
+    Verdict from (I - A^m (A^m)#) S (I - (A^m)# A^m) = U [[O, O], [O, D]]
+    U^T, # the core-EP inverse and D the defect block of S: the one
+    residual, ``core_ep_projector``, is ``_Frame.defect_residual``.
     """
     return _dcepgi_certificate(_Frame(ah, "dcepgi_exists"), tol)
-
-
-def _dcepgi_certificate(df, tol):
-    """``dcepgi_exists`` in the dual frame ``df``."""
-    residuals = {"core_ep_projector": _rel(np.linalg.norm(df.defect[0]),
-                                           df.s_size)}
-    return _certify(residuals, tol, lambda: _dcepgi_canonical(df))
 
 
 def _dcepgi_canonical(df):
@@ -363,6 +337,12 @@ def _dcepgi_canonical(df):
     r11 = -t1_inv @ b1 @ t1_inv - t1_inv @ frame.T2 @ k
     r = frame.assemble(r11, t1_inv @ u3.T, k, np.zeros((n - t, n - t)))
     return DualMatrix(core_ep_inverse(df.ah.std, blocks=frame), r)
+
+
+def _dcepgi_certificate(df, tol, witness=_dcepgi_canonical):
+    """``dcepgi_exists`` in the dual frame ``df``, witness ``witness(df)``."""
+    return _certify({"core_ep_projector": df.defect_residual}, tol,
+                    lambda: witness(df))
 
 
 def _dcepgi_witness(df, tol, message=_NO_DCEPGI):
@@ -387,21 +367,18 @@ def _dcepgi(ah, tol):
 def dcepgi_compact(ah, tol=DEFAULT_TOL):
     """Compact product formula Ahat^D Ahat^m (Ahat^m)^dagger.
 
-    Needs both the DCEPGI and the DDGI to exist; agrees with ``dcepgi``
-    whenever both hypotheses hold.
+    Needs the DDGI and (Ahat^m)^dagger, which exist exactly when the
+    DCEPGI does; agrees with ``dcepgi`` then.
     """
     return _dcepgi_compact(ah, tol).witness
 
 
 def _dcepgi_compact(ah, tol):
-    """The DCEPGI certificate, with the compact product as its witness."""
-    df = _Frame(ah, "dcepgi_compact")
-    cep_cert = _certified(_dcepgi_certificate(df, tol), _NO_DCEPGI)
-    d_cert = _certified(_ddgi_certificate(df, tol),
-                        _NO_DDGI + " (required by the compact formula)")
-    # (Ahat^m)^+, certified by power_mp, at the frame's rank-t (A^m)^+
-    ahm_pinv = _dmpgi_formula(df.ahm, df.blocks.am_pinv)
-    return replace(cep_cert, witness=d_cert.witness @ df.ahm @ ahm_pinv)
+    """The DCEPGI certificate, with the compact product as its witness,
+    (Ahat^m)^+ at the frame's rank-t (A^m)^+."""
+    return _certified(_dcepgi_certificate(
+        _Frame(ah, "dcepgi_compact"), tol, lambda df: _ddgi_witness(df)
+        @ df.ahm @ _dmpgi_formula(df.ahm, df.blocks.am_pinv)), _NO_DCEPGI)
 
 
 def _vec(x):

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualMatrix
 from .errors import DimensionError, HypothesisError
 from .inverses import _dcepgi_witness, _Frame, _rel
 from .realkernel import DEFAULT_TOL, _svd_rank, numerical_rank
@@ -54,10 +53,12 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
 
 def _first_order_form_residual(df, x):
     """The residual of Ahat^cep = A^cep - eps A^cep B A^cep for the
-    DCEPGI ``x`` in the dual frame ``df``."""
+    DCEPGI ``x`` in the dual frame ``df``, over ||x.inf|| +
+    ||A^cep B A^cep||: both are linear in B, as the difference is."""
     a_cep = x.std  # the real core-EP inverse of A
-    first_order = DualMatrix(a_cep, -a_cep @ df.ah.inf @ a_cep)
-    return _rel((x - first_order).norm(), x.norm())
+    first_order = a_cep @ df.ah.inf @ a_cep
+    return _rel(np.linalg.norm(x.inf + first_order),
+                np.linalg.norm(x.inf) + np.linalg.norm(first_order))
 
 
 def _first_order_form_report(df, x, tol):

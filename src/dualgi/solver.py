@@ -5,7 +5,7 @@ system
 
     Ahat^(m+1) xhat = Ahat^(2m) (Ahat^m)^dagger bhat
 
-is consistent whenever the DCEPGI and DDGI exist, with general solution
+is consistent whenever the DCEPGI exists, with general solution
 xhat = Ahat^cep bhat + (I - Ahat^D Ahat) yhat.  A second result gives
 Ahat^cep bhat as the unique in-range solution of
 Ahat Ahat^cep xhat = Ahat^cep bhat.
@@ -17,8 +17,8 @@ import numpy as np
 
 from .dual import DualMatrix, DualVector
 from .errors import DimensionError, HypothesisError
-from .inverses import (_certified, _dcepgi_witness, _ddgi_certificate,
-                       _dmpgi_apply, _Frame, _rel)
+from .inverses import (_dcepgi_witness, _ddgi_witness, _dmpgi_apply, _Frame,
+                       _rel)
 from .realkernel import DEFAULT_TOL
 from .relations import _first_order_dcepgi
 
@@ -54,8 +54,8 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     """General solution of Ahat^(m+1) xhat = Ahat^(2m) (Ahat^m)^+ bhat.
 
     Returns the particular solution Ahat^cep bhat and the projector
-    I - Ahat^D Ahat spanning the homogeneous solutions.  Requires both
-    the DCEPGI and the DDGI.
+    I - Ahat^D Ahat spanning the homogeneous solutions.  Requires the
+    DCEPGI, which exists exactly when the DDGI does.
     """
     return _solve_general(_checked_frame(ah, bhat), bhat, tol)
 
@@ -63,12 +63,9 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
 def _solve_general(df, bhat, tol):
     ah, ahm = df.ah, df.ahm
     x_cep = _dcepgi_witness(df, tol)
-    d_cert = _certified(_ddgi_certificate(df, tol),
-                        "dual Drazin inverse does not exist "
-                        "(required by the general solution)")
     particular = x_cep @ bhat
-    projector = DualMatrix.eye(df.blocks.n) - d_cert.witness @ ah
-    # (Ahat^m)^+ bhat, certified by power_mp, at the frame's rank-t (A^m)^+
+    projector = DualMatrix.eye(df.blocks.n) - _ddgi_witness(df) @ ah
+    # (Ahat^m)^+, which exists with the DCEPGI, at the frame's (A^m)^+
     rhs = ahm @ (ahm @ _dmpgi_apply(ahm, df.blocks.am_pinv, bhat))
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,

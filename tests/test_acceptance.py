@@ -27,7 +27,7 @@ from dualgi.inverses import (core_ep_residuals, drazin_residuals,
 from helpers import (exact_core_ep_residuals, exact_mul, existing_dual,
                      existing_dual_b3, fractions, mp_existing_dual,
                      random_dual, random_dual_vector, random_frame,
-                     reducing_dual)
+                     reducing_dual, stacked_rank_gap)
 
 # the five first-order-form conditions: three equivalent ones, and a
 # pair that adds the right-sided identity S A^m (A^m)^+ = S
@@ -273,28 +273,30 @@ def test_criterion_6_equivalence_suites():
     def draw(k):
         f = random_frame(rng)
         if k % 3 == 0:
-            return random_dual(rng, f)
+            return f, random_dual(rng, f)
         if k % 3 == 1:
-            return existing_dual(rng, f)
-        return existing_dual_b3(rng, f) or existing_dual(rng, f)
+            return f, existing_dual(rng, f)
+        return f, existing_dual_b3(rng, f) or existing_dual(rng, f)
 
     # suite A: DCEPGI existence, the certificate vs the brute-force
     # oracle vs the construction (random B has no DCEPGI)
     for k in range(500):
-        ah = draw(k)
+        _, ah = draw(k)
         verdict = dcepgi_exists(ah).exists
         assert verdict == (dcepgi_bruteforce_oracle(ah) is not None), k
         assert verdict == (k % 3 != 0), k
 
-    # suite B: DDGI existence, projector vs augmented rank vs dual MP of
-    # the m-th power
+    # suite B: DDGI existence vs the DCEPGI certificate, the augmented
+    # rank of the stacked 2n x 2n [[S, A^m], [A^m, O]], the dual MP
+    # inverse of the m-th power ((t, m) from the construction) and the
+    # construction itself
     for k in range(500):
-        cert = ddgi_exists(draw(k))
-        tol = cert.tolerance
-        verdicts = {cert.residuals["drazin_projector"] <= tol,
-                    cert.residuals["rank_gap"] == 0.0,
-                    cert.residuals["power_mp"] <= tol}
-        assert len(verdicts) == 1
+        f, ah = draw(k)
+        verdict = ddgi_exists(ah).exists
+        assert verdict == dcepgi_exists(ah).exists, k
+        assert verdict == (stacked_rank_gap(ah, f.t, f.m) == 0), k
+        assert verdict == dmpgi_exists(dual_power(ah, f.m)).exists, k
+        assert verdict == (k % 3 != 0), k
 
     # suite C, provable part: within the five first-order-form
     # conditions, the first three agree with each other and the last

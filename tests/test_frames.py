@@ -7,10 +7,11 @@ The dual half of that frame is counted the same way: the pass that
 forms S (``dual._s_terms``, also inside ``s_matrix`` and
 ``dual_power``), the block split of U^T B U and the Sylvester solve
 for U3 each run at most once per call.
-The SVDs and least-squares solves of a call are recorded the same way,
-``numpy.linalg.svd`` and ``lstsq`` wrapped also where ``norm(x, 2)``
-looks them up: the DDGI and solver paths factor nothing larger than
-n x n.
+The SVDs, least-squares solves, Cholesky and QR factorizations,
+linear solves and inverses of a call are recorded the same way,
+``numpy.linalg`` wrapped also where ``norm(x, 2)`` looks them up: the
+DDGI and solver paths factor nothing larger than n x n, and the DDGI
+certificate factors nothing beyond the frame's SVDs.
 """
 
 import collections
@@ -72,7 +73,8 @@ def dual_frame_calls(monkeypatch):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """(name, input shape) of every SVD and lstsq call."""
+    """(name, input shape) of every SVD, lstsq, Cholesky, solve, QR and
+    inv call."""
     calls = []
 
     def recorded(name, fn):
@@ -81,7 +83,7 @@ def linalg_calls(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    for name in ("svd", "lstsq"):
+    for name in ("svd", "lstsq", "cholesky", "solve", "qr", "inv"):
         wrapped = recorded(name, getattr(np.linalg, name))
         monkeypatch.setattr(np.linalg, name, wrapped)
         monkeypatch.setattr(linalg_impl, name, wrapped)
@@ -124,7 +126,7 @@ def test_one_dual_frame(name, dual_frame_calls, index_three):
 
 @pytest.mark.parametrize("name", ["ddgi_exists", "ddgi", "dual_group"])
 def test_ddgi_builds_no_power_pinv(name, monkeypatch, index_three, index_one):
-    # the power_mp residual needs no (Ahat^m)^+ witness
+    # the DDGI certificate and witness need no (Ahat^m)^+
     calls = []
     monkeypatch.setattr(dualgi.inverses, "_dmpgi_formula",
                         lambda *args: calls.append(args))
@@ -153,8 +155,8 @@ def test_mp_inverses_build_no_frame(frame_calls, index_three):
     ("dcepgi_exists", 3 + 1),
     # [[B, A], [A, O]], then A at the same cut, which also gives A^+
     ("dmpgi_exists", 2),
-    # the frame's m + 1, and the (n-t) x (n-t) defect block for rank_gap
-    ("ddgi_exists", 3 + 2),
+    # the frame's m + 1 only: the DCEPGI's residual decides the DDGI
+    ("ddgi_exists", 3 + 1),
     # the frame's m + 1 give m, A^cep and S (lstsq calls no svd)
     ("dcepgi_bruteforce_oracle", 3 + 1)])
 def test_svd_count(name, count, linalg_calls, index_three):
@@ -166,6 +168,18 @@ def test_svd_count(name, count, linalg_calls, index_three):
         n = ah.shape[0]
         assert svds[0] == (n, n), svds
         assert all(max(shape) < n for shape in svds[1:]), svds
+
+
+def test_ddgi_certificate_factors_only_the_frame(linalg_calls, index_three):
+    # the DDGI reads the DCEPGI's one residual, so it makes the same
+    # calls: the frame's m + 1 SVDs and the inverse of T1, no Cholesky
+    ah, _ = index_three
+    dualgi.dcepgi_exists(ah)
+    cep_calls = list(linalg_calls)
+    linalg_calls.clear()
+    dualgi.ddgi_exists(ah)
+    assert linalg_calls == cep_calls
+    assert "cholesky" not in [kind for kind, _ in linalg_calls]
 
 
 @pytest.mark.parametrize("name", [
@@ -180,8 +194,7 @@ def test_no_factorization_above_n(name, linalg_calls, index_three,
     getattr(dualgi, name)(*args)
     n = ah.shape[0]
     assert linalg_calls, "nothing recorded"
-    assert all(kind == "svd" and max(shape) <= n
-               for kind, shape in linalg_calls), linalg_calls
+    assert all(max(shape) <= n for _, shape in linalg_calls), linalg_calls
 
 
 @pytest.mark.parametrize("argv", [

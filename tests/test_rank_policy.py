@@ -88,9 +88,8 @@ def decisions(ah, bh):
         solved = "solved"
     except (HypothesisError, InverseNotExistError) as exc:
         solved = type(exc).__name__
-    return (frame.t, frame.m, ddgi.residuals["rank_gap"],
-            dmpgi.residuals["rank_gap"], dcepgi_exists(ah).exists,
-            ddgi.exists, dmpgi.exists,
+    return (frame.t, frame.m, dmpgi.residuals["rank_gap"],
+            dcepgi_exists(ah).exists, ddgi.exists, dmpgi.exists,
             dual_core_ep_decompose(ah).canonical, conditions, solved)
 
 

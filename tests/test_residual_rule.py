@@ -2,10 +2,10 @@
 
 A residual is the norm of an identity's difference divided by the size
 of the terms it is a difference of (``inverses._rel``), so scaling A
-and B by one constant moves no verdict.  The DCEPGI and DDGI residuals
-divide by sum_i ||A^(m-i) B A^(i-1)||_F, the size of the terms of S,
-not by ||S||: where those terms cancel, S is pure roundoff and ||D||
-over ||S|| is of order one.
+and B by one constant moves no verdict.  The DCEPGI and DDGI share one
+residual, ||D|| over sum_i ||A^(m-i) B A^(i-1)||_F, the size of the
+terms of S, not over ||S||: where those terms cancel, S is pure
+roundoff and ||D|| over ||S|| is of order one.
 """
 
 import numpy as np
@@ -13,10 +13,12 @@ import pytest
 
 from dualgi import (DEFAULT_TOL, DualMatrix, DualVector, dcepgi,
                     dcepgi_bruteforce_oracle, dcepgi_exists, ddgi_exists,
-                    order_law_check, solve_general, solve_unique_in_range)
+                    first_order_form_report, order_law_check, solve_general,
+                    solve_unique_in_range)
 from dualgi.inverses import _dmpgi_apply, _Frame, _rel
-from helpers import (Frame, existing_dual, nilpotent_chain, orthogonal,
-                     random_dual, random_dual_vector, random_frame)
+from helpers import (Frame, existing_dual, existing_dual_b3, nilpotent_chain,
+                     orthogonal, random_dual, random_dual_vector,
+                     random_frame)
 
 RNG = np.random.default_rng(20261019)
 
@@ -133,3 +135,30 @@ def test_commute_condition_scale_free():
         for bh, holds in ((commuting, True), (other, False)):
             report = order_law_check(scaled(ah, c), scaled(bh, c), tol=1e-8)
             assert report.sufficient_conditions["commute"][0] == holds, c
+
+
+def test_ddgi_and_dcepgi_read_one_residual_at_every_scale():
+    # rng 1, cond(T1) = 1e4: a DDGI residual of its own crossed the
+    # tolerance at two of these scales while the DCEPGI's did not
+    rng = np.random.default_rng(1)
+    ah = random_dual(rng, Frame(rng, 20, 10, 4, cond=1e4))
+    for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        cep, drazin = dcepgi_exists(scaled(ah, c)), ddgi_exists(scaled(ah, c))
+        assert drazin.exists == cep.exists, c
+        assert drazin.residuals == {
+            "drazin_projector": cep.residuals["core_ep_projector"]}, c
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e6])
+def test_first_order_form_verdict_free_of_the_scale_of_b(c):
+    # B3 != O: the form fails for every c != 0, and the residual's terms
+    # R and A^cep B A^cep are both linear in B
+    rng = np.random.default_rng(21)
+    checked = 0
+    while checked < 60:
+        ah = existing_dual_b3(rng, random_frame(rng))
+        if ah is None:  # no B4 found for its B3
+            continue
+        report = first_order_form_report(DualMatrix(ah.std, c * ah.inf))
+        assert not report.conditions["first_order_form"][0], (checked, c)
+        checked += 1
