@@ -261,7 +261,8 @@ def ddgi_exists(ah, tol=DEFAULT_TOL):
     Verdict from (I - A A^D) S (I - A A^D) = U [[O, -K D], [O, D]] U^T,
     which is O exactly when the defect block D of S is: the DDGI exists
     exactly when the DCEPGI does, and ``drazin_projector`` is the
-    DCEPGI's ``core_ep_projector`` (``_Frame.defect_residual``).
+    DCEPGI's ``core_ep_projector`` (``_Frame.defect_residual``): ||D||_F,
+    not that identity's norm, which is up to 1 + ||K|| times larger.
     """
     return _ddgi_certificate(_Frame(ah, "ddgi_exists"), tol)
 
@@ -385,15 +386,6 @@ def _vec(x):
     return x.reshape(-1, order="F")
 
 
-def _transpose_permutation(n):
-    """Permutation matrix P with P vec(X) = vec(X^T) (column-major vec)."""
-    p = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            p[i * n + j, j * n + i] = 1.0
-    return p
-
-
 def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
     """Independent DCEPGI oracle: solve the defining linear system for
     the infinitesimal part R by vectorized least squares.
@@ -419,9 +411,10 @@ def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
     am = np.linalg.matrix_power(a, m)
     eye_n = np.eye(n)
     eye_n2 = np.eye(n * n)
-    perm = _transpose_permutation(n)
 
-    m1 = np.kron(eye_n, a) - perm @ np.kron(eye_n, a)
+    # vec(X)[i + j n] = X[i, j]: this row order maps vec(X) to vec(X^T)
+    m1 = np.kron(eye_n, a)
+    m1 -= m1[np.arange(n * n).reshape(n, n).T.ravel()]
     rhs1 = _vec((b @ x).T - b @ x)
     m2 = np.kron(eye_n, a @ x) + np.kron(x.T, a) - eye_n2
     rhs2 = _vec(-b @ x @ x)

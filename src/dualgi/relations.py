@@ -53,12 +53,16 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
 
 def _first_order_form_residual(df, x):
     """The residual of Ahat^cep = A^cep - eps A^cep B A^cep for the
-    DCEPGI ``x`` in the dual frame ``df``, over ||x.inf|| +
-    ||A^cep B A^cep||: both are linear in B, as the difference is."""
-    a_cep = x.std  # the real core-EP inverse of A
-    first_order = a_cep @ df.ah.inf @ a_cep
-    return _rel(np.linalg.norm(x.inf + first_order),
-                np.linalg.norm(x.inf) + np.linalg.norm(first_order))
+    DCEPGI ``x`` in the dual frame ``df``, over ``_first_order_size``:
+    not over x.inf and A^cep B A^cep, roundoff where B vanishes on R(A^m)."""
+    a_cep, b = x.std, df.ah.inf  # a_cep: the real core-EP inverse of A
+    return _rel(np.linalg.norm(x.inf + a_cep @ b @ a_cep),
+                _first_order_size(x, b))
+
+
+def _first_order_size(x, b):
+    """||A^cep||^2 ||B||, the size of the terms of A^cep B A^cep."""
+    return np.linalg.norm(x.std) ** 2 * np.linalg.norm(b)
 
 
 def _first_order_form_report(df, x, tol):

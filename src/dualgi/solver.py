@@ -20,7 +20,7 @@ from .errors import DimensionError, HypothesisError
 from .inverses import (_dcepgi_witness, _ddgi_witness, _dmpgi_apply, _Frame,
                        _rel)
 from .realkernel import DEFAULT_TOL
-from .relations import _first_order_dcepgi
+from .relations import _first_order_dcepgi, _first_order_size
 
 __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
 
@@ -108,13 +108,16 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
 
     Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep;
     membership in the dual range and the equation residual are
-    verified before returning, each over ||Ahat^cep|| ||bhat||, the size
-    of xhat's own roundoff (xhat is zero for bhat in N(Ahat^cep)).
+    verified before returning, each over the size of the terms of
+    Ahat^cep, ||A^cep|| and ||A^cep||^2 ||B||, times ||bhat||: the size
+    of xhat's own roundoff (xhat is zero for bhat in N(Ahat^cep), and
+    A^cep B A^cep is zero where B vanishes on R(A^m)).
     """
     df = _checked_frame(ah, bhat)
     x_cep = _first_order_dcepgi(df, tol)
     xhat = x_cep @ bhat
-    scale = x_cep.norm() * bhat.norm()
+    scale = np.hypot(np.linalg.norm(x_cep.std),
+                     _first_order_size(x_cep, ah.inf)) * bhat.norm()
     member = _range_residual(df.blocks, df.s, xhat, scale)
     if member > tol:
         raise HypothesisError(

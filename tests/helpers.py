@@ -146,8 +146,8 @@ def seeded_reducing_dual(seed, shape):
 def stacked_rank_gap(ah, t, m, tol=DEFAULT_TOL):
     """rank([[S, A^m], [A^m, O]]) - 2 t from one SVD of that 2n x 2n
     matrix, cut at tol * max(its sigma_max, sigma_max(A)^m), for
-    Ahat^m = A^m + eps S: the stacked reference for the DDGI
-    ``rank_gap``, which the library reads off an (n-t) x (n-t) block."""
+    Ahat^m = A^m + eps S: the stacked reference that the DDGI verdict
+    (the defect block D of S is O) is compared against."""
     ahm = dual_power(ah, m)
     zero = np.zeros_like(ahm.std)
     sv = np.linalg.svd(np.block([[ahm.inf, ahm.std], [ahm.std, zero]]),

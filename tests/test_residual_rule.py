@@ -13,8 +13,8 @@ import pytest
 
 from dualgi import (DEFAULT_TOL, DualMatrix, DualVector, dcepgi,
                     dcepgi_bruteforce_oracle, dcepgi_exists, ddgi_exists,
-                    first_order_form_report, order_law_check, solve_general,
-                    solve_unique_in_range)
+                    first_order_form_report, order_law_check,
+                    range_null_report, solve_general, solve_unique_in_range)
 from dualgi.inverses import _dmpgi_apply, _Frame, _rel
 from helpers import (Frame, existing_dual, existing_dual_b3, nilpotent_chain,
                      orthogonal, random_dual, random_dual_vector,
@@ -66,6 +66,17 @@ def split_input(rng, n, m):
     return DualMatrix(f.lift(f.T1, zero((t, s)), zero((s, t)), f.N),
                       f.lift(zero((t, t)), zero((t, s)), zero((s, t)),
                              f.N @ x - x @ f.N))
+
+
+def off_range_input(rng, n, m):
+    """B = U [[O, B2], [O, O]] U^T vanishes on R(A^m) and maps into it:
+    D = O, A^cep B A^cep = O and the first-order form holds."""
+    f = Frame(rng, n, n // 2, m)
+    t, s = f.t, n - f.t
+    zero = np.zeros
+    return DualMatrix(f.lift(f.T1, f.T2, zero((s, t)), f.N),
+                      f.lift(zero((t, t)), rng.standard_normal((t, s)),
+                             zero((s, t)), zero((s, s))))
 
 
 @pytest.mark.parametrize("build", [commutator_input, split_input])
@@ -162,3 +173,20 @@ def test_first_order_form_verdict_free_of_the_scale_of_b(c):
         report = first_order_form_report(DualMatrix(ah.std, c * ah.inf))
         assert not report.conditions["first_order_form"][0], (checked, c)
         checked += 1
+
+
+@pytest.mark.parametrize("build", [split_input, off_range_input])
+def test_first_order_form_holds_where_b_vanishes_on_the_range(build):
+    # B1 = B3 = O: Ahat^cep's B part and A^cep B A^cep are both O, so as
+    # computed both are roundoff and neither may be the residual's scale
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        n = int(rng.integers(6, 21))
+        ah = build(rng, n, int(rng.integers(1, 4)))
+        bhat = random_dual_vector(rng, n)
+        for c in (1e-6, 1.0, 1e6):
+            sh = DualMatrix(ah.std, c * ah.inf)
+            report = first_order_form_report(sh)
+            assert report.conditions["first_order_form"][0], (n, c)
+            solve_unique_in_range(sh, bhat)
+            range_null_report(sh)
