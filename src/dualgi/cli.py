@@ -188,8 +188,7 @@ def cmd_solve(args):
                                            rng.standard_normal(len(bhat))))
                    for _ in range(args.spot_checks)]
         report["spot_check_residuals"] = solver._surrogate_residuals(
-            df, inverses._dcepgi_canonical(df), bhat, sol.surrogate_rhs,
-            shifted)
+            df, bhat, sol.surrogate_rhs, shifted)
     else:
         xhat = solver.solve_unique_in_range(ah, bhat, args.tol)
         report["solution"] = io.dual_vector_to_dict(xhat, name="solution")

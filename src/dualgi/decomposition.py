@@ -23,7 +23,7 @@ import numpy as np
 from .dual import DualMatrix
 from .errors import InverseNotExistError
 from .inverses import _dcepgi_witness, _Frame, _rel
-from .realkernel import DEFAULT_TOL, _svd_rank
+from .realkernel import DEFAULT_TOL, _lapack, _svd_rank
 
 __all__ = [
     "DualCoreEPDecomposition",
@@ -106,25 +106,16 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
 
 def _decompose(df, tol):
     """``dual_core_ep_decompose`` in the dual frame ``df``."""
-    frame = df.blocks
-    t, n = frame.t, frame.n
-    t1, t2, nb = frame.T1, frame.T2, frame.N
-    b1, b2, _, b4 = df.b_blocks
-    u3 = df.u3
-
-    u0 = frame.U @ np.block([[np.zeros((t, t)), -u3.T],
-                             [u3, np.zeros((n - t, n - t))]])
-    u_hat = DualMatrix(frame.U, u0)
-
-    t1_hat = DualMatrix(t1, t2 @ u3 + b1)
-    t2_hat = DualMatrix(t2, b2 + u3.T @ nb - t1 @ u3.T)
-    n_hat = DualMatrix(nb, b4 - u3 @ t2)
+    t2, u3 = df.blocks.T2, df.u3
+    t1_hat, t2_hat, n_hat = (DualMatrix(*pair)
+                             for pair in (df.t1_hat, df.t2_hat, df.n_hat))
     b_norm = np.linalg.norm(df.ah.inf)
     canonical = bool(_rel(np.linalg.norm(t2 @ u3), b_norm) <= tol
                      and _rel(np.linalg.norm(u3 @ t2), b_norm) <= tol)
-    return DualCoreEPDecomposition(U_hat=u_hat, T1_hat=t1_hat, T2_hat=t2_hat,
-                                   N_hat=n_hat, U3=u3, canonical=canonical,
-                                   t=t, m=frame.m)
+    return DualCoreEPDecomposition(
+        U_hat=DualMatrix(*df.u_hat), T1_hat=t1_hat, T2_hat=t2_hat,
+        N_hat=n_hat, U3=u3, canonical=canonical, t=df.blocks.t,
+        m=df.blocks.m)
 
 
 def dual_cn_split(ah, tol=DEFAULT_TOL):
@@ -154,7 +145,7 @@ def dcepgi_from_decomposition(d, tol=DEFAULT_TOL):
     t1 = d.T1_hat.std
     if _svd_rank(t1, rel=tol)[0] < t:
         raise InverseNotExistError("T1hat standard part is singular", None)
-    t1_inv = np.linalg.inv(t1)
+    t1_inv = _lapack("inverse", np.linalg.inv, t1)
     t1_hat_inv = DualMatrix(t1_inv, -t1_inv @ d.T1_hat.inf @ t1_inv)
     return d._conjugate(t1_hat_inv, DualMatrix.zeros(t, n - t),
                         DualMatrix.zeros(n - t))

@@ -244,12 +244,14 @@ def _s_terms(a, b, m):
     """(S, sum_{i=1..m} ||A^(m-i) B A^(i-1)||_F): S and the size of its
     terms, the scale of every residual of S."""
     n = a.shape[0]
-    powers = [np.eye(n)]
-    for _ in range(m - 1):
+    powers = [None, a]  # A^k for k >= 1; A^0 = I multiplies by nothing
+    for _ in range(m - 2):
         powers.append(powers[-1] @ a)
     s, size = np.zeros((n, n)), 0.0
     for i in range(1, m + 1):
-        term = powers[m - i] @ b @ powers[i - 1]
+        term = powers[m - i] @ b if m > i else b
+        if i > 1:
+            term = term @ powers[i - 1]
         s += term
         size += np.linalg.norm(term)
     return s, size

@@ -26,4 +26,5 @@ class HypothesisError(DualgiError):
 
 
 class NumericalError(DualgiError):
-    """A factorization failed to converge (LAPACK ``LinAlgError``)."""
+    """A LAPACK routine failed (``LinAlgError``): a factorization did not
+    converge or a matrix to invert was singular."""

@@ -8,13 +8,16 @@ compact product formula and a brute-force linear-system oracle.
 Existence is decided numerically: each certificate lists residuals,
 identity differences over the size of their terms (``_rel``), and the
 inverse exists exactly when every one is at or below the tolerance.
-The DCEPGI and DDGI certificates share one residual, the size of one
-(n-t) x (n-t) defect block of S = (Ahat^m).inf in the core-EP frame,
-so neither factors a 2n x 2n matrix.
+The DCEPGI and DDGI certificates share one residual, the size of the
+(n-t) x (n-t) defect D = (Nhat^m).inf of the dual core-EP decomposition
+Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, so neither factors a
+2n x 2n matrix.  Both inverses are Uhat [[T1hat^-1, Y], [O, O]] Uhat^T,
+Y = O for the DCEPGI and T1hat^-(m+1) Ttilde_hat for the DDGI.
 
 Each public call builds one dual frame (``_Frame``), which forms S,
-Ahat^m, U^T B U, U3 and D at most once; the private helpers take that
-frame, so other modules share it too.
+Ahat^m, U^T B U, U3, Uhat, the blocks T1hat, T2hat and Nhat, and the
+witnesses at most once; the private helpers take that frame, so other
+modules share it too.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ import numpy as np
 from .dual import DualMatrix, _s_terms, dual_power
 from .errors import DimensionError, InverseNotExistError
 from .realkernel import (DEFAULT_TOL, _pinv, _svd_rank, core_ep_decompose,
-                         core_ep_inverse, drazin, moore_penrose)
+                         core_ep_inverse, moore_penrose)
 
 __all__ = [
     "ExistenceCertificate",
@@ -87,10 +90,17 @@ def _certified(cert, message):
 
 
 class _Frame:
-    """The dual core-EP frame of a square dual matrix Ahat = A + eps B:
-    ``blocks``, the real core-EP frame of A (``u`` as in
-    ``core_ep_decompose``), and what the certificates, inverses,
-    decomposition and solvers share, each formed once, on first use."""
+    """The dual core-EP frame of a square dual matrix Ahat = A + eps B.
+
+    ``blocks`` is the real core-EP frame A = U [[T1, T2], [O, N]] U^T
+    (``u`` as in ``core_ep_decompose``).  On it rests the dual core-EP
+    decomposition Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, with
+    Uhat = U (I + eps G), G = [[O, -U3^T], [U3, O]] and U3 the solution
+    of N U3 + B3 - U3 T1 = O.  The DCEPGI and the DDGI exist exactly
+    when Nhat^m = O, and each witness is ``conjugate`` of a block row
+    in T1hat, T2hat and Nhat.  Each part is formed once, on first use;
+    the blocks, as (standard, infinitesimal) pairs of real arrays.
+    """
 
     def __init__(self, ah, op, u=None):
         if not ah.is_square:
@@ -125,22 +135,117 @@ class _Frame:
         return self.blocks.sylvester(self.b_blocks[2])
 
     @cached_property
-    def defect_residual(self):
-        """||D||_F over the size of the terms of S, for the defect block
-        D = W4 - W3 K of S: the one residual of the DCEPGI, the DDGI and
-        (Ahat^m)^+, each of which exists exactly when D = O.
+    def t1_hat(self):
+        """T1hat = T1 + eps (T2 U3 + B1)."""
+        return self.blocks.T1, self.blocks.T2 @ self.u3 + self.b_blocks[0]
 
-        W3 and W4 are the lower blocks of W = U^T S U, and K = T1^-m
-        Ttilde.  In the frame (I - A^m (A^m)#) S (I - (A^m)# A^m) =
-        U [[O, O], [O, D]] U^T, with # the core-EP inverse.  D is
-        (n-t) x (n-t).
+    @cached_property
+    def t2_hat(self):
+        """T2hat = T2 + eps (B2 + U3^T N - T1 U3^T)."""
+        f, u3 = self.blocks, self.u3
+        return f.T2, self.b_blocks[1] + u3.T @ f.N - f.T1 @ u3.T
+
+    @cached_property
+    def n_hat(self):
+        """Nhat = N + eps (B4 - U3 T2)."""
+        return self.blocks.N, self.b_blocks[3] - self.u3 @ self.blocks.T2
+
+    @cached_property
+    def defect_residual(self):
+        """||D||_F over the size of the terms of S, for the defect
+        D = (Nhat^m).inf = sum_{i=1..m} N^(m-i) (B4 - U3 T2) N^(i-1):
+        the one residual of the DCEPGI, the DDGI and (Ahat^m)^+, each
+        of which exists exactly when Nhat^m = O, that is D = O.
+
+        D is (n-t) x (n-t).  It is also the block U2^T S (I - (A^m)#
+        A^m) U2 of S, # the core-EP inverse, and so is O exactly when
+        S maps N(A^m) into R(A^m).
         """
-        f = self.blocks
-        t, m = f.t, f.mp
-        k = f.t1_inv_powers[m] @ f.t_tildes[m]
-        lower = f.U[:, t:].T @ self.s @ f.U  # [W3, W4]
-        return _rel(np.linalg.norm(lower[:, t:] - lower[:, :t] @ k),
-                    self.s_size)
+        f, c = self.blocks, self.n_hat[1]
+        d = c  # D_k = N D_(k-1) + C N^(k-1), D_1 = C
+        for n_pow in f.n_powers[1:]:
+            d = f.N @ d + c @ n_pow
+        return _rel(np.linalg.norm(d), self.s_size)
+
+    @cached_property
+    def u_hat(self):
+        """Uhat = U + eps U G, dual orthogonal (Uhat^T Uhat = I), as a
+        pair."""
+        f, u3 = self.blocks, self.u3
+        u1, u2 = f.U[:, :f.t], f.U[:, f.t:]
+        return f.U, np.hstack([u2 @ u3, -(u1 @ u3.T)])
+
+    @cached_property
+    def u_hat1(self):
+        """Uhat1 = U1 + eps U2 U3, the leading t columns of Uhat: a dual
+        orthonormal basis of the dual range of Ahat^m."""
+        t = self.blocks.t
+        return DualMatrix(self.u_hat[0][:, :t], self.u_hat[1][:, :t])
+
+    def conjugate(self, top):
+        """Uhat M Uhat^T = U (M + eps (M' + G M - M G)) U^T for the dual
+        M + eps M' = [[top, O], [O, O]] in frame coordinates, ``top`` a
+        t x k pair, k <= n: Uhat1 top Uhatk^T, for Uhatk the leading k
+        columns of Uhat."""
+        top_std, top_inf = top
+        t, k = self.blocks.t, top_std.shape[1]
+        u, v = (part[:, :k] for part in self.u_hat)
+        p = top_std @ u.T
+        return DualMatrix(u[:, :t] @ p,
+                          u[:, :t] @ (top_inf @ u.T + top_std @ v.T)
+                          + v[:, :t] @ p)
+
+    @cached_property
+    def t1_hat_inv(self):
+        """T1hat^-1 = T1^-1 - eps T1^-1 T1hat' T1^-1, as a pair."""
+        t1_inv = self.blocks.t1_inv
+        return t1_inv, -t1_inv @ self.t1_hat[1] @ t1_inv
+
+    @cached_property
+    def drazin_top(self):
+        """Y = T1hat^-(m+1) Ttilde_hat = sum_{i<m} T1hat^-(i+2) T2hat
+        Nhat^i, as a pair, for Ttilde_hat = sum_j T1hat^j T2hat
+        Nhat^(m-1-j) the upper-right block of the middle factor's m-th
+        power: the upper-right block of Uhat^T Ahat^D Uhat."""
+        ti, acc = self.t1_hat_inv, self.t2_hat
+        for _ in range(self.blocks.mp - 1):  # Horner in T1hat^-1, Nhat
+            acc = _add(self.t2_hat, _dot(ti, acc, self.n_hat))
+        return _dot(ti, ti, acc)
+
+    @cached_property
+    def dcepgi(self):
+        """The canonical DCEPGI, Uhat [[T1hat^-1, O], [O, O]] Uhat^T:
+        U [[T1^-1, O], [O, O]] U^T + eps U [[-T1^-1 (B1 + T2 U3) T1^-1,
+        T1^-1 U3^T], [U3 T1^-1, O]] U^T."""
+        return self.conjugate(self.t1_hat_inv)
+
+    @cached_property
+    def ddgi(self):
+        """The DDGI, Uhat [[T1hat^-1, Y], [O, O]] Uhat^T with Y =
+        ``drazin_top``."""
+        return self.conjugate(_row(self.t1_hat_inv, self.drazin_top))
+
+
+# The frame's block algebra works on (standard, infinitesimal) pairs of
+# real arrays: at n <= 6 a DualMatrix per step costs more than its
+# products.
+
+def _dot(*factors):
+    """The dual product of the pairs ``factors``."""
+    std, inf = factors[0]
+    for f_std, f_inf in factors[1:]:
+        std, inf = std @ f_std, std @ f_inf + inf @ f_std
+    return std, inf
+
+
+def _add(x, y):
+    """The dual sum of the pairs ``x`` and ``y``."""
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _row(left, right):
+    """The dual block row [left, right] of the pairs ``left``, ``right``."""
+    return (np.hstack([left[0], right[0]]), np.hstack([left[1], right[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +329,13 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL):
 
 
 def _dmpgi_formula(ah, ap):
-    return _dmpgi_apply(ah, ap, DualMatrix.eye(ah.shape[0]))
-
-
-def _dmpgi_apply(ah, ap, xh):
-    """``_dmpgi_formula(ah, ap) @ xh``, of the type of the dual vector or
-    matrix ``xh``: the three correction terms, with (A^T A)^+ =
-    A^+ (A^+)^T and (A A^T)^+ = (A^+)^T A^+, applied right to left, so a
-    vector costs matrix-vector products only."""
+    """A^+ + eps (-A^+ B A^+ + (A^T A)^+ B^T (I - A A^+) + (I - A^+ A)
+    B^T (A A^T)^+), with (A^T A)^+ = A^+ (A^+)^T and (A A^T)^+ =
+    (A^+)^T A^+, for A^+ = ``ap``."""
     a, b = ah.std, ah.inf
-    x, x1 = xh.std, xh.inf
-    y = ap @ x
-    w = b.T @ (ap.T @ y)
-    corr = (-ap @ (b @ y) + ap @ (ap.T @ (b.T @ (x - a @ y)))
-            + w - ap @ (a @ w))
-    return type(xh)(y, ap @ x1 + corr)
+    w = b.T @ (ap.T @ ap)
+    return DualMatrix(ap, -ap @ b @ ap + ap @ (ap.T @ (b.T - b.T @ (a @ ap)))
+                      + w - ap @ (a @ w))
 
 
 def dmpgi(ah, tol=DEFAULT_TOL):
@@ -258,11 +355,11 @@ def _dmpgi(ah, tol):
 def ddgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual Drazin inverse.
 
-    Verdict from (I - A A^D) S (I - A A^D) = U [[O, -K D], [O, D]] U^T,
-    which is O exactly when the defect block D of S is: the DDGI exists
-    exactly when the DCEPGI does, and ``drazin_projector`` is the
-    DCEPGI's ``core_ep_projector`` (``_Frame.defect_residual``): ||D||_F,
-    not that identity's norm, which is up to 1 + ||K|| times larger.
+    The DDGI exists exactly when Nhat^m = O in the dual core-EP
+    decomposition, as the DCEPGI does: ``drazin_projector`` is the
+    DCEPGI's ``core_ep_projector`` (``_Frame.defect_residual``), ||D||_F
+    for D = (Nhat^m).inf.  The condition (I - A A^D) S (I - A A^D) = O
+    is U [[O, -T1^-m Ttilde D], [O, D]] U^T, O exactly when D is.
     """
     return _ddgi_certificate(_Frame(ah, "ddgi_exists"), tol)
 
@@ -270,24 +367,7 @@ def ddgi_exists(ah, tol=DEFAULT_TOL):
 def _ddgi_certificate(df, tol):
     """``ddgi_exists`` in the dual frame ``df``."""
     return _certify({"drazin_projector": df.defect_residual}, tol,
-                    lambda: _ddgi_witness(df))
-
-
-def _ddgi_witness(df):
-    """The DDGI formula in the dual frame ``df``, whose defect is O."""
-    a, b, m = df.ah.std, df.ah.inf, df.blocks.mp
-    ad = drazin(a, blocks=df.blocks)
-    n = a.shape[0]
-    proj = np.eye(n) - a @ ad
-    corr = -ad @ b @ ad
-    a_pow = np.eye(n)
-    ad_pow2 = ad @ ad
-    for i in range(m):
-        corr += ad_pow2 @ b @ a_pow @ proj
-        corr += proj @ a_pow @ b @ ad_pow2
-        a_pow = a_pow @ a
-        ad_pow2 = ad_pow2 @ ad
-    return DualMatrix(ad, corr)
+                    lambda: df.ddgi)
 
 
 def ddgi(ah, tol=DEFAULT_TOL):
@@ -319,31 +399,20 @@ def _dual_group(ah, tol):
 def dcepgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual core-EP generalized inverse.
 
-    Verdict from (I - A^m (A^m)#) S (I - (A^m)# A^m) = U [[O, O], [O, D]]
-    U^T, # the core-EP inverse and D the defect block of S: the one
-    residual, ``core_ep_projector``, is ``_Frame.defect_residual``.
+    Verdict from Nhat^m = O in the dual core-EP decomposition: the one
+    residual, ``core_ep_projector``, is ``_Frame.defect_residual``,
+    ||D||_F for D = (Nhat^m).inf, which is also the block of
+    (I - A^m (A^m)#) S (I - (A^m)# A^m) = U [[O, O], [O, D]] U^T,
+    # the core-EP inverse.
     """
     return _dcepgi_certificate(_Frame(ah, "dcepgi_exists"), tol)
 
 
-def _dcepgi_canonical(df):
-    """Canonical block representation of the DCEPGI:
-    U [[T1^-1, O], [O, O]] U^T + eps U [[R11, T1^-1 U3^T], [K, O]] U^T
-    with K = U3 T1^-1 and R11 = -T1^-1 B1 T1^-1 - T1^-1 T2 K."""
-    frame = df.blocks
-    t, n = frame.t, frame.n
-    t1_inv = frame.t1_inv
-    b1, u3 = df.b_blocks[0], df.u3
-    k = u3 @ t1_inv
-    r11 = -t1_inv @ b1 @ t1_inv - t1_inv @ frame.T2 @ k
-    r = frame.assemble(r11, t1_inv @ u3.T, k, np.zeros((n - t, n - t)))
-    return DualMatrix(core_ep_inverse(df.ah.std, blocks=frame), r)
-
-
-def _dcepgi_certificate(df, tol, witness=_dcepgi_canonical):
-    """``dcepgi_exists`` in the dual frame ``df``, witness ``witness(df)``."""
+def _dcepgi_certificate(df, tol, witness=None):
+    """``dcepgi_exists`` in the dual frame ``df``, witness ``witness(df)``,
+    by default the frame's canonical DCEPGI."""
     return _certify({"core_ep_projector": df.defect_residual}, tol,
-                    lambda: witness(df))
+                    lambda: witness(df) if witness else df.dcepgi)
 
 
 def _dcepgi_witness(df, tol, message=_NO_DCEPGI):
@@ -378,8 +447,8 @@ def _dcepgi_compact(ah, tol):
     """The DCEPGI certificate, with the compact product as its witness,
     (Ahat^m)^+ at the frame's rank-t (A^m)^+."""
     return _certified(_dcepgi_certificate(
-        _Frame(ah, "dcepgi_compact"), tol, lambda df: _ddgi_witness(df)
-        @ df.ahm @ _dmpgi_formula(df.ahm, df.blocks.am_pinv)), _NO_DCEPGI)
+        _Frame(ah, "dcepgi_compact"), tol, lambda df: df.ddgi @ df.ahm
+        @ _dmpgi_formula(df.ahm, df.blocks.am_pinv)), _NO_DCEPGI)
 
 
 def _vec(x):

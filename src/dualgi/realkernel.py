@@ -39,6 +39,17 @@ def _square(a, op):
     return a
 
 
+def _lapack(what, fn, a, *args, **kwargs):
+    """``fn(a, *args, **kwargs)`` for a LAPACK routine ``fn`` (``what``
+    names it): a LinAlgError, a factorization that does not converge or
+    a singular matrix, becomes NumericalError."""
+    try:
+        return fn(a, *args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} of a {a.shape[0]}x{a.shape[1]} matrix "
+                             f"failed: {exc}") from exc
+
+
 def _svd_rank(a, rel=None, floor=0.0, uv=False):
     """The one rank rule: one SVD of ``a``, and the count of its
     singular values above rel * max(sigma_max(a), floor).
@@ -48,14 +59,10 @@ def _svd_rank(a, rel=None, floor=0.0, uv=False):
     for a staircase block, A^m for one built from A^m).  Returns (rank,
     sigma_max(a), svd), svd being the singular values, or (U, sv, Vt)
     with ``uv``, so that a basis or pseudo-inverse from these factors
-    has that rank.  An SVD that does not converge raises NumericalError.
+    has that rank.
     """
     a = np.asarray(a, dtype=float)
-    try:
-        svd = np.linalg.svd(a, compute_uv=uv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix "
-                             f"failed: {exc}") from exc
+    svd = _lapack("SVD", np.linalg.svd, a, compute_uv=uv)
     sv = svd[1] if uv else svd
     sigma = float(sv[0]) if sv.size else 0.0
     if rel is None:
@@ -178,18 +185,17 @@ class CoreEPBlocks:
 
     @cached_property
     def t1_inv(self):
-        return np.linalg.inv(self.T1)
+        return _lapack("inverse", np.linalg.inv, self.T1)
 
     @cached_property
     def t1_inv_powers(self):
         """[T1^0, T1^-1, ..., T1^-(mp+1)]."""
-        return [np.linalg.matrix_power(self.t1_inv, k)
-                for k in range(self.mp + 2)]
+        return _running_powers(self.t1_inv, self.mp + 2)
 
     @cached_property
     def n_powers(self):
         """[N^0, ..., N^(mp-1)]; N^mp = O."""
-        return [np.linalg.matrix_power(self.N, k) for k in range(self.mp)]
+        return _running_powers(self.N, self.mp)
 
     @cached_property
     def t_tildes(self):
@@ -212,17 +218,25 @@ class CoreEPBlocks:
         full row rank: M^+ = Q R^-T from the QR factorization M^T = Q R
         (here of U M^T = (A^m)^T U1, for U1 the leading t columns)."""
         u1 = self.U[:, :self.t]
-        q, r = np.linalg.qr(self.am.T @ u1)
-        return np.linalg.solve(r, q.T).T @ u1.T
+        q, r = _lapack("QR", np.linalg.qr, self.am.T @ u1)
+        return _lapack("solve", np.linalg.solve, r, q.T).T @ u1.T
 
     def sylvester(self, b3):
         """U3 = sum_{i<mp} N^i B3 T1^-(i+1) for B3 the lower-left block
         of U^T B U: the unique solution of N U3 + B3 - U3 T1 = O
-        (T1 invertible, N nilpotent)."""
-        u3 = np.zeros_like(b3)
-        for i in range(self.mp):
-            u3 += self.n_powers[i] @ b3 @ self.t1_inv_powers[i + 1]
-        return u3
+        (T1 invertible, N nilpotent), by Horner's rule in N and T1^-1."""
+        acc = b3
+        for _ in range(self.mp - 1):
+            acc = b3 + self.N @ acc @ self.t1_inv
+        return acc @ self.t1_inv
+
+
+def _running_powers(x, count):
+    """[X^0, ..., X^(count-1)], each the one before times X."""
+    powers = [np.eye(x.shape[0]), x][:count]
+    while len(powers) < count:
+        powers.append(powers[-1] @ x)
+    return powers
 
 
 def core_ep_decompose(a, u=None):

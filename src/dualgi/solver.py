@@ -9,6 +9,11 @@ is consistent whenever the DCEPGI exists, with general solution
 xhat = Ahat^cep bhat + (I - Ahat^D Ahat) yhat.  A second result gives
 Ahat^cep bhat as the unique in-range solution of
 Ahat Ahat^cep xhat = Ahat^cep bhat.
+
+Both read the blocks of the dual core-EP decomposition
+Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T (``inverses._Frame``):
+Ahat^m (Ahat^m)^+ is then the dual orthogonal projector Uhat1 Uhat1^T,
+and no pseudo-inverse of A^m is formed.
 """
 
 from dataclasses import dataclass
@@ -17,8 +22,7 @@ import numpy as np
 
 from .dual import DualMatrix, DualVector
 from .errors import DimensionError, HypothesisError
-from .inverses import (_dcepgi_witness, _ddgi_witness, _dmpgi_apply, _Frame,
-                       _rel)
+from .inverses import _add, _dcepgi_witness, _dot, _Frame, _rel, _row
 from .realkernel import DEFAULT_TOL
 from .relations import _first_order_dcepgi, _first_order_size
 
@@ -29,7 +33,7 @@ __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
 class SolutionReport:
     """Particular solution and homogeneous projector of the surrogate
     system, with its substitution residual and its right-hand side
-    Ahat^(2m) (Ahat^m)^+ bhat."""
+    Ahat^(2m) (Ahat^m)^+ bhat, formed as Ahat^m Uhat1 Uhat1^T bhat."""
 
     particular: DualVector
     homogeneous_projector: DualMatrix
@@ -61,44 +65,56 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
 
 
 def _solve_general(df, bhat, tol):
-    ah, ahm = df.ah, df.ahm
-    x_cep = _dcepgi_witness(df, tol)
-    particular = x_cep @ bhat
-    projector = DualMatrix.eye(df.blocks.n) - _ddgi_witness(df) @ ah
-    # (Ahat^m)^+, which exists with the DCEPGI, at the frame's (A^m)^+
-    rhs = ahm @ (ahm @ _dmpgi_apply(ahm, df.blocks.am_pinv, bhat))
+    """``solve_general`` in the dual frame ``df``: the particular
+    solution from the canonical DCEPGI, the projector
+    Uhat [[O, -(T1hat^-1 T2hat + Y Nhat)], [O, I]] Uhat^T =
+    I - Uhat [[I, T1hat^-1 T2hat + Y Nhat], [O, O]] Uhat^T, Y the DDGI's
+    upper-right block, and the right-hand side Ahat^m Uhat1 Uhat1^T bhat."""
+    particular = _dcepgi_witness(df, tol) @ bhat
+    t = df.blocks.t
+    z = _add(_dot(df.t1_hat_inv, df.t2_hat), _dot(df.drazin_top, df.n_hat))
+    ad_a = df.conjugate(_row((np.eye(t), np.zeros((t, t))), z))
+    projector = DualMatrix(np.eye(df.blocks.n) - ad_a.std, -ad_a.inf)
+    u1 = df.u_hat1
+    rhs = df.ahm @ (u1 @ (u1.T @ bhat))
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
                           residual=_surrogate_residuals(
-                              df, x_cep, bhat, rhs, [particular])[0],
+                              df, bhat, rhs, [particular])[0],
                           tolerance=tol, surrogate_rhs=rhs)
 
 
-def _surrogate_residuals(df, x_cep, bhat, rhs, solutions):
-    """Residuals of Ahat^(m+1) xh = Ahat^(2m) (Ahat^m)^+ bhat = rhs, one
+def _surrogate_residuals(df, bhat, rhs, solutions):
+    """Residuals of Ahat^(m+1) xh = Ahat^m Uhat1 Uhat1^T bhat = rhs, one
     per xh in ``solutions``, over the size of the terms both sides are
-    formed from, not over ||xh|| or ||rhs||: for bhat in N((Ahat^m)^T)
-    both are roundoff."""
+    formed from, ||Ahat|| ||Ahat^m|| (||Ahat^cep|| ||bhat|| + ||xh||)
+    and ||Ahat^m|| ||Uhat1||^2 ||bhat||, with Ahat^cep the frame's
+    canonical DCEPGI: not over ||xh|| or ||rhs||, for bhat in
+    N((Ahat^m)^T) both are roundoff."""
     ah, ahm = df.ah, df.ahm
     a_size = ah.norm() * ahm.norm()
-    b_size = bhat.norm() * (a_size * x_cep.norm() + ahm.norm() ** 2
-                            * np.linalg.norm(df.blocks.am_pinv))
+    b_size = bhat.norm() * (a_size * df.dcepgi.norm()
+                            + ahm.norm() * df.u_hat1.norm() ** 2)
     return [_rel((ah @ (ahm @ xh) - rhs).norm(), a_size * xh.norm() + b_size)
             for xh in solutions]
 
 
 def _range_residual(frame, s, xhat, scale):
     """Residual of xhat = x + eps x' against the dual range of
-    Ahat^m = A^m + eps S, at the preimage y = (A^m)^+ x,
-    y' = (A^m)^+ (x' - S y), over ``scale``.
+    Ahat^m = A^m + eps S, at the preimage y = U1 T1^-m U1^T x,
+    y' = U1 T1^-m U1^T (x' - S y), over ``scale`` (U1 = U[:, :t]).
     What that preimage misses is the part of x and of x' - S y along
-    U[:, t:], the orthogonal complement of R(A^m).  No preimage misses
-    less than the least-squares one, so this check is never laxer than
-    a least-squares test on the stacked 2n x 2n matrix."""
+    U2 = U[:, t:], the orthogonal complement of R(A^m).  No preimage
+    misses less than the least-squares one, so this check is never
+    laxer than a least-squares test on the stacked 2n x 2n matrix.
+    Every preimage of U1 U1^T x differs from y by an element of N(A^m),
+    so where U2^T S vanishes on N(A^m), as it does when the DCEPGI
+    exists, the miss is the same at each, (A^m)^+ x among them."""
     x, x1 = xhat.std, xhat.inf
-    u2t = frame.U[:, frame.t:].T
+    u1, u2t = frame.U[:, :frame.t], frame.U[:, frame.t:].T
+    y = u1 @ (frame.t1_inv_powers[frame.mp] @ (u1.T @ x))
     miss = np.hypot(np.linalg.norm(u2t @ x),
-                    np.linalg.norm(u2t @ (x1 - s @ (frame.am_pinv @ x))))
+                    np.linalg.norm(u2t @ (x1 - s @ y)))
     return _rel(miss, scale)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualgi import DualMatrix, DualScalar, DualVector, dual_power, s_matrix
+from dualgi.dual import _s_terms
 from dualgi.errors import DimensionError
 
 RNG = np.random.default_rng(20240817)
@@ -134,6 +135,21 @@ class TestSMatrix:
         for m in (1, 2, 3, 5):
             assert np.allclose(s_matrix(a, b, m),
                                dual_power(DualMatrix(a, b), m).inf)
+
+    def test_terms_match_the_plain_sum(self):
+        # the sum skips its products by A^0 = I, which change no bit
+        rng = np.random.default_rng(3)
+        for n in (1, 4, 7):
+            for m in range(1, 6):
+                a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+                powers = [np.eye(n)]
+                for _ in range(m - 1):
+                    powers.append(powers[-1] @ a)
+                terms = [powers[m - i] @ b @ powers[i - 1]
+                         for i in range(1, m + 1)]
+                s, size = _s_terms(a, b, m)
+                assert np.array_equal(s, sum(terms)), (n, m)
+                assert size == sum(np.linalg.norm(t) for t in terms), (n, m)
 
     def test_m_one_is_b(self):
         a, b = RNG.standard_normal((3, 3)), RNG.standard_normal((3, 3))

@@ -10,11 +10,13 @@ for U3 each run at most once per call.
 The SVDs, least-squares solves, Cholesky and QR factorizations,
 linear solves and inverses of a call are recorded the same way,
 ``numpy.linalg`` wrapped also where ``norm(x, 2)`` looks them up: the
-DDGI and solver paths factor nothing larger than n x n, and the DDGI
-certificate factors nothing beyond the frame's SVDs.
+DDGI and solver paths factor nothing larger than n x n, and the DDGI,
+its certificate and both solvers factor nothing beyond the frame's SVDs
+and the inverse of T1.
 """
 
 import collections
+import functools
 import json
 import sys
 
@@ -73,8 +75,8 @@ def dual_frame_calls(monkeypatch):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """(name, input shape) of every SVD, lstsq, Cholesky, solve, QR and
-    inv call."""
+    """(name, input shape) of every SVD, lstsq, Cholesky, solve, QR, inv
+    and pinv call."""
     calls = []
 
     def recorded(name, fn):
@@ -83,7 +85,7 @@ def linalg_calls(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    for name in ("svd", "lstsq", "cholesky", "solve", "qr", "inv"):
+    for name in ("svd", "lstsq", "cholesky", "solve", "qr", "inv", "pinv"):
         wrapped = recorded(name, getattr(np.linalg, name))
         monkeypatch.setattr(np.linalg, name, wrapped)
         monkeypatch.setattr(linalg_impl, name, wrapped)
@@ -183,6 +185,19 @@ def test_ddgi_certificate_factors_only_the_frame(linalg_calls, index_three):
 
 
 @pytest.mark.parametrize("name", [
+    "ddgi", "solve_general", "solve_unique_in_range"])
+def test_witnesses_factor_only_the_frame(name, linalg_calls, index_three):
+    # the DDGI, the projector I - Ahat^D Ahat, Ahat^m (Ahat^m)^+ bhat and
+    # the range check all read the blocks of the dual core-EP
+    # decomposition: the frame's m + 1 SVDs and the inverse of T1, no
+    # (A^m)^+ by QR and solve, no lstsq, no pinv
+    ah, bh = index_three
+    getattr(dualgi, name)(*((ah, bh) if name.startswith("solve") else (ah,)))
+    kinds = collections.Counter(kind for kind, _ in linalg_calls)
+    assert kinds == {"svd": 3 + 1, "inv": 1}, linalg_calls
+
+
+@pytest.mark.parametrize("name", [
     "ddgi_exists", "ddgi", "dual_group", "dcepgi_compact", "solve_general",
     "solve_unique_in_range"])
 def test_no_factorization_above_n(name, linalg_calls, index_three,
@@ -220,3 +235,26 @@ def test_cli_one_dual_frame(argv, dual_frame_calls, frame_calls, index_three,
                             tmp_path, capsys):
     test_cli_one_frame(argv, frame_calls, index_three, tmp_path, capsys)
     assert max(dual_frame_calls.values()) == 1, dual_frame_calls
+
+
+def test_cli_general_forms_the_dcepgi_once(monkeypatch, index_three,
+                                           tmp_path, capsys):
+    # the spot checks read the canonical DCEPGI that the solution used
+    forms = []
+    form = dualgi.inverses._Frame.dcepgi.func
+
+    def counted(df):
+        forms.append(df)
+        return form(df)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(dualgi.inverses._Frame, "dcepgi")
+    monkeypatch.setattr(dualgi.inverses._Frame, "dcepgi", prop)
+    ah, bh = index_three
+    mat, rhs = tmp_path / "m.json", tmp_path / "b.json"
+    write_dual_matrix(mat, ah)
+    rhs.write_text(json.dumps(dual_vector_to_dict(bh)))
+    assert main(["solve", "--mode", "general", str(mat), str(rhs)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["spot_check_residuals"]) == 5
+    assert len(forms) == 1

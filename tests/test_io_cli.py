@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from dualgi import DualMatrix, DualVector, dcepgi
+from dualgi import (DualMatrix, DualVector, dcepgi, dcepgi_compact, ddgi,
+                    dual_core_ep_decompose)
 from dualgi.cli import (EXIT_HYPOTHESIS, EXIT_NOT_EXIST, EXIT_NUMERICAL,
                         EXIT_OK, EXIT_USAGE, main)
 from dualgi.errors import DimensionError, DualgiError, NumericalError
@@ -293,11 +294,27 @@ class TestNumericalFailure:
         assert isinstance(info.value, DualgiError)
         assert not isinstance(info.value, ValueError)
 
+    def test_inverse_failure_is_typed(self, existing_file, monkeypatch):
+        # the inverse of T1, which every witness and U3 read
+        _, ah = existing_file
+        monkeypatch.setattr(np.linalg, "inv", self.failing)
+        for fn in (dcepgi, ddgi, dual_core_ep_decompose):
+            with pytest.raises(NumericalError):
+                fn(ah)
+
+    def test_power_pinv_failure_is_typed(self, existing_file, monkeypatch):
+        # (A^m)^+ of the compact formula, by QR and a triangular solve
+        _, ah = existing_file
+        for routine in ("qr", "solve"):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, routine, self.failing)
+                with pytest.raises(NumericalError):
+                    dcepgi_compact(ah)
+
     @pytest.mark.parametrize("routine", ["svd", "inv"])
     def test_cli_exit_code(self, routine, existing_file, monkeypatch,
                            capsys):
-        # an SVD failure arrives as NumericalError, any other LAPACK
-        # failure (here the inverse of T1) as LinAlgError
+        # a LAPACK failure arrives as NumericalError, exit status 4
         path, _ = existing_file
         monkeypatch.setattr(np.linalg, routine, self.failing)
         assert main(["inverse", "--kind", "cep", path]) == EXIT_NUMERICAL

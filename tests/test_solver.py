@@ -218,3 +218,21 @@ class TestFrameRangeCheck:
                        xhat + DualVector(np.zeros(frame.n), off)):
                 assert self.frame_residual(frame, ahm, vh) > DEFAULT_TOL
                 assert self.lstsq_residual(ahm, vh) > DEFAULT_TOL
+
+
+@pytest.mark.parametrize("n", [6, 20])
+def test_general_residual_with_ill_conditioned_power(n):
+    # cond(T1) = 1e3 makes cond(A^m) up to 7e8; a right-hand side formed
+    # through (A^m)^+ carried a forward error of that order and read
+    # residuals up to 3.2e-3 on these correct solutions
+    worst = []
+    for m in range(1, min(4, n - n // 2) + 1):
+        for seed in range(4):
+            for build in (existing_dual, reducing_dual):
+                rng = np.random.default_rng(seed * 1000 + m * 10 + 20)
+                f = Frame(rng, n, n // 2, m, cond=1e3)
+                ah = build(rng, f)
+                sol = solve_general(ah, random_dual_vector(rng, n))
+                worst.append((sol.residual, m, seed, build.__name__))
+    assert len(worst) == (24 if n == 6 else 32)
+    assert max(worst)[0] <= 1e-10, max(worst)
