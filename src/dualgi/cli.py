@@ -134,7 +134,7 @@ def cmd_inverse(args):
 def cmd_decompose(args):
     name, ah = io.read_dual_matrix(args.input)
     start = time.perf_counter()
-    df = inverses._Frame(ah, "dual_core_ep_decompose")
+    df = inverses._Frame.of(ah, "dual_core_ep_decompose")
     d = decomposition._decompose(df, args.tol)
     recon_res = inverses._rel((d.reconstruct() - ah).norm(), ah.norm())
     report = {

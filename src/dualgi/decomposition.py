@@ -22,7 +22,7 @@ import numpy as np
 
 from .dual import DualMatrix
 from .errors import InverseNotExistError
-from .inverses import _dcepgi_witness, _Frame, _rel
+from .inverses import _dcepgi_witness, _Frame, _readonly, _rel
 from .realkernel import DEFAULT_TOL, _lapack, _svd_rank
 
 __all__ = [
@@ -101,19 +101,21 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     Pass ``u`` to pin the real orthogonal frame (useful for matching a
     hand-picked basis); otherwise it comes from the staircase.
     """
-    return _decompose(_Frame(ah, "dual_core_ep_decompose", u=u), tol)
+    return _decompose(_Frame.of(ah, "dual_core_ep_decompose", u), tol)
 
 
 def _decompose(df, tol):
     """``dual_core_ep_decompose`` in the dual frame ``df``."""
     t2, u3 = df.blocks.T2, df.u3
-    t1_hat, t2_hat, n_hat = (DualMatrix(*pair)
-                             for pair in (df.t1_hat, df.t2_hat, df.n_hat))
+    u3.flags.writeable = False
+    u_hat, t1_hat, t2_hat, n_hat = (
+        _readonly(DualMatrix(*pair))
+        for pair in (df.u_hat, df.t1_hat, df.t2_hat, df.n_hat))
     b_norm = np.linalg.norm(df.ah.inf)
     canonical = bool(_rel(np.linalg.norm(t2 @ u3), b_norm) <= tol
                      and _rel(np.linalg.norm(u3 @ t2), b_norm) <= tol)
     return DualCoreEPDecomposition(
-        U_hat=DualMatrix(*df.u_hat), T1_hat=t1_hat, T2_hat=t2_hat,
+        U_hat=u_hat, T1_hat=t1_hat, T2_hat=t2_hat,
         N_hat=n_hat, U3=u3, canonical=canonical, t=df.blocks.t,
         m=df.blocks.m)
 
@@ -126,7 +128,7 @@ def dual_cn_split(ah, tol=DEFAULT_TOL):
     split of the dual core-EP decomposition when the decomposition is
     canonical.
     """
-    x = _dcepgi_witness(_Frame(ah, "dual_cn_split"), tol,
+    x = _dcepgi_witness(_Frame.of(ah, "dual_cn_split"), tol,
                         "dual core-nilpotent split needs the DCEPGI to exist")
     core = ah @ x @ ah
     return DualCNSplit(core=core, nilpotent=ah - core)

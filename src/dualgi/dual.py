@@ -77,7 +77,7 @@ def _as_pair(std, inf, ndim):
     if std.shape != inf.shape:
         raise DimensionError(f"standard part {std.shape} and infinitesimal "
                              f"part {inf.shape} differ in shape")
-    if not (np.all(np.isfinite(std)) and np.all(np.isfinite(inf))):
+    if not (np.isfinite(std).all() and np.isfinite(inf).all()):
         raise ValueError("entries must be finite")
     return std, inf
 
@@ -126,6 +126,16 @@ class DualMatrix:
         std, inf = _as_pair(self.std, self.inf, ndim=2)
         object.__setattr__(self, "std", std)
         object.__setattr__(self, "inf", inf)
+
+    @classmethod
+    def _trusted(cls, std, inf):
+        """The dual matrix of the float arrays ``std`` and ``inf``, with
+        none of ``__post_init__``'s checks: for copies of parts that
+        have passed them."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "std", std)
+        object.__setattr__(x, "inf", inf)
+        return x
 
     # -- structure ----------------------------------------------------
     @property

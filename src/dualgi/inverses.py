@@ -14,10 +14,11 @@ Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, so neither factors a
 2n x 2n matrix.  Both inverses are Uhat [[T1hat^-1, Y], [O, O]] Uhat^T,
 Y = O for the DCEPGI and T1hat^-(m+1) Ttilde_hat for the DDGI.
 
-Each public call builds one dual frame (``_Frame``), which forms S,
-Ahat^m, U^T B U, U3, Uhat, the blocks T1hat, T2hat and Nhat, and the
-witnesses at most once; the private helpers take that frame, so other
-modules share it too.
+Every public call on one input shares one dual frame (``_Frame.of``),
+which forms S, Ahat^m, U^T B U, U3, Uhat, the blocks T1hat, T2hat and
+Nhat, and the witnesses at most once: the last frame is kept, keyed by
+the input's bytes, until a call on another input.  The private helpers
+take that frame, so other modules share it too.
 """
 
 from dataclasses import dataclass
@@ -28,8 +29,8 @@ import numpy as np
 
 from .dual import DualMatrix, _s_terms, dual_power
 from .errors import DimensionError, InverseNotExistError
-from .realkernel import (DEFAULT_TOL, _pinv, _svd_rank, core_ep_decompose,
-                         core_ep_inverse, moore_penrose)
+from .realkernel import (DEFAULT_TOL, _lapack, _pinv, _svd_rank,
+                         core_ep_decompose, core_ep_inverse, moore_penrose)
 
 __all__ = [
     "ExistenceCertificate",
@@ -100,6 +101,10 @@ class _Frame:
     when Nhat^m = O, and each witness is ``conjugate`` of a block row
     in T1hat, T2hat and Nhat.  Each part is formed once, on first use;
     the blocks, as (standard, infinitesimal) pairs of real arrays.
+
+    ``of`` serves every call on one input from one frame, so the parts
+    a call hands out (the witnesses, the decomposition's blocks and U3)
+    are read-only: no caller can change what a later call returns.
     """
 
     def __init__(self, ah, op, u=None):
@@ -108,6 +113,32 @@ class _Frame:
                                  f"got {ah.shape}")
         self.ah = ah
         self.blocks = core_ep_decompose(ah.std, u=u)
+
+    @classmethod
+    def of(cls, ah, op, u=None):
+        """The dual frame of ``ah`` for the public call ``op``.
+
+        The last frame built without ``u`` is kept, keyed by the shape
+        and bytes of ``ah``'s parts, and serves, with every part it has
+        formed, each later call whose input has those bytes; another
+        input gets a new frame, which takes its place.  A kept frame
+        reads its own read-only copy of those bytes, not the caller's
+        arrays, which may change.  A frame in a caller's ``u`` is built
+        for its call alone.
+        """
+        global _last_frame
+        if u is not None:
+            return cls(ah, op, u)
+        key = (ah.std.shape, ah.std.tobytes(), ah.inf.tobytes())
+        last = _last_frame  # read once: another thread may replace it
+        if last is not None and last[0] == key:
+            return last[1]
+        df = cls(ah, op)
+        shape, std, inf = key
+        df.ah = DualMatrix._trusted(np.frombuffer(std).reshape(shape),
+                                    np.frombuffer(inf).reshape(shape))
+        _last_frame = key, df
+        return df
 
     @cached_property
     def s_terms(self):
@@ -217,13 +248,25 @@ class _Frame:
         """The canonical DCEPGI, Uhat [[T1hat^-1, O], [O, O]] Uhat^T:
         U [[T1^-1, O], [O, O]] U^T + eps U [[-T1^-1 (B1 + T2 U3) T1^-1,
         T1^-1 U3^T], [U3 T1^-1, O]] U^T."""
-        return self.conjugate(self.t1_hat_inv)
+        return _readonly(self.conjugate(self.t1_hat_inv))
 
     @cached_property
     def ddgi(self):
         """The DDGI, Uhat [[T1hat^-1, Y], [O, O]] Uhat^T with Y =
         ``drazin_top``."""
-        return self.conjugate(_row(self.t1_hat_inv, self.drazin_top))
+        return _readonly(self.conjugate(_row(self.t1_hat_inv,
+                                             self.drazin_top)))
+
+
+#: (key, frame) of the last frame ``_Frame.of`` built, or None.
+_last_frame = None
+
+
+def _readonly(x):
+    """``x``, a DualMatrix of the frame's, made read-only: the frame
+    that hands it out serves later calls too."""
+    x.std.flags.writeable = x.inf.flags.writeable = False
+    return x
 
 
 # The frame's block algebra works on (standard, infinitesimal) pairs of
@@ -361,7 +404,7 @@ def ddgi_exists(ah, tol=DEFAULT_TOL):
     for D = (Nhat^m).inf.  The condition (I - A A^D) S (I - A A^D) = O
     is U [[O, -T1^-m Ttilde D], [O, D]] U^T, O exactly when D is.
     """
-    return _ddgi_certificate(_Frame(ah, "ddgi_exists"), tol)
+    return _ddgi_certificate(_Frame.of(ah, "ddgi_exists"), tol)
 
 
 def _ddgi_certificate(df, tol):
@@ -385,7 +428,7 @@ def dual_group(ah, tol=DEFAULT_TOL):
 
 
 def _dual_group(ah, tol):
-    df = _Frame(ah, "dual_group")
+    df = _Frame.of(ah, "dual_group")
     if df.blocks.m > 1:
         raise DimensionError("dual group inverse needs index(A) <= 1, "
                              f"got {df.blocks.m}")
@@ -405,7 +448,7 @@ def dcepgi_exists(ah, tol=DEFAULT_TOL):
     (I - A^m (A^m)#) S (I - (A^m)# A^m) = U [[O, O], [O, D]] U^T,
     # the core-EP inverse.
     """
-    return _dcepgi_certificate(_Frame(ah, "dcepgi_exists"), tol)
+    return _dcepgi_certificate(_Frame.of(ah, "dcepgi_exists"), tol)
 
 
 def _dcepgi_certificate(df, tol, witness=None):
@@ -447,7 +490,7 @@ def _dcepgi_compact(ah, tol):
     """The DCEPGI certificate, with the compact product as its witness,
     (Ahat^m)^+ at the frame's rank-t (A^m)^+."""
     return _certified(_dcepgi_certificate(
-        _Frame(ah, "dcepgi_compact"), tol, lambda df: df.ddgi @ df.ahm
+        _Frame.of(ah, "dcepgi_compact"), tol, lambda df: df.ddgi @ df.ahm
         @ _dmpgi_formula(df.ahm, df.blocks.am_pinv)), _NO_DCEPGI)
 
 
@@ -471,7 +514,7 @@ def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
     block of equations over its matrix's norm, is at or below
     tolerance, else None.  Test-scale only (dense n^2 unknowns).
     """
-    df = _Frame(ah, "dcepgi_bruteforce_oracle")
+    df = _Frame.of(ah, "dcepgi_bruteforce_oracle")
     a, b = ah.std, ah.inf
     n = a.shape[0]
     m = df.blocks.mp
@@ -493,7 +536,7 @@ def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
     sizes = [np.linalg.norm(mk) or 1.0 for mk in (m1, m2, m3)]
     big = np.vstack([m1 / sizes[0], m2 / sizes[1], m3 / sizes[2]])
     rhs = np.concatenate([rhs1 / sizes[0], rhs2 / sizes[1], rhs3 / sizes[2]])
-    sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
+    sol, *_ = _lapack("least squares", np.linalg.lstsq, big, rhs, rcond=None)
     residual = _rel(np.linalg.norm(big @ sol - rhs),
                     np.linalg.norm(big) * np.linalg.norm(sol)
                     + np.linalg.norm(rhs))
@@ -514,7 +557,7 @@ def dual_core_inverse(ah, tol=DEFAULT_TOL):
 
 
 def _dual_core_inverse(ah, tol):
-    df = _Frame(ah, "dual_core_inverse")
+    df = _Frame.of(ah, "dual_core_inverse")
     if df.blocks.m > 1:
         raise InverseNotExistError(
             "dual core inverse needs index(A) <= 1; the block form "

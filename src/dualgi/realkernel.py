@@ -254,7 +254,7 @@ def core_ep_decompose(a, u=None):
     if u is None:
         u = u_stair
     else:
-        u = np.asarray(u, dtype=float)
+        u = np.array(u, dtype=float)  # a copy, not the caller's array
         if u.shape != (n, n):
             raise DimensionError(f"basis must be {n}x{n}, got {u.shape}")
         if not np.allclose(u.T @ u, np.eye(n), atol=1e-10):

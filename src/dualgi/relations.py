@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionError, HypothesisError
 from .inverses import _dcepgi_witness, _Frame, _rel
-from .realkernel import DEFAULT_TOL, _svd_rank, numerical_rank
+from .realkernel import DEFAULT_TOL, _lapack, _svd_rank, numerical_rank
 
 __all__ = [
     "EquivalenceReport",
@@ -47,7 +47,7 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     """Evaluate the five conditions linked to the first-order form
     Ahat^cep = A^cep - eps A^cep B A^cep (see EquivalenceReport for
     which of them are mutually equivalent)."""
-    df = _Frame(ah, "first_order_form_report")
+    df = _Frame.of(ah, "first_order_form_report")
     return _first_order_form_report(df, _dcepgi_witness(df, tol), tol)
 
 
@@ -105,7 +105,7 @@ def _first_order_dcepgi(df, tol):
 
 def rank_test(ah, tol=DEFAULT_TOL):
     """rank([A^m  S]) == rank(A^m); equivalent to the first-order form."""
-    df = _Frame(ah, "rank_test")
+    df = _Frame.of(ah, "rank_test")
     _dcepgi_witness(df, tol, "rank test needs the DCEPGI to exist")
     frame = df.blocks
     return _svd_rank(np.hstack([frame.am, df.s]), rel=tol,
@@ -127,7 +127,8 @@ def _column_membership_residual(gen, space):
     """Largest least-squares residual of the columns of ``gen`` against
     the column space of ``space``, over ||gen||: a column that is zero
     but for roundoff misses by roundoff."""
-    sol, *_ = np.linalg.lstsq(space, gen, rcond=None)
+    sol, *_ = _lapack("least squares", np.linalg.lstsq, space, gen,
+                      rcond=None)
     resid = np.linalg.norm(space @ sol - gen, axis=0)
     return _rel(resid.max(initial=0.0), np.linalg.norm(gen))
 
@@ -156,7 +157,7 @@ def range_null_report(ah, tol=DEFAULT_TOL):
     Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep
     to hold; raises HypothesisError otherwise.
     """
-    df = _Frame(ah, "range_null_report")
+    df = _Frame.of(ah, "range_null_report")
     x, ahm = _first_order_dcepgi(df, tol), df.ahm
     sx = _stacked(x)
     sm = _stacked(ahm)
@@ -230,7 +231,7 @@ def order_law_check(ah, bh, tol=DEFAULT_TOL):
     xs = []
     for name, mh in (("first factor", ah), ("second factor", bh),
                      ("product", ah @ bh)):
-        xs.append(_dcepgi_witness(_Frame(mh, "order_law_check"), tol,
+        xs.append(_dcepgi_witness(_Frame.of(mh, "order_law_check"), tol,
                                   f"DCEPGI of the {name} does not exist"))
     xa, xb, xab = xs
     scale = xab.norm()

@@ -51,7 +51,7 @@ def _checked_frame(ah, bhat):
     if len(bhat) != ah.shape[0]:
         raise DimensionError(f"right-hand side length {len(bhat)} does not "
                              f"match matrix size {ah.shape[0]}")
-    return _Frame(ah, "solver")
+    return _Frame.of(ah, "solver")
 
 
 def solve_general(ah, bhat, tol=DEFAULT_TOL):

@@ -1,4 +1,4 @@
-"""One core-EP frame per public call.
+"""One core-EP frame per input, across public calls.
 
 ``core_ep_decompose`` is wrapped wherever ``dualgi`` binds it, and each
 public call is counted on an index-3 input: every certificate, inverse,
@@ -6,7 +6,12 @@ decomposition and solution of one call derives from a single frame.
 The dual half of that frame is counted the same way: the pass that
 forms S (``dual._s_terms``, also inside ``s_matrix`` and
 ``dual_power``), the block split of U^T B U and the Sylvester solve
-for U3 each run at most once per call.
+for U3 each run at most once per call.  Each test starts with no kept
+frame (``conftest.py``), so each count is a cold call's; the tests of
+the kept frame (``_Frame.of``) count a chain of calls on one input, and
+check that the kept frame gives, bit for bit, what a cold call gives:
+after the caller changes the input's arrays in place, after it tries
+to change an array a call returned, and over a sweep of inputs.
 The SVDs, least-squares solves, Cholesky and QR factorizations,
 linear solves and inverses of a call are recorded the same way,
 ``numpy.linalg`` wrapped also where ``norm(x, 2)`` looks them up: the
@@ -16,21 +21,25 @@ and the inverse of T1.
 """
 
 import collections
+import dataclasses
 import functools
 import json
 import sys
+import threading
 
 import numpy as np
 import numpy.linalg._linalg as linalg_impl
 import pytest
 
 import dualgi
-from dualgi import CoreEPBlocks, DualMatrix
+from dualgi import CoreEPBlocks, DualMatrix, inverses
 from dualgi.dual import _s_terms
 from dualgi.cli import main
+from dualgi.errors import DualgiError
 from dualgi.io import dual_vector_to_dict, write_dual_matrix
 from dualgi.realkernel import core_ep_decompose
-from helpers import Frame, existing_dual, random_dual_vector
+from helpers import (Frame, existing_dual, existing_dual_b3, random_dual,
+                     random_dual_vector, reducing_dual)
 
 RNG = np.random.default_rng(20260301)
 
@@ -110,11 +119,17 @@ ONE_FRAME = ("dcepgi_exists", "dcepgi", "ddgi", "dcepgi_compact",
              "solve_general", "solve_unique_in_range")
 
 
+def _call(name, ah, bh):
+    """``dualgi.<name>`` on ``ah``, and ``bh`` for the solvers."""
+    return getattr(dualgi, name)(*((ah, bh) if name.startswith("solve")
+                                   else (ah,)))
+
+
 @pytest.mark.parametrize("name", ONE_FRAME)
 def test_one_frame(name, frame_calls, index_three):
     ah, bh = index_three
     assert dualgi.index(ah.std) == 3
-    getattr(dualgi, name)(*((ah, bh) if name.startswith("solve") else (ah,)))
+    _call(name, ah, bh)
     assert len(frame_calls) == 1
     assert frame_calls[0] is ah.std
 
@@ -122,7 +137,7 @@ def test_one_frame(name, frame_calls, index_three):
 @pytest.mark.parametrize("name", ONE_FRAME)
 def test_one_dual_frame(name, dual_frame_calls, index_three):
     ah, bh = index_three
-    getattr(dualgi, name)(*((ah, bh) if name.startswith("solve") else (ah,)))
+    _call(name, ah, bh)
     assert max(dual_frame_calls.values()) == 1, dual_frame_calls
 
 
@@ -175,10 +190,12 @@ def test_svd_count(name, count, linalg_calls, index_three):
 def test_ddgi_certificate_factors_only_the_frame(linalg_calls, index_three):
     # the DDGI reads the DCEPGI's one residual, so it makes the same
     # calls: the frame's m + 1 SVDs and the inverse of T1, no Cholesky
+    # (the kept frame is emptied between them, or the second would reuse it)
     ah, _ = index_three
     dualgi.dcepgi_exists(ah)
     cep_calls = list(linalg_calls)
     linalg_calls.clear()
+    dualgi.inverses._last_frame = None
     dualgi.ddgi_exists(ah)
     assert linalg_calls == cep_calls
     assert "cholesky" not in [kind for kind, _ in linalg_calls]
@@ -192,7 +209,7 @@ def test_witnesses_factor_only_the_frame(name, linalg_calls, index_three):
     # decomposition: the frame's m + 1 SVDs and the inverse of T1, no
     # (A^m)^+ by QR and solve, no lstsq, no pinv
     ah, bh = index_three
-    getattr(dualgi, name)(*((ah, bh) if name.startswith("solve") else (ah,)))
+    _call(name, ah, bh)
     kinds = collections.Counter(kind for kind, _ in linalg_calls)
     assert kinds == {"svd": 3 + 1, "inv": 1}, linalg_calls
 
@@ -258,3 +275,195 @@ def test_cli_general_forms_the_dcepgi_once(monkeypatch, index_three,
     report = json.loads(capsys.readouterr().out)
     assert len(report["spot_check_residuals"]) == 5
     assert len(forms) == 1
+
+
+# ---------------------------------------------------------------------------
+# the kept frame: one per input, across calls
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    """``x`` as nested tuples, arrays and floats as their bytes, so that
+    == is bitwise equality."""
+    if isinstance(x, np.ndarray):
+        return x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            _bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, dict):
+        return tuple((key, _bits(value)) for key, value in x.items())
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(value) for value in x)
+    if isinstance(x, float):
+        return x.hex()
+    return repr(x)
+
+
+def _outcome(name, ah, bh):
+    """The bits of a call's result, or of the library error it raised."""
+    try:
+        return _bits(_call(name, ah, bh))
+    except DualgiError as exc:
+        return (type(exc).__name__, str(exc),
+                _bits(getattr(exc, "certificate", None)))
+
+
+CHAIN = ONE_FRAME + ("ddgi_exists",)
+
+
+def _warm(names, ah, bh):
+    """The outcomes of ``names`` called in turn on one input."""
+    return [_outcome(name, ah, bh) for name in names]
+
+
+def _cold(names, ah, bh):
+    """The outcomes of ``names``, each called with no kept frame, on
+    copies of the input's arrays."""
+    copy = DualMatrix(ah.std.copy(), ah.inf.copy())
+    outcomes = []
+    for name in names:
+        inverses._last_frame = None
+        outcomes.append(_outcome(name, copy, bh))
+    return outcomes
+
+
+def test_one_frame_per_input(frame_calls, dual_frame_calls, index_three):
+    # the whole chain on one input: one frame, and S, the block split and
+    # U3 formed once each
+    ah, bh = index_three
+    for name in CHAIN:
+        _call(name, ah, bh)
+    assert len(frame_calls) == 1
+    assert dual_frame_calls == {"s_terms": 1, "split_blocks": 1,
+                                "sylvester": 1}
+
+
+def test_equal_bytes_share_the_frame(frame_calls, index_three):
+    ah, _ = index_three
+    x = dualgi.dcepgi(ah)
+    twin = DualMatrix(ah.std.copy(), ah.inf.copy())
+    assert dualgi.dcepgi(twin) is x
+    assert len(frame_calls) == 1
+
+
+@pytest.mark.parametrize("part", ["std", "inf"])
+def test_input_changed_in_place(part, frame_calls, index_three):
+    # a call after the caller changes its input's arrays gives what a cold
+    # call on the new values gives
+    ah0, bh = index_three
+    ah = DualMatrix(ah0.std.copy(), ah0.inf.copy())
+    before = _warm(CHAIN, ah, bh)
+    getattr(ah, part)[...] *= 2.0
+    after = _warm(CHAIN, ah, bh)
+    assert len(frame_calls) == 2
+    assert after != before
+    assert after == _cold(CHAIN, ah, bh)
+
+
+def test_kept_frame_reads_no_caller_array(frame_calls, index_three):
+    # the frame of a call that formed nothing but the real blocks (the
+    # dual core inverse needs index 1) still reads the bytes it was built
+    # from once the caller's arrays change
+    ah0, bh = index_three
+    ah = DualMatrix(ah0.std.copy(), ah0.inf.copy())
+    with pytest.raises(dualgi.InverseNotExistError):
+        dualgi.dual_core_inverse(ah)
+    ah.std[...] *= 2.0
+    ah.inf[...] = 0.0
+    warm = _warm(CHAIN, ah0, bh)
+    assert len(frame_calls) == 1
+    assert warm == _cold(CHAIN, ah0, bh)
+
+
+def test_returned_arrays_are_read_only(frame_calls, index_three):
+    # no change a caller makes to what one call returned reaches the next
+    ah, bh = index_three
+    before = _warm(CHAIN, ah, bh)
+    d = dualgi.dual_core_ep_decompose(ah)
+    returned = [dualgi.dcepgi(ah), dualgi.ddgi(ah),
+                dualgi.dcepgi_exists(ah).witness,
+                dualgi.ddgi_exists(ah).witness,
+                d.U_hat, d.T1_hat, d.T2_hat, d.N_hat]
+    arrays = [x.std for x in returned] + [x.inf for x in returned] + [d.U3]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+    assert _warm(CHAIN, ah, bh) == before
+    assert len(frame_calls) == 1
+
+
+def test_frame_in_a_given_basis_is_not_kept(frame_calls, index_three):
+    ah, _ = index_three
+    u = core_ep_decompose(ah.std).U
+    dualgi.dual_core_ep_decompose(ah, u=u)
+    assert inverses._last_frame is None
+    dualgi.dcepgi(ah)
+    kept = inverses._last_frame
+    d = dualgi.dual_core_ep_decompose(ah, u=u)
+    assert inverses._last_frame is kept
+    assert len(frame_calls) == 3
+    # the read-only U_hat is the frame's copy of u, not u itself
+    assert not d.U_hat.std.flags.writeable and u.flags.writeable
+
+
+SWEEP_CALLS = CHAIN + ("rank_test", "dual_group", "dual_core_inverse")
+
+
+def _sweep_inputs():
+    """The four generators on every (n, m), n 2-20, m 1-4, m <= n - t,
+    t = max(1, (n - m) // 2): 280 inputs."""
+    rng = np.random.default_rng(20261019)
+    for n in range(2, 21):
+        for m in range(1, min(4, n - 1) + 1):
+            t = max(1, (n - m) // 2)
+            for gen in (existing_dual, existing_dual_b3, random_dual,
+                        reducing_dual):
+                ah = None
+                while ah is None:  # existing_dual_b3 may ask for a redraw
+                    ah = gen(rng, Frame(rng, n, t, m))
+                yield ah, random_dual_vector(rng, n)
+
+
+def test_kept_frame_is_bitwise_cold():
+    # every result and residual of a chain of calls sharing the kept frame
+    # (in reverse order, so parts are formed in another order) equals
+    # that of cold calls, bit for bit
+    count = 0
+    for ah, bh in _sweep_inputs():
+        names = SWEEP_CALLS + (("dcepgi_bruteforce_oracle",)
+                               if ah.shape[0] <= 6 else ())
+        inverses._last_frame = None
+        warm = _warm(names[::-1], ah, bh)[::-1]
+        assert warm == _cold(names, ah, bh), ah.shape
+        count += 1
+    assert count >= 200
+
+
+def test_threads_share_the_kept_frame_safely():
+    # threads on different inputs replace the kept frame under one
+    # another; each call must still get its own input's results
+    rng = np.random.default_rng(20261020)
+    inputs = [existing_dual(rng, Frame(rng, 5, 2, m)) for m in (1, 2, 3)] * 2
+    names = ("dcepgi", "dual_core_ep_decompose", "dcepgi_exists")
+    want = [_cold(names, ah, None) for ah in inputs]
+    failures = []
+
+    def work(i):
+        for _ in range(40):
+            if _warm(names, inputs[i], None) != want[i]:
+                failures.append(i)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(inputs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
