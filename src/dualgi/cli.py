@@ -134,8 +134,7 @@ def cmd_inverse(args):
 def cmd_decompose(args):
     name, ah = io.read_dual_matrix(args.input)
     start = time.perf_counter()
-    df = inverses._Frame.of(ah, "dual_core_ep_decompose")
-    d = decomposition._decompose(df, args.tol)
+    d = decomposition.dual_core_ep_decompose(ah, args.tol)
     recon_res = inverses._rel((d.reconstruct() - ah).norm(), ah.norm())
     report = {
         "command": "decompose",
@@ -151,12 +150,12 @@ def cmd_decompose(args):
         "U3": d.U3.tolist(),
         "reconstruction_residual": recon_res,
     }
-    cert = inverses._dcepgi_certificate(df, args.tol)
+    cert = inverses.dcepgi_exists(ah, args.tol)
     report["dcepgi_certificate"] = _certificate_dict(cert)
     if cert.exists:
-        core = ah @ cert.witness @ ah
-        report["core_part"] = io.dual_matrix_to_dict(core, name="core")
-        report["nilpotent_part"] = io.dual_matrix_to_dict(ah - core,
+        split = decomposition.dual_cn_split(ah, args.tol)
+        report["core_part"] = io.dual_matrix_to_dict(split.core, name="core")
+        report["nilpotent_part"] = io.dual_matrix_to_dict(split.nilpotent,
                                                           name="nilpotent")
     report["elapsed_seconds"] = time.perf_counter() - start
     _emit(report, args.output)
@@ -175,8 +174,7 @@ def cmd_solve(args):
         "seed": args.seed,
     }
     if args.mode == "general":
-        df = solver._checked_frame(ah, bhat)
-        sol = solver._solve_general(df, bhat, args.tol)
+        sol = solver.solve_general(ah, bhat, args.tol)
         report["particular"] = io.dual_vector_to_dict(sol.particular,
                                                       name="particular")
         report["homogeneous_projector"] = io.dual_matrix_to_dict(
@@ -188,7 +186,7 @@ def cmd_solve(args):
                                            rng.standard_normal(len(bhat))))
                    for _ in range(args.spot_checks)]
         report["spot_check_residuals"] = solver._surrogate_residuals(
-            df, bhat, sol.surrogate_rhs, shifted)
+            ah, bhat, sol.surrogate_rhs, shifted)
     else:
         xhat = solver.solve_unique_in_range(ah, bhat, args.tol)
         report["solution"] = io.dual_vector_to_dict(xhat, name="solution")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dual import DualMatrix
 from .errors import InverseNotExistError
-from .inverses import _dcepgi_witness, _Frame, _readonly, _rel
+from .inverses import _dcepgi, _Frame, _readonly, _rel
 from .realkernel import DEFAULT_TOL, _lapack, _svd_rank
 
 __all__ = [
@@ -101,11 +101,7 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     Pass ``u`` to pin the real orthogonal frame (useful for matching a
     hand-picked basis); otherwise it comes from the staircase.
     """
-    return _decompose(_Frame.of(ah, "dual_core_ep_decompose", u), tol)
-
-
-def _decompose(df, tol):
-    """``dual_core_ep_decompose`` in the dual frame ``df``."""
+    df = _Frame.of(ah, u)
     t2, u3 = df.blocks.T2, df.u3
     u3.flags.writeable = False
     u_hat, t1_hat, t2_hat, n_hat = (
@@ -128,8 +124,8 @@ def dual_cn_split(ah, tol=DEFAULT_TOL):
     split of the dual core-EP decomposition when the decomposition is
     canonical.
     """
-    x = _dcepgi_witness(_Frame.of(ah, "dual_cn_split"), tol,
-                        "dual core-nilpotent split needs the DCEPGI to exist")
+    x = _dcepgi(ah, tol,
+                "dual core-nilpotent split needs the DCEPGI to exist").witness
     core = ah @ x @ ah
     return DualCNSplit(core=core, nilpotent=ah - core)
 

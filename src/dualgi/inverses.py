@@ -17,11 +17,12 @@ Y = O for the DCEPGI and T1hat^-(m+1) Ttilde_hat for the DDGI.
 Every public call on one input shares one dual frame (``_Frame.of``),
 which forms S, Ahat^m, U^T B U, U3, Uhat, the blocks T1hat, T2hat and
 Nhat, and the witnesses at most once: the last frame is kept, keyed by
-the input's bytes, until a call on another input.  The private helpers
-take that frame, so other modules share it too.
+the input's bytes, until a call on another input.  The other modules
+reach the frame through these public calls, or ``_Frame.of`` on the
+input, and so share it too.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -55,9 +56,9 @@ __all__ = [
 class ExistenceCertificate:
     """Outcome of an existence test.
 
-    ``residuals`` maps identity names to scale-free residuals (``_rel``)
-    or the DMPGI's rank gap; ``exists`` is true iff every residual is <=
-    ``tolerance``.  When the inverse exists, ``witness`` holds it.
+    ``residuals`` maps identity names to scale-free residuals (``_rel``);
+    ``exists`` is true iff every residual is <= ``tolerance``.  When the
+    inverse exists, ``witness`` holds it.
     """
 
     exists: bool
@@ -107,16 +108,16 @@ class _Frame:
     are read-only: no caller can change what a later call returns.
     """
 
-    def __init__(self, ah, op, u=None):
+    def __init__(self, ah, u=None):
         if not ah.is_square:
-            raise DimensionError(f"{op} needs a square dual matrix, "
-                                 f"got {ah.shape}")
+            raise DimensionError("the dual core-EP decomposition needs a "
+                                 f"square dual matrix, got {ah.shape}")
         self.ah = ah
         self.blocks = core_ep_decompose(ah.std, u=u)
 
     @classmethod
-    def of(cls, ah, op, u=None):
-        """The dual frame of ``ah`` for the public call ``op``.
+    def of(cls, ah, u=None):
+        """The dual frame of ``ah``.
 
         The last frame built without ``u`` is kept, keyed by the shape
         and bytes of ``ah``'s parts, and serves, with every part it has
@@ -128,12 +129,12 @@ class _Frame:
         """
         global _last_frame
         if u is not None:
-            return cls(ah, op, u)
+            return cls(ah, u)
         key = (ah.std.shape, ah.std.tobytes(), ah.inf.tobytes())
         last = _last_frame  # read once: another thread may replace it
         if last is not None and last[0] == key:
             return last[1]
-        df = cls(ah, op)
+        df = cls(ah)
         shape, std, inf = key
         df.ah = DualMatrix._trusted(np.frombuffer(std).reshape(shape),
                                     np.frombuffer(inf).reshape(shape))
@@ -355,20 +356,15 @@ def _penrose_projector(ah, ap):
 def dmpgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual Moore-Penrose inverse.
 
-    Verdict from the projector condition (I - A A^+) B (I - A^+ A) = O;
-    the augmented-rank test rank([[B, A], [A, O]]) = 2 rank(A) is
-    reported alongside as ``rank_gap`` (0 when the two agree).
+    Verdict from the projector condition (I - A A^+) B (I - A^+ A) = O,
+    with rank(A) and A^+ cut at tol * sigma_max(A): the inputs may carry
+    roundoff well above eps (e.g. computed powers), and a cut that moved
+    with B would move a verdict linear in B.
     """
-    a, b = ah.std, ah.inf
-    stacked = np.block([[b, a], [a, np.zeros(a.shape)]])
-    # both ranks and A^+ at one cut, tol * sigma_max(stacked): the inputs
-    # may carry roundoff well above eps (e.g. computed powers)
-    r_stacked, sigma, _ = _svd_rank(stacked, rel=tol)
-    r_a, _, svd = _svd_rank(a, rel=tol, floor=sigma, uv=True)
+    r_a, _, svd = _svd_rank(ah.std, rel=tol, uv=True)
     ap = _pinv(r_a, svd)
-    residuals = {"penrose_projector": _penrose_projector(ah, ap),
-                 "rank_gap": float(r_stacked - 2 * r_a)}
-    return _certify(residuals, tol, lambda: _dmpgi_formula(ah, ap))
+    return _certify({"penrose_projector": _penrose_projector(ah, ap)}, tol,
+                    lambda: _dmpgi_formula(ah, ap))
 
 
 def _dmpgi_formula(ah, ap):
@@ -404,11 +400,7 @@ def ddgi_exists(ah, tol=DEFAULT_TOL):
     for D = (Nhat^m).inf.  The condition (I - A A^D) S (I - A A^D) = O
     is U [[O, -T1^-m Ttilde D], [O, D]] U^T, O exactly when D is.
     """
-    return _ddgi_certificate(_Frame.of(ah, "ddgi_exists"), tol)
-
-
-def _ddgi_certificate(df, tol):
-    """``ddgi_exists`` in the dual frame ``df``."""
+    df = _Frame.of(ah)
     return _certify({"drazin_projector": df.defect_residual}, tol,
                     lambda: df.ddgi)
 
@@ -428,11 +420,11 @@ def dual_group(ah, tol=DEFAULT_TOL):
 
 
 def _dual_group(ah, tol):
-    df = _Frame.of(ah, "dual_group")
-    if df.blocks.m > 1:
+    m = _Frame.of(ah).blocks.m
+    if m > 1:
         raise DimensionError("dual group inverse needs index(A) <= 1, "
-                             f"got {df.blocks.m}")
-    return _certified(_ddgi_certificate(df, tol), _NO_DDGI)
+                             f"got {m}")
+    return _ddgi(ah, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +440,9 @@ def dcepgi_exists(ah, tol=DEFAULT_TOL):
     (I - A^m (A^m)#) S (I - (A^m)# A^m) = U [[O, O], [O, D]] U^T,
     # the core-EP inverse.
     """
-    return _dcepgi_certificate(_Frame.of(ah, "dcepgi_exists"), tol)
-
-
-def _dcepgi_certificate(df, tol, witness=None):
-    """``dcepgi_exists`` in the dual frame ``df``, witness ``witness(df)``,
-    by default the frame's canonical DCEPGI."""
+    df = _Frame.of(ah)
     return _certify({"core_ep_projector": df.defect_residual}, tol,
-                    lambda: witness(df) if witness else df.dcepgi)
-
-
-def _dcepgi_witness(df, tol, message=_NO_DCEPGI):
-    """The DCEPGI from ``_dcepgi_certificate``; InverseNotExistError
-    with ``message`` when it does not exist."""
-    return _certified(_dcepgi_certificate(df, tol), message).witness
+                    lambda: df.dcepgi)
 
 
 def dcepgi(ah, tol=DEFAULT_TOL):
@@ -473,8 +454,10 @@ def dcepgi(ah, tol=DEFAULT_TOL):
     return _dcepgi(ah, tol).witness
 
 
-def _dcepgi(ah, tol):
-    return _certified(dcepgi_exists(ah, tol), _NO_DCEPGI)
+def _dcepgi(ah, tol, message=_NO_DCEPGI):
+    """The DCEPGI certificate; InverseNotExistError with ``message`` when
+    the DCEPGI does not exist."""
+    return _certified(dcepgi_exists(ah, tol), message)
 
 
 def dcepgi_compact(ah, tol=DEFAULT_TOL):
@@ -489,9 +472,9 @@ def dcepgi_compact(ah, tol=DEFAULT_TOL):
 def _dcepgi_compact(ah, tol):
     """The DCEPGI certificate, with the compact product as its witness,
     (Ahat^m)^+ at the frame's rank-t (A^m)^+."""
-    return _certified(_dcepgi_certificate(
-        _Frame.of(ah, "dcepgi_compact"), tol, lambda df: df.ddgi @ df.ahm
-        @ _dmpgi_formula(df.ahm, df.blocks.am_pinv)), _NO_DCEPGI)
+    cert, df = _dcepgi(ah, tol), _Frame.of(ah)
+    return replace(cert, witness=df.ddgi @ df.ahm
+                   @ _dmpgi_formula(df.ahm, df.blocks.am_pinv))
 
 
 def _vec(x):
@@ -514,7 +497,7 @@ def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
     block of equations over its matrix's norm, is at or below
     tolerance, else None.  Test-scale only (dense n^2 unknowns).
     """
-    df = _Frame.of(ah, "dcepgi_bruteforce_oracle")
+    df = _Frame.of(ah)
     a, b = ah.std, ah.inf
     n = a.shape[0]
     m = df.blocks.mp
@@ -557,11 +540,9 @@ def dual_core_inverse(ah, tol=DEFAULT_TOL):
 
 
 def _dual_core_inverse(ah, tol):
-    df = _Frame.of(ah, "dual_core_inverse")
-    if df.blocks.m > 1:
+    if _Frame.of(ah).blocks.m > 1:
         raise InverseNotExistError(
             "dual core inverse needs index(A) <= 1; the block form "
             "[[T1, T2], [O, O]] is not attained", None)
-    return _certified(
-        _dcepgi_certificate(df, tol),
-        "dual core inverse does not exist (block form not attained)")
+    return _dcepgi(ah, tol, "dual core inverse does not exist "
+                   "(block form not attained)")

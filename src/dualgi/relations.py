@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, HypothesisError
-from .inverses import _dcepgi_witness, _Frame, _rel
+from .inverses import _dcepgi, _Frame, _rel
 from .realkernel import DEFAULT_TOL, _lapack, _svd_rank, numerical_rank
 
 __all__ = [
@@ -47,35 +47,16 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     """Evaluate the five conditions linked to the first-order form
     Ahat^cep = A^cep - eps A^cep B A^cep (see EquivalenceReport for
     which of them are mutually equivalent)."""
-    df = _Frame.of(ah, "first_order_form_report")
-    return _first_order_form_report(df, _dcepgi_witness(df, tol), tol)
-
-
-def _first_order_form_residual(df, x):
-    """The residual of Ahat^cep = A^cep - eps A^cep B A^cep for the
-    DCEPGI ``x`` in the dual frame ``df``, over ``_first_order_size``:
-    not over x.inf and A^cep B A^cep, roundoff where B vanishes on R(A^m)."""
-    a_cep, b = x.std, df.ah.inf  # a_cep: the real core-EP inverse of A
-    return _rel(np.linalg.norm(x.inf + a_cep @ b @ a_cep),
-                _first_order_size(x, b))
-
-
-def _first_order_size(x, b):
-    """||A^cep||^2 ||B||, the size of the terms of A^cep B A^cep."""
-    return np.linalg.norm(x.std) ** 2 * np.linalg.norm(b)
-
-
-def _first_order_form_report(df, x, tol):
-    """``first_order_form_report`` for the DCEPGI ``x`` in the dual
-    frame ``df``."""
-    a = df.ah.std
+    x = _dcepgi(ah, tol).witness
+    df = _Frame.of(ah)
+    a = ah.std
     n, s, s_size = df.blocks.n, df.s, df.s_size
     a_cep = x.std
 
     p_am = df.blocks.am @ df.blocks.am_pinv
     off_range = np.linalg.norm((np.eye(n) - p_am) @ s)
     conds = {
-        "first_order_form": _first_order_form_residual(df, x),
+        "first_order_form": _first_order_form_residual(ah, x),
         "power_projector": _rel(off_range, s_size),
         "cep_projector": _rel(np.linalg.norm((np.eye(n) - a @ a_cep) @ s),
                               s_size),
@@ -91,12 +72,26 @@ def _first_order_form_report(df, x, tol):
                              all_equivalent_observed=len(verdicts) == 1)
 
 
-def _first_order_dcepgi(df, tol):
-    """The DCEPGI X in the dual frame ``df``, once the first-order form
+def _first_order_form_residual(ah, x):
+    """The residual of Ahat^cep = A^cep - eps A^cep B A^cep for ``x``
+    the DCEPGI of ``ah``, over ``_first_order_size``: not over x.inf
+    and A^cep B A^cep, roundoff where B vanishes on R(A^m)."""
+    a_cep, b = x.std, ah.inf  # a_cep: the real core-EP inverse of A
+    return _rel(np.linalg.norm(x.inf + a_cep @ b @ a_cep),
+                _first_order_size(x, b))
+
+
+def _first_order_size(x, b):
+    """||A^cep||^2 ||B||, the size of the terms of A^cep B A^cep."""
+    return np.linalg.norm(x.std) ** 2 * np.linalg.norm(b)
+
+
+def _first_order_dcepgi(ah, tol):
+    """The DCEPGI X of ``ah``, once the first-order form
     Ahat^cep = A^cep - eps A^cep B A^cep is checked (HypothesisError
     otherwise)."""
-    x = _dcepgi_witness(df, tol)
-    res = _first_order_form_residual(df, x)
+    x = _dcepgi(ah, tol).witness
+    res = _first_order_form_residual(ah, x)
     if not res <= tol:
         raise HypothesisError(
             f"first-order form does not hold (residual {res:.3e})")
@@ -105,8 +100,8 @@ def _first_order_dcepgi(df, tol):
 
 def rank_test(ah, tol=DEFAULT_TOL):
     """rank([A^m  S]) == rank(A^m); equivalent to the first-order form."""
-    df = _Frame.of(ah, "rank_test")
-    _dcepgi_witness(df, tol, "rank test needs the DCEPGI to exist")
+    _dcepgi(ah, tol, "rank test needs the DCEPGI to exist")
+    df = _Frame.of(ah)
     frame = df.blocks
     return _svd_rank(np.hstack([frame.am, df.s]), rel=tol,
                      floor=frame.sigma_max ** frame.mp)[0] == frame.t
@@ -157,8 +152,7 @@ def range_null_report(ah, tol=DEFAULT_TOL):
     Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep
     to hold; raises HypothesisError otherwise.
     """
-    df = _Frame.of(ah, "range_null_report")
-    x, ahm = _first_order_dcepgi(df, tol), df.ahm
+    x, ahm = _first_order_dcepgi(ah, tol), _Frame.of(ah).ahm
     sx = _stacked(x)
     sm = _stacked(ahm)
     smt = _stacked(ahm.T)
@@ -231,8 +225,8 @@ def order_law_check(ah, bh, tol=DEFAULT_TOL):
     xs = []
     for name, mh in (("first factor", ah), ("second factor", bh),
                      ("product", ah @ bh)):
-        xs.append(_dcepgi_witness(_Frame.of(mh, "order_law_check"), tol,
-                                  f"DCEPGI of the {name} does not exist"))
+        xs.append(_dcepgi(mh, tol,
+                          f"DCEPGI of the {name} does not exist").witness)
     xa, xb, xab = xs
     scale = xab.norm()
     reverse = _rel((xab - xb @ xa).norm(), scale)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dual import DualMatrix, DualVector
 from .errors import DimensionError, HypothesisError
-from .inverses import _add, _dcepgi_witness, _dot, _Frame, _rel, _row
+from .inverses import _add, _dcepgi, _dot, _Frame, _rel, _row
 from .realkernel import DEFAULT_TOL
 from .relations import _first_order_dcepgi, _first_order_size
 
@@ -51,7 +51,7 @@ def _checked_frame(ah, bhat):
     if len(bhat) != ah.shape[0]:
         raise DimensionError(f"right-hand side length {len(bhat)} does not "
                              f"match matrix size {ah.shape[0]}")
-    return _Frame.of(ah, "solver")
+    return _Frame.of(ah)
 
 
 def solve_general(ah, bhat, tol=DEFAULT_TOL):
@@ -60,17 +60,14 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     Returns the particular solution Ahat^cep bhat and the projector
     I - Ahat^D Ahat spanning the homogeneous solutions.  Requires the
     DCEPGI, which exists exactly when the DDGI does.
-    """
-    return _solve_general(_checked_frame(ah, bhat), bhat, tol)
 
-
-def _solve_general(df, bhat, tol):
-    """``solve_general`` in the dual frame ``df``: the particular
-    solution from the canonical DCEPGI, the projector
-    Uhat [[O, -(T1hat^-1 T2hat + Y Nhat)], [O, I]] Uhat^T =
+    The particular solution comes from the canonical DCEPGI; the
+    projector is Uhat [[O, -(T1hat^-1 T2hat + Y Nhat)], [O, I]] Uhat^T =
     I - Uhat [[I, T1hat^-1 T2hat + Y Nhat], [O, O]] Uhat^T, Y the DDGI's
-    upper-right block, and the right-hand side Ahat^m Uhat1 Uhat1^T bhat."""
-    particular = _dcepgi_witness(df, tol) @ bhat
+    upper-right block; the right-hand side is Ahat^m Uhat1 Uhat1^T bhat.
+    """
+    df = _checked_frame(ah, bhat)
+    particular = _dcepgi(ah, tol).witness @ bhat
     t = df.blocks.t
     z = _add(_dot(df.t1_hat_inv, df.t2_hat), _dot(df.drazin_top, df.n_hat))
     ad_a = df.conjugate(_row((np.eye(t), np.zeros((t, t))), z))
@@ -80,18 +77,19 @@ def _solve_general(df, bhat, tol):
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
                           residual=_surrogate_residuals(
-                              df, bhat, rhs, [particular])[0],
+                              ah, bhat, rhs, [particular])[0],
                           tolerance=tol, surrogate_rhs=rhs)
 
 
-def _surrogate_residuals(df, bhat, rhs, solutions):
+def _surrogate_residuals(ah, bhat, rhs, solutions):
     """Residuals of Ahat^(m+1) xh = Ahat^m Uhat1 Uhat1^T bhat = rhs, one
     per xh in ``solutions``, over the size of the terms both sides are
     formed from, ||Ahat|| ||Ahat^m|| (||Ahat^cep|| ||bhat|| + ||xh||)
     and ||Ahat^m|| ||Uhat1||^2 ||bhat||, with Ahat^cep the frame's
     canonical DCEPGI: not over ||xh|| or ||rhs||, for bhat in
     N((Ahat^m)^T) both are roundoff."""
-    ah, ahm = df.ah, df.ahm
+    df = _Frame.of(ah)
+    ahm = df.ahm
     a_size = ah.norm() * ahm.norm()
     b_size = bhat.norm() * (a_size * df.dcepgi.norm()
                             + ahm.norm() * df.u_hat1.norm() ** 2)
@@ -130,7 +128,7 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     A^cep B A^cep is zero where B vanishes on R(A^m)).
     """
     df = _checked_frame(ah, bhat)
-    x_cep = _first_order_dcepgi(df, tol)
+    x_cep = _first_order_dcepgi(ah, tol)
     xhat = x_cep @ bhat
     scale = np.hypot(np.linalg.norm(x_cep.std),
                      _first_order_size(x_cep, ah.inf)) * bhat.norm()

@@ -32,10 +32,10 @@ import numpy.linalg._linalg as linalg_impl
 import pytest
 
 import dualgi
-from dualgi import CoreEPBlocks, DualMatrix, inverses
+from dualgi import CoreEPBlocks, DualMatrix, DualVector, inverses
 from dualgi.dual import _s_terms
 from dualgi.cli import main
-from dualgi.errors import DualgiError
+from dualgi.errors import DimensionError, DualgiError
 from dualgi.io import dual_vector_to_dict, write_dual_matrix
 from dualgi.realkernel import core_ep_decompose
 from helpers import (Frame, existing_dual, existing_dual_b3, random_dual,
@@ -170,8 +170,8 @@ def test_mp_inverses_build_no_frame(frame_calls, index_three):
     # the staircase's m + 1 steps: A^T, then ever smaller trailing blocks,
     # the first of which gives sigma_max(A)
     ("dcepgi_exists", 3 + 1),
-    # [[B, A], [A, O]], then A at the same cut, which also gives A^+
-    ("dmpgi_exists", 2),
+    # A, which gives rank(A) and A^+
+    ("dmpgi_exists", 1),
     # the frame's m + 1 only: the DCEPGI's residual decides the DDGI
     ("ddgi_exists", 3 + 1),
     # the frame's m + 1 give m, A^cep and S (lstsq calls no svd)
@@ -181,10 +181,9 @@ def test_svd_count(name, count, linalg_calls, index_three):
     getattr(dualgi, name)(ah)
     svds = [shape for kind, shape in linalg_calls if kind == "svd"]
     assert len(svds) == count, linalg_calls
-    if name != "dmpgi_exists":  # only a frame's first SVD is n x n
-        n = ah.shape[0]
-        assert svds[0] == (n, n), svds
-        assert all(max(shape) < n for shape in svds[1:]), svds
+    n = ah.shape[0]  # only the first SVD is n x n
+    assert svds[0] == (n, n), svds
+    assert all(max(shape) < n for shape in svds[1:]), svds
 
 
 def test_ddgi_certificate_factors_only_the_frame(linalg_calls, index_three):
@@ -440,18 +439,30 @@ def test_kept_frame_is_bitwise_cold():
     assert count >= 200
 
 
+@pytest.mark.parametrize("name", SWEEP_CALLS + ("dcepgi_bruteforce_oracle",))
+def test_non_square_rejected(name):
+    # every call that builds a dual frame checks that its input is square
+    ah = DualMatrix(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(DimensionError, match="square"):
+        _call(name, ah, DualVector(np.ones(2), np.ones(2)))
+
+
 def test_threads_share_the_kept_frame_safely():
     # threads on different inputs replace the kept frame under one
-    # another; each call must still get its own input's results
+    # another, also between the lookups of one call, which may then read
+    # parts of two frames built from the same bytes; each call must
+    # still get its own input's results, bit for bit
     rng = np.random.default_rng(20261020)
-    inputs = [existing_dual(rng, Frame(rng, 5, 2, m)) for m in (1, 2, 3)] * 2
-    names = ("dcepgi", "dual_core_ep_decompose", "dcepgi_exists")
-    want = [_cold(names, ah, None) for ah in inputs]
+    inputs = [(existing_dual(rng, f), random_dual_vector(rng, f.n))
+              for f in (Frame(rng, 5, 2, m) for m in (1, 2, 3))] * 2
+    names = ("dcepgi", "dual_core_ep_decompose", "dcepgi_exists",
+             "solve_general", "first_order_form_report", "dual_cn_split")
+    want = [_cold(names, ah, bh) for ah, bh in inputs]
     failures = []
 
     def work(i):
         for _ in range(40):
-            if _warm(names, inputs[i], None) != want[i]:
+            if _warm(names, *inputs[i]) != want[i]:
                 failures.append(i)
 
     switch = sys.getswitchinterval()

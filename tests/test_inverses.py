@@ -42,9 +42,7 @@ class TestDMPGI:
         for _ in range(20):
             f = random_frame(RNG)
             ah = mp_existing_dual(RNG, f)
-            cert = dmpgi_exists(ah)
-            assert cert.exists
-            assert cert.residuals["rank_gap"] == 0.0
+            assert dmpgi_exists(ah).exists
 
     def test_penrose_identities(self):
         for _ in range(20):
@@ -54,13 +52,29 @@ class TestDMPGI:
             assert max(res.values()) < 1e-9
 
     def test_rank_test_agrees_with_projector(self):
+        # rank([[B, A], [A, O]]) = 2 rank(A), from the stacked SVD
         for _ in range(40):
             f = random_frame(RNG)
             ah = mp_existing_dual(RNG, f) if RNG.random() < 0.5 \
                 else random_dual(RNG, f)
-            cert = dmpgi_exists(ah)
-            assert (cert.residuals["penrose_projector"] <= cert.tolerance) \
-                == (cert.residuals["rank_gap"] == 0.0)
+            rank_a = np.linalg.matrix_rank(ah.std)
+            assert dmpgi_exists(ah).exists \
+                == (stacked_rank_gap(ah, rank_a, 1) == 0)
+
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
+    def test_verdict_free_of_the_scale_of_b(self, cond):
+        # (I - A A^+) B (I - A^+ A) = O is linear in B: scaling B alone
+        # moves no verdict
+        for s in range(40):
+            rng = np.random.default_rng([s, int(np.log10(cond))])
+            n, m = 3 + s % 6, 1 + s % 2
+            f = Frame(rng, n, max(1, (n - m) // 2), m, cond=cond)
+            for build, exists in ((mp_existing_dual, True),
+                                  (random_dual, False)):
+                ah = build(rng, f)
+                for c in (1e-6, 1.0, 1e6, 1e9):
+                    verdict = dmpgi_exists(DualMatrix(ah.std, c * ah.inf))
+                    assert verdict.exists == exists, (s, build, c)
 
     def test_nonexistence_raises_with_certificate(self):
         a = np.diag([1.0, 0.0])

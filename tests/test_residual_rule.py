@@ -131,7 +131,7 @@ def test_general_rhs_in_null_space_of_power_transpose():
     # onto the dual range of Ahat^m
     for _ in range(20):
         f = random_frame(RNG)
-        df = _Frame(existing_dual(RNG, f), "test")
+        df = _Frame(existing_dual(RNG, f))
         yhat = random_dual_vector(RNG, f.n)
         bhat = yhat - df.u_hat1 @ (df.u_hat1.T @ yhat)
         for c in (1e-6, 1.0, 1e6):

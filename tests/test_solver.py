@@ -91,7 +91,7 @@ class TestSolveGeneral:
             f = Frame(RNG, n, t, m)
             ah, bhat = existing_dual(RNG, f), random_dual_vector(RNG, n)
             got = solve_general(ah, bhat).surrogate_rhs
-            df = _Frame(ah, "test")
+            df = _Frame(ah)
             ahm = df.ahm
             want = ahm @ (ahm @ (_dmpgi_formula(ahm, df.blocks.am_pinv)
                                  @ bhat))
@@ -157,7 +157,7 @@ class TestSolveUniqueInRange:
         def refuse(*args):
             raise AssertionError("five-condition report evaluated")
 
-        monkeypatch.setattr(dualgi.relations, "_first_order_form_report",
+        monkeypatch.setattr(dualgi.relations, "first_order_form_report",
                             refuse)
         rng = np.random.default_rng(11)
         f = Frame(rng, 6, 2, 3)
