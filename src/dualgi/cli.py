@@ -86,12 +86,12 @@ def _count(text):
 
 def _default_tol():
     env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
-        try:
-            return _tolerance(env)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise SystemExit(f"invalid {TOL_ENV_VAR} value: {env!r}")
-    return DEFAULT_TOL
+    if env is None:
+        return DEFAULT_TOL
+    try:
+        return _tolerance(env)
+    except (ValueError, argparse.ArgumentTypeError):  # a usage error
+        raise ValueError(f"invalid {TOL_ENV_VAR} value: {env!r}") from None
 
 
 def _emit(report, output):
@@ -241,9 +241,9 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.tol is None:
-        args.tol = _default_tol()
     try:
+        if args.tol is None:
+            args.tol = _default_tol()
         return args.func(args)
     except InverseNotExistError as exc:
         print(json.dumps({"error": str(exc), "exists": False,

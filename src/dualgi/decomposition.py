@@ -14,16 +14,19 @@ Uhat genuinely dual unitary (Uhat^T Uhat = I + eps O) while still
 zeroing the lower-left infinitesimal block.  The diagonal blocks are
 unchanged by this choice; only T2hat picks up an extra correction term
 when U3 is nonzero.
+
+The decomposition is a view of the input's dual frame (``_Frame``): its
+parts and its DCEPGI are the frame's one conjugation by Uhat.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dual import DualMatrix
 from .errors import InverseNotExistError
-from .inverses import _dcepgi, _Frame, _readonly, _rel
-from .realkernel import DEFAULT_TOL, _lapack, _svd_rank
+from .inverses import _dcepgi, _Frame, _readonly, _rel, _row
+from .realkernel import DEFAULT_TOL
 
 __all__ = [
     "DualCoreEPDecomposition",
@@ -32,13 +35,6 @@ __all__ = [
     "dual_cn_split",
     "dcepgi_from_decomposition",
 ]
-
-
-def _upper(t1_hat, t2_hat, n_hat):
-    """The dual block matrix [[t1_hat, t2_hat], [O, n_hat]]."""
-    low = np.zeros((n_hat.shape[0], t1_hat.shape[1]))
-    return DualMatrix(np.block([[t1_hat.std, t2_hat.std], [low, n_hat.std]]),
-                      np.block([[t1_hat.inf, t2_hat.inf], [low, n_hat.inf]]))
 
 
 @dataclass(frozen=True)
@@ -58,32 +54,23 @@ class DualCoreEPDecomposition:
     canonical: bool
     t: int
     m: int
+    _frame: _Frame = field(repr=False, compare=False)
 
     @property
     def n(self):
         return self.U_hat.shape[0]
 
-    def middle(self):
-        """The dual block factor [[T1hat, T2hat], [O, Nhat]]."""
-        return _upper(self.T1_hat, self.T2_hat, self.N_hat)
-
-    def _conjugate(self, t1_hat, t2_hat, n_hat):
-        """Uhat [[t1_hat, t2_hat], [O, n_hat]] Uhat^T."""
-        return self.U_hat @ _upper(t1_hat, t2_hat, n_hat) @ self.U_hat.T
-
     def reconstruct(self):
-        return self._conjugate(self.T1_hat, self.T2_hat, self.N_hat)
+        return self.core_part() + self.nilpotent_part()
 
     def core_part(self):
         """Uhat [[T1hat, T2hat], [O, O]] Uhat^T."""
-        return self._conjugate(self.T1_hat, self.T2_hat,
-                               DualMatrix.zeros(self.n - self.t))
+        df = self._frame
+        return df.conjugate(_row(df.t1_hat, df.t2_hat))
 
     def nilpotent_part(self):
         """Uhat [[O, O], [O, Nhat]] Uhat^T."""
-        t = self.t
-        return self._conjugate(DualMatrix.zeros(t),
-                               DualMatrix.zeros(t, self.n - t), self.N_hat)
+        return self._frame.conjugate(self._frame.n_hat, first=self.t)
 
 
 @dataclass(frozen=True)
@@ -113,7 +100,7 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     return DualCoreEPDecomposition(
         U_hat=u_hat, T1_hat=t1_hat, T2_hat=t2_hat,
         N_hat=n_hat, U3=u3, canonical=canonical, t=df.blocks.t,
-        m=df.blocks.m)
+        m=df.blocks.m, _frame=df)
 
 
 def dual_cn_split(ah, tol=DEFAULT_TOL):
@@ -121,8 +108,8 @@ def dual_cn_split(ah, tol=DEFAULT_TOL):
 
     core = Ahat Ahat^cep Ahat and nilpotent = Ahat - core; requires the
     DCEPGI to exist.  The split is unique and agrees with the block
-    split of the dual core-EP decomposition when the decomposition is
-    canonical.
+    split of the dual core-EP decomposition, canonical or not:
+    Ahat Ahat^cep Ahat = Uhat [[T1hat, T2hat], [O, O]] Uhat^T.
     """
     x = _dcepgi(ah, tol,
                 "dual core-nilpotent split needs the DCEPGI to exist").witness
@@ -130,20 +117,10 @@ def dual_cn_split(ah, tol=DEFAULT_TOL):
     return DualCNSplit(core=core, nilpotent=ah - core)
 
 
-def dcepgi_from_decomposition(d, tol=DEFAULT_TOL):
-    """Recover the DCEPGI from a canonical dual core-EP decomposition:
-    Uhat [[T1hat^-1, O], [O, O]] Uhat^T with the dual inverse
-    T1hat^-1 = T1^-1 - eps T1^-1 B1hat T1^-1."""
+def dcepgi_from_decomposition(d):
+    """The DCEPGI of a canonical dual core-EP decomposition, read-only:
+    Uhat [[T1hat^-1, O], [O, O]] Uhat^T, the frame's ``dcepgi``."""
     if not d.canonical:
         raise InverseNotExistError(
             "decomposition is not canonical (T2 U3 or U3 T2 nonzero)", None)
-    t, n = d.t, d.n
-    if t == 0:
-        return DualMatrix.zeros(n)
-    t1 = d.T1_hat.std
-    if _svd_rank(t1, rel=tol)[0] < t:
-        raise InverseNotExistError("T1hat standard part is singular", None)
-    t1_inv = _lapack("inverse", np.linalg.inv, t1)
-    t1_hat_inv = DualMatrix(t1_inv, -t1_inv @ d.T1_hat.inf @ t1_inv)
-    return d._conjugate(t1_hat_inv, DualMatrix.zeros(t, n - t),
-                        DualMatrix.zeros(n - t))
+    return d._frame.dcepgi

@@ -22,7 +22,7 @@ reach the frame through these public calls, or ``_Frame.of`` on the
 input, and so share it too.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -99,9 +99,10 @@ class _Frame:
     decomposition Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, with
     Uhat = U (I + eps G), G = [[O, -U3^T], [U3, O]] and U3 the solution
     of N U3 + B3 - U3 T1 = O.  The DCEPGI and the DDGI exist exactly
-    when Nhat^m = O, and each witness is ``conjugate`` of a block row
-    in T1hat, T2hat and Nhat.  Each part is formed once, on first use;
-    the blocks, as (standard, infinitesimal) pairs of real arrays.
+    when Nhat^m = O; each witness, and each part of the public
+    decomposition, is ``conjugate`` of a block in T1hat, T2hat and
+    Nhat.  Each part is formed once, on first use; the blocks, as
+    (standard, infinitesimal) pairs of real arrays.
 
     ``of`` serves every call on one input from one frame, so the parts
     a call hands out (the witnesses, the decomposition's blocks and U3)
@@ -194,9 +195,9 @@ class _Frame:
         S maps N(A^m) into R(A^m).
         """
         f, c = self.blocks, self.n_hat[1]
-        d = c  # D_k = N D_(k-1) + C N^(k-1), D_1 = C
-        for n_pow in f.n_powers[1:]:
-            d = f.N @ d + c @ n_pow
+        d, n_pow = c, f.N  # D_k = N D_(k-1) + C N^(k-1), D_1 = C
+        for _ in range(f.mp - 1):
+            d, n_pow = f.N @ d + c @ n_pow, n_pow @ f.N
         return _rel(np.linalg.norm(d), self.s_size)
 
     @cached_property
@@ -214,18 +215,19 @@ class _Frame:
         t = self.blocks.t
         return DualMatrix(self.u_hat[0][:, :t], self.u_hat[1][:, :t])
 
-    def conjugate(self, top):
+    def conjugate(self, block, first=0):
         """Uhat M Uhat^T = U (M + eps (M' + G M - M G)) U^T for the dual
-        M + eps M' = [[top, O], [O, O]] in frame coordinates, ``top`` a
-        t x k pair, k <= n: Uhat1 top Uhatk^T, for Uhatk the leading k
-        columns of Uhat."""
-        top_std, top_inf = top
-        t, k = self.blocks.t, top_std.shape[1]
-        u, v = (part[:, :k] for part in self.u_hat)
-        p = top_std @ u.T
-        return DualMatrix(u[:, :t] @ p,
-                          u[:, :t] @ (top_inf @ u.T + top_std @ v.T)
-                          + v[:, :t] @ p)
+        M + eps M' in frame coordinates that is O but for ``block``, an
+        r x k pair whose leading entry sits at (first, first):
+        Uhatr block Uhatk^T, for Uhatr and Uhatk the r and k columns of
+        Uhat from column ``first`` on."""
+        b_std, b_inf = block
+        r, k = b_std.shape
+        u, v = (part[:, first:first + k] for part in self.u_hat)
+        p = b_std @ u.T
+        return DualMatrix(u[:, :r] @ p,
+                          u[:, :r] @ (b_inf @ u.T + b_std @ v.T)
+                          + v[:, :r] @ p)
 
     @cached_property
     def t1_hat_inv(self):
@@ -470,11 +472,13 @@ def dcepgi_compact(ah, tol=DEFAULT_TOL):
 
 
 def _dcepgi_compact(ah, tol):
-    """The DCEPGI certificate, with the compact product as its witness,
-    (Ahat^m)^+ at the frame's rank-t (A^m)^+."""
-    cert, df = _dcepgi(ah, tol), _Frame.of(ah)
-    return replace(cert, witness=df.ddgi @ df.ahm
-                   @ _dmpgi_formula(df.ahm, df.blocks.am_pinv))
+    """The DCEPGI certificate with the compact product as its only
+    witness, (Ahat^m)^+ at the frame's rank-t (A^m)^+."""
+    df = _Frame.of(ah)
+    return _certified(_certify(
+        {"core_ep_projector": df.defect_residual}, tol,
+        lambda: df.ddgi @ df.ahm @ _dmpgi_formula(df.ahm, df.blocks.am_pinv)),
+        _NO_DCEPGI)
 
 
 def _vec(x):

@@ -188,29 +188,15 @@ class CoreEPBlocks:
         return _lapack("inverse", np.linalg.inv, self.T1)
 
     @cached_property
-    def t1_inv_powers(self):
-        """[T1^0, T1^-1, ..., T1^-(mp+1)]."""
-        return _running_powers(self.t1_inv, self.mp + 2)
-
-    @cached_property
-    def n_powers(self):
-        """[N^0, ..., N^(mp-1)]; N^mp = O."""
-        return _running_powers(self.N, self.mp)
-
-    @cached_property
-    def t_tildes(self):
-        """Upper-right blocks of A^k in the U frame for k = 0..mp, by
-        Ttilde_(k+1) = T1 Ttilde_k + T2 N^k.  The last is Ttilde."""
-        tops = [np.zeros_like(self.T2)]
-        for k in range(self.mp):
-            tops.append(self.T1 @ tops[-1] + self.T2 @ self.n_powers[k])
-        return tops
-
-    @cached_property
     def am(self):
-        """A^m = U [[T1^m, Ttilde], [O, O]] U^T (N^m = O drops out)."""
+        """A^m = U [[T1^m, Ttilde], [O, O]] U^T (N^m = O drops out), by
+        Ttilde_(k+1) = T1 Ttilde_k + T2 N^k, the blocks of A^(k+1)."""
+        top, n_pow = np.zeros_like(self.T2), np.eye(self.n - self.t)
+        for k in range(self.mp):
+            top = self.T1 @ top + self.T2 @ n_pow
+            n_pow = n_pow @ self.N if k else self.N  # N itself, not I N
         return self.assemble_top(np.linalg.matrix_power(self.T1, self.mp),
-                                 self.t_tildes[-1])
+                                 top)
 
     @cached_property
     def am_pinv(self):
@@ -229,14 +215,6 @@ class CoreEPBlocks:
         for _ in range(self.mp - 1):
             acc = b3 + self.N @ acc @ self.t1_inv
         return acc @ self.t1_inv
-
-
-def _running_powers(x, count):
-    """[X^0, ..., X^(count-1)], each the one before times X."""
-    powers = [np.eye(x.shape[0]), x][:count]
-    while len(powers) < count:
-        powers.append(powers[-1] @ x)
-    return powers
 
 
 def core_ep_decompose(a, u=None):
@@ -273,12 +251,15 @@ def core_ep_decompose(a, u=None):
 def drazin(a, blocks=None):
     """Drazin inverse via the core-EP block form.
 
-    A^D = U [[T1^-1, (T1^(m+1))^-1 Ttilde], [O, O]] U^T.
+    A^D = U [[T1^-1, Y], [O, O]] U^T, Y = T1^-(m+1) Ttilde by Horner's
+    rule in T1^-1 and N, as the DDGI's standard part is formed.
     """
     if blocks is None:
         blocks = core_ep_decompose(a)
-    return blocks.assemble_top(blocks.t1_inv,
-                               blocks.t1_inv_powers[-1] @ blocks.t_tildes[-1])
+    ti, acc = blocks.t1_inv, blocks.T2
+    for _ in range(blocks.mp - 1):
+        acc = blocks.T2 + ti @ acc @ blocks.N
+    return blocks.assemble_top(ti, ti @ ti @ acc)
 
 
 def core_ep_inverse(a, blocks=None):

@@ -17,6 +17,7 @@ and no pseudo-inverse of A^m is formed.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -110,7 +111,8 @@ def _range_residual(frame, s, xhat, scale):
     exists, the miss is the same at each, (A^m)^+ x among them."""
     x, x1 = xhat.std, xhat.inf
     u1, u2t = frame.U[:, :frame.t], frame.U[:, frame.t:].T
-    y = u1 @ (frame.t1_inv_powers[frame.mp] @ (u1.T @ x))
+    t1_inv_m = reduce(np.matmul, [frame.t1_inv] * frame.mp)
+    y = u1 @ (t1_inv_m @ (u1.T @ x))
     miss = np.hypot(np.linalg.norm(u2t @ x),
                     np.linalg.norm(u2t @ (x1 - s @ y)))
     return _rel(miss, scale)

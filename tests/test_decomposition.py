@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dualgi import (DualMatrix, dcepgi, dcepgi_exists,
-                    dcepgi_from_decomposition, dual_cn_split,
+from dualgi import (DualMatrix, dcepgi, dcepgi_bruteforce_oracle,
+                    dcepgi_exists, dcepgi_from_decomposition, dual_cn_split,
                     dual_core_ep_decompose, dual_power)
 from dualgi.errors import DimensionError, InverseNotExistError
 from helpers import Frame, existing_dual, existing_dual_b3, random_dual, \
@@ -76,13 +76,38 @@ class TestDualDecomposition:
 
 class TestDcepgiFromDecomposition:
     def test_matches_canonical_formula(self):
+        # against the oracle that solves the defining system, not against
+        # dcepgi, which is the same block formula on the same frame
+        checked = 0
         for _ in range(20):
             f = random_frame(RNG)
             ah = existing_dual(RNG, f)
             d = dual_core_ep_decompose(ah)
             if not d.canonical:
                 continue
-            assert (dcepgi_from_decomposition(d) - dcepgi(ah)).norm() < 1e-9
+            oracle = dcepgi_bruteforce_oracle(ah)
+            assert oracle is not None
+            assert (dcepgi_from_decomposition(d) - oracle).norm() < 1e-9
+            checked += 1
+        assert checked >= 10
+
+    def test_is_the_read_only_dcepgi(self):
+        ah = existing_dual(RNG, random_frame(RNG))
+        x = dcepgi_from_decomposition(dual_core_ep_decompose(ah))
+        assert x is dcepgi(ah)
+        with pytest.raises(ValueError, match="read-only"):
+            x.inf[0, 0] = 1.0
+
+    def test_nilpotent_standard_part(self):
+        # t = 0: T1hat is empty and the DCEPGI is the zero dual matrix
+        a = np.triu(np.arange(1.0, 17.0).reshape(4, 4), 1)
+        ah = DualMatrix(a, np.arange(16.0).reshape(4, 4) - 7.5)
+        d = dual_core_ep_decompose(ah)
+        assert (d.t, d.canonical) == (0, True)
+        x = dcepgi_from_decomposition(d)
+        assert x.shape == (4, 4)
+        assert not x.std.any() and not x.inf.any()
+        assert (d.nilpotent_part() - ah).norm() < 1e-12 * ah.norm()
 
     def test_non_canonical_rejected(self):
         f = Frame(RNG, 4, 2, 2)
@@ -126,3 +151,20 @@ class TestCNSplit:
         assert ah is not None
         split = dual_cn_split(ah)
         assert (split.core + split.nilpotent - ah).norm() < 1e-9
+
+    def test_matches_block_split_when_not_canonical(self):
+        # Ahat Ahat^cep Ahat = Uhat [[T1hat, T2hat], [O, O]] Uhat^T holds
+        # whenever the DCEPGI exists, canonical or not
+        checked = 0
+        while checked < 10:
+            ah = existing_dual_b3(RNG, random_frame(RNG))
+            if ah is None:
+                continue
+            d = dual_core_ep_decompose(ah)
+            assert not d.canonical
+            split = dual_cn_split(ah)
+            scale = ah.norm()
+            assert (split.core - d.core_part()).norm() < 1e-12 * scale
+            assert (split.nilpotent - d.nilpotent_part()).norm() \
+                < 1e-12 * scale
+            checked += 1

@@ -276,18 +276,28 @@ def test_cli_general_forms_the_dcepgi_once(monkeypatch, index_three,
     assert len(forms) == 1
 
 
+def test_compact_forms_no_canonical_dcepgi(index_three):
+    # the compact certificate's only witness is the compact product, so a
+    # cold call forms no canonical DCEPGI
+    ah, _ = index_three
+    x = dualgi.dcepgi_compact(ah)
+    assert "dcepgi" not in vars(inverses._last_frame[1])
+    assert (x - dualgi.dcepgi(ah)).norm() < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # the kept frame: one per input, across calls
 # ---------------------------------------------------------------------------
 
 def _bits(x):
     """``x`` as nested tuples, arrays and floats as their bytes, so that
-    == is bitwise equality."""
+    == is bitwise equality; a dataclass by the fields its == compares."""
     if isinstance(x, np.ndarray):
         return x.shape, x.tobytes()
     if dataclasses.is_dataclass(x):
         return (type(x).__name__,) + tuple(
-            _bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+            _bits(getattr(x, f.name)) for f in dataclasses.fields(x)
+            if f.compare)
     if isinstance(x, dict):
         return tuple((key, _bits(value)) for key, value in x.items())
     if isinstance(x, (tuple, list)):

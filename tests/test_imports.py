@@ -1,6 +1,7 @@
 """Every name a module of ``dualgi`` imports is used in it or exported
-through its ``__all__``: an import left behind by a deletion fails here
-(no linter runs on the package)."""
+through its ``__all__``, and every private function, class or method
+the package defines is referenced in it: an import or a helper left
+behind by a deletion fails here (no linter runs on the package)."""
 
 import ast
 import pathlib
@@ -41,3 +42,40 @@ def test_finds_an_unused_import():
     source = ("import os\nfrom .a import b, c as d\n"
               "__all__ = ['b']\nos.getcwd()\n")
     assert _unused_imports(source) == [(2, "d")]
+
+
+def _unreferenced_private(sources):
+    """(module, line, name) of each private function, class or method
+    (``_name``, not ``__dunder__``) that ``sources``, a dict of module
+    name to source, define but never read, as a name or an attribute."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__")
+                                                 and name.endswith("__")):
+                    defined.append((module, node.lineno, name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(item for item in defined if item[2] not in referenced)
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_private(sources) == []
+
+
+def test_finds_an_unreferenced_private_definition():
+    sources = {
+        "a.py": ("def _used():\n    pass\n\n\ndef _unused():\n    pass\n"
+                 "\n\nclass _Kept:\n    def __init__(self):\n        pass\n"
+                 "\n    def _method(self):\n        pass\n"),
+        "b.py": "from .a import _Kept, _used\n_used()\n_Kept()\n",
+    }
+    assert _unreferenced_private(sources) == [("a.py", 5, "_unused"),
+                                              ("a.py", 13, "_method")]

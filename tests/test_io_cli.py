@@ -199,8 +199,10 @@ class TestCLICommands:
         assert main(["inverse", "--kind", "cep", path]) == EXIT_OK
         capsys.readouterr()
         monkeypatch.setenv("DUALGI_TOL", "not-a-number")
-        with pytest.raises(SystemExit):
-            main(["inverse", "--kind", "cep", path])
+        assert main(["inverse", "--kind", "cep", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "invalid DUALGI_TOL value: 'not-a-number'" in captured.err
+        assert captured.out == ""
 
     def test_tol_flag_beats_env(self, nonexisting_file, capsys, monkeypatch):
         path, _ = nonexisting_file
@@ -220,8 +222,8 @@ class TestCLICommands:
         err = capsys.readouterr().err
         assert "tolerance must be a finite number > 0" in err
         monkeypatch.setenv("DUALGI_TOL", tol)
-        with pytest.raises(SystemExit, match="invalid DUALGI_TOL value"):
-            main(["inverse", "--kind", "cep", path])
+        assert main(["inverse", "--kind", "cep", path]) == EXIT_USAGE
+        assert "invalid DUALGI_TOL value" in capsys.readouterr().err
 
     def test_parser_built_once(self, existing_file, capsys, monkeypatch):
         progs = []
