@@ -67,7 +67,7 @@ def _svd_rank(a, rel=None, floor=0.0, uv=False):
     sigma = float(sv[0]) if sv.size else 0.0
     if rel is None:
         rel = max(a.shape) * np.finfo(float).eps
-    return int(np.sum(sv > rel * max(sigma, floor))), sigma, svd
+    return int(np.count_nonzero(sv > rel * max(sigma, floor))), sigma, svd
 
 
 def _pinv(rank, svd):

@@ -37,6 +37,12 @@ class EquivalenceReport:
     projector identity S A^m (A^m)^+ = S, which the first three do
     not imply.  ``all_equivalent_observed`` records whether all five
     verdicts agreed on this input.
+
+    In the core-EP frame A = U [[T1, T2], [O, N]] U^T, A^m (A^m)^+ and
+    A A^cep are both U1 U1^T, so ``power_projector`` equals
+    ``cep_projector`` by construction: ||U2^T S||_F over the size of
+    the terms of S (U1, U2 = U[:, :t], U[:, t:]).  The last two are
+    the larger of that and ||S U2||_F over the same size.
     """
 
     conditions: dict
@@ -46,25 +52,19 @@ class EquivalenceReport:
 def first_order_form_report(ah, tol=DEFAULT_TOL):
     """Evaluate the five conditions linked to the first-order form
     Ahat^cep = A^cep - eps A^cep B A^cep (see EquivalenceReport for
-    which of them are mutually equivalent)."""
+    which of them are mutually equivalent).  The projector conditions
+    read ||U2^T S|| and ||S U2||: no power of A, no pseudo-inverse."""
     x = _dcepgi(ah, tol).witness
     df = _Frame.of(ah)
-    a = ah.std
-    n, s, s_size = df.blocks.n, df.s, df.s_size
-    a_cep = x.std
-
-    p_am = df.blocks.am @ df.blocks.am_pinv
-    off_range = np.linalg.norm((np.eye(n) - p_am) @ s)
+    s, u2 = df.s, df.blocks.U[:, df.blocks.t:]
+    left = _rel(np.linalg.norm(u2.T @ s), df.s_size)
+    both = max(left, _rel(np.linalg.norm(s @ u2), df.s_size))
     conds = {
         "first_order_form": _first_order_form_residual(ah, x),
-        "power_projector": _rel(off_range, s_size),
-        "cep_projector": _rel(np.linalg.norm((np.eye(n) - a @ a_cep) @ s),
-                              s_size),
-        "two_sided_projector": _rel(
-            max(np.linalg.norm(a @ a_cep @ s - s),
-                np.linalg.norm(s @ a @ a_cep - s)), s_size),
-        "range_null_inclusions": _rel(
-            max(off_range, np.linalg.norm(s @ (np.eye(n) - p_am))), s_size),
+        "power_projector": left,
+        "cep_projector": left,
+        "two_sided_projector": both,
+        "range_null_inclusions": both,
     }
     conditions = {name: (res <= tol, res) for name, res in conds.items()}
     verdicts = {holds for holds, _ in conditions.values()}

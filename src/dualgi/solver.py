@@ -17,7 +17,6 @@ and no pseudo-inverse of A^m is formed.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -98,24 +97,21 @@ def _surrogate_residuals(ah, bhat, rhs, solutions):
             for xh in solutions]
 
 
-def _range_residual(frame, s, xhat, scale):
-    """Residual of xhat = x + eps x' against the dual range of
-    Ahat^m = A^m + eps S, at the preimage y = U1 T1^-m U1^T x,
-    y' = U1 T1^-m U1^T (x' - S y), over ``scale`` (U1 = U[:, :t]).
-    What that preimage misses is the part of x and of x' - S y along
-    U2 = U[:, t:], the orthogonal complement of R(A^m).  No preimage
-    misses less than the least-squares one, so this check is never
-    laxer than a least-squares test on the stacked 2n x 2n matrix.
-    Every preimage of U1 U1^T x differs from y by an element of N(A^m),
-    so where U2^T S vanishes on N(A^m), as it does when the DCEPGI
-    exists, the miss is the same at each, (A^m)^+ x among them."""
+def _range_residual(df, xhat, scale):
+    """Residual of xhat = x + eps x' against the dual range of Ahat^m,
+    that of Uhat1 when the DCEPGI exists: the size of Uhat2^T xhat =
+    U2^T x + eps (U2^T x' - U3 U1^T x), over ``scale``, for
+    Uhat2 = U2 - eps U1 U3^T the trailing columns of Uhat (U1, U2 =
+    U[:, :t], U[:, t:]).  Since U2^T S U1 = U3 T1^m then, this is the
+    part of x and of x' - S y along U2 at the preimage
+    y = U1 T1^-m U1^T x, formed without T1^-m and its roundoff of
+    order eps cond(T1)^m.  No preimage misses less than the
+    least-squares one, so this check is never laxer than a
+    least-squares test on the stacked 2n x 2n matrix."""
+    u2, v2 = (part[:, df.blocks.t:] for part in df.u_hat)
     x, x1 = xhat.std, xhat.inf
-    u1, u2t = frame.U[:, :frame.t], frame.U[:, frame.t:].T
-    t1_inv_m = reduce(np.matmul, [frame.t1_inv] * frame.mp)
-    y = u1 @ (t1_inv_m @ (u1.T @ x))
-    miss = np.hypot(np.linalg.norm(u2t @ x),
-                    np.linalg.norm(u2t @ (x1 - s @ y)))
-    return _rel(miss, scale)
+    return _rel(np.hypot(np.linalg.norm(u2.T @ x),
+                         np.linalg.norm(u2.T @ x1 + v2.T @ x)), scale)
 
 
 def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
@@ -134,7 +130,7 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     xhat = x_cep @ bhat
     scale = np.hypot(np.linalg.norm(x_cep.std),
                      _first_order_size(x_cep, ah.inf)) * bhat.norm()
-    member = _range_residual(df.blocks, df.s, xhat, scale)
+    member = _range_residual(df, xhat, scale)
     if member > tol:
         raise HypothesisError(
             f"solution fails dual-range membership (residual {member:.3e})")

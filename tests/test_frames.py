@@ -285,6 +285,14 @@ def test_compact_forms_no_canonical_dcepgi(index_three):
     assert (x - dualgi.dcepgi(ah)).norm() < 1e-9
 
 
+def test_first_order_report_forms_no_power(index_three):
+    # the projector conditions read U2 = U[:, t:] and S, not A^m (A^m)^+
+    ah, _ = index_three
+    dualgi.first_order_form_report(ah)
+    formed = vars(inverses._Frame.of(ah).blocks)
+    assert "am" not in formed and "am_pinv" not in formed
+
+
 # ---------------------------------------------------------------------------
 # the kept frame: one per input, across calls
 # ---------------------------------------------------------------------------

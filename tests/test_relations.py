@@ -10,7 +10,7 @@ from dualgi import (DualMatrix, core_ep_inverse, dcepgi,
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
 from helpers import (REDUCING_CUTOFF_CASES, Frame, existing_dual,
                      existing_dual_b3, orthogonal, random_dual, random_frame,
-                     seeded_reducing_dual)
+                     reducing_dual, seeded_reducing_dual)
 
 RNG = np.random.default_rng(20240821)
 
@@ -70,6 +70,24 @@ class TestFirstOrderForm:
         # S = P S = S P by construction, so all five conditions hold;
         # power_projector once failed here on a default-cutoff pinv of A^m
         report = first_order_form_report(seeded_reducing_dual(seed, shape))
+        assert all(holds for holds, _ in report.conditions.values()), \
+            report.conditions
+        assert report.all_equivalent_observed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_projector_conditions_at_ill_conditioned_t1(self, seed):
+        # cond(T1) = 1e4: a projector formed as A^m (A^m)^+ left a
+        # roundoff floor of order cond(A^m) eps, and power_projector
+        # read 3.6e-10 to 1.1e-9 here (existing_dual) and 1.4e-9 to
+        # 3.2e-9 (reducing_dual)
+        rng = np.random.default_rng(seed)
+        report = first_order_form_report(
+            existing_dual(rng, Frame(rng, 6, 2, 2, cond=1e4)))
+        assert all(report.conditions[k][0] for k in EQUIVALENT_TRIPLE), \
+            report.conditions
+        rng = np.random.default_rng(seed)
+        report = first_order_form_report(
+            reducing_dual(rng, Frame(rng, 6, 2, 2, cond=1e4)))
         assert all(holds for holds, _ in report.conditions.values()), \
             report.conditions
         assert report.all_equivalent_observed

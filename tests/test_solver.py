@@ -10,7 +10,7 @@ from dualgi import (DualMatrix, DualVector, dcepgi, dmpgi, dual_power,
                     solve_general, solve_unique_in_range)
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
 from dualgi.inverses import _dmpgi_formula, _Frame
-from dualgi.realkernel import DEFAULT_TOL, core_ep_decompose
+from dualgi.realkernel import DEFAULT_TOL
 from dualgi.relations import _column_membership_residual, _stacked
 from dualgi.solver import _range_residual
 from helpers import (Frame, existing_dual, existing_dual_b3, random_dual,
@@ -167,11 +167,23 @@ class TestSolveUniqueInRange:
         assert (xhat - dcepgi(ah) @ bhat).norm() < 1e-12
         assert dualgi.range_null_report(ah).all_hold
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_built_input_at_ill_conditioned_t1(self, seed):
+        # the dual-range check once went through the preimage T1^-m U1^T x,
+        # whose roundoff of order eps cond(T1)^m rejected every such input
+        rng = np.random.default_rng(seed)
+        ah = reducing_dual(rng, Frame(rng, 8, 2, 4, cond=1e4))
+        bhat = DualVector(rng.standard_normal(8), rng.standard_normal(8))
+        want = dcepgi(ah) @ bhat
+        assert (solve_unique_in_range(ah, bhat) - want).norm() \
+            <= 1e-12 * want.norm()
+
 
 class TestFrameRangeCheck:
     """The dual-range check of ``solve_unique_in_range`` measures the
-    residual at one feasible preimage in the core-EP frame, against the
-    least-squares residual over the stacked [[A^m, O], [S, A^m]]."""
+    part of xhat along the trailing columns of the frame's Uhat,
+    against the least-squares residual over the stacked
+    [[A^m, O], [S, A^m]]."""
 
     @staticmethod
     def draws(count):
@@ -179,15 +191,14 @@ class TestFrameRangeCheck:
         for i in range(count):
             f = random_frame(rng, n_max=12, m_max=4)
             ah = (existing_dual if i % 2 else reducing_dual)(rng, f)
-            frame = core_ep_decompose(ah.std)
-            yield rng, ah, frame, dual_power(ah, frame.mp)
+            df = _Frame.of(ah)
+            yield rng, ah, df, dual_power(ah, df.blocks.mp)
 
     @staticmethod
-    def frame_residual(frame, ahm, vh):
+    def frame_residual(df, vh):
         # over ||[v; v']||, as the least-squares residual is
-        return _range_residual(frame, ahm.inf, vh,
-                               np.hypot(np.linalg.norm(vh.std),
-                                        np.linalg.norm(vh.inf)))
+        return _range_residual(df, vh, np.hypot(np.linalg.norm(vh.std),
+                                                np.linalg.norm(vh.inf)))
 
     @staticmethod
     def lstsq_residual(ahm, vh):
@@ -195,28 +206,29 @@ class TestFrameRangeCheck:
         return _column_membership_residual(col, _stacked(ahm))
 
     def test_never_below_least_squares(self):
-        for rng, ah, frame, ahm in self.draws(60):
-            vh = random_dual_vector(rng, frame.n)
-            res = self.frame_residual(frame, ahm, vh)
+        for rng, ah, df, ahm in self.draws(60):
+            vh = random_dual_vector(rng, df.blocks.n)
+            res = self.frame_residual(df, vh)
             # equal when the least-squares preimage is the frame's one;
             # the slack covers the roundoff of that tie
             assert res >= self.lstsq_residual(ahm, vh) * (1 - 1e-12)
 
     def test_built_solutions_pass(self):
-        for rng, ah, frame, ahm in self.draws(60):
-            xhat = dcepgi(ah) @ random_dual_vector(rng, frame.n)
-            assert self.frame_residual(frame, ahm, xhat) <= DEFAULT_TOL
+        for rng, ah, df, ahm in self.draws(60):
+            xhat = dcepgi(ah) @ random_dual_vector(rng, df.blocks.n)
+            assert self.frame_residual(df, xhat) <= DEFAULT_TOL
 
     def test_rejects_component_outside_range(self):
         # U[:, t:] spans the orthogonal complement of R(A^m); a part of
         # either the standard or the infinitesimal vector along it
         # leaves the dual range
-        for rng, ah, frame, ahm in self.draws(20):
+        for rng, ah, df, ahm in self.draws(20):
+            frame = df.blocks
             xhat = dcepgi(ah) @ random_dual_vector(rng, frame.n)
             off = 1e-6 * frame.U[:, frame.t]
             for vh in (xhat + DualVector(off, np.zeros(frame.n)),
                        xhat + DualVector(np.zeros(frame.n), off)):
-                assert self.frame_residual(frame, ahm, vh) > DEFAULT_TOL
+                assert self.frame_residual(df, vh) > DEFAULT_TOL
                 assert self.lstsq_residual(ahm, vh) > DEFAULT_TOL
 
 
