@@ -18,8 +18,10 @@ Every public call on one input shares one dual frame (``_Frame.of``),
 which forms S, Ahat^m, U^T B U, U3, Uhat, the blocks T1hat, T2hat and
 Nhat, and the witnesses at most once: the last frame is kept, keyed by
 the input's bytes, until a call on another input.  The other modules
-reach the frame through these public calls, or ``_Frame.of`` on the
-input, and so share it too.
+share it through ``_Frame.of``.  ``solve_unique_in_range`` and
+``range_null_report`` read dual-range membership off it as the size of
+Uhat2^T Mhat (``off_range_norm``), ``rank_test`` reads ||U2^T S||, and
+none factors a stacked 2n x 2n matrix.
 """
 
 from dataclasses import dataclass
@@ -215,6 +217,16 @@ class _Frame:
         t = self.blocks.t
         return DualMatrix(self.u_hat[0][:, :t], self.u_hat[1][:, :t])
 
+    def off_range_norm(self, std, inf):
+        """hypot(||U2^T M||_F, ||U2^T M' - U3 U1^T M||_F), the size of
+        Uhat2^T (M + eps M') for Uhat2 = U2 - eps U1 U3^T the trailing
+        n - t columns of Uhat (M, M' = ``std``, ``inf``): O exactly when
+        M + eps M' lies in the dual range of Uhat1, that of Ahat^m when
+        the DCEPGI exists."""
+        u2, v2 = (part[:, self.blocks.t:] for part in self.u_hat)
+        return np.hypot(np.linalg.norm(u2.T @ std),
+                        np.linalg.norm(u2.T @ inf + v2.T @ std))
+
     def conjugate(self, block, first=0):
         """Uhat M Uhat^T = U (M + eps (M' + G M - M G)) U^T for the dual
         M + eps M' in frame coordinates that is O but for ``block``, an
@@ -347,26 +359,27 @@ def mpdgi(ah):
     return DualMatrix(ap, -ap @ ah.inf @ ap)
 
 
-def _penrose_projector(ah, ap):
-    """Relative size of (I - A A^+) B (I - A^+ A), for A^+ = ``ap``."""
-    a, b = ah.std, ah.inf
-    left = np.eye(a.shape[0]) - a @ ap
-    right = np.eye(a.shape[1]) - ap @ a
-    return _rel(np.linalg.norm(left @ b @ right), np.linalg.norm(b))
+def _penrose_projector(b, rank, svd):
+    """||U0^T B V0||_F / ||B||_F, for U0, V0 the null bases past ``rank``
+    in the SVD (U, sv, Vt) of A: (I - A A^+) B (I - A^+ A) is
+    U0 U0^T B V0 V0^T, here free of the roundoff of A A^+."""
+    u, _, vt = svd
+    return _rel(np.linalg.norm(u[:, rank:].T @ b @ vt[rank:].T),
+                np.linalg.norm(b))
 
 
 def dmpgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual Moore-Penrose inverse.
 
     Verdict from the projector condition (I - A A^+) B (I - A^+ A) = O,
-    with rank(A) and A^+ cut at tol * sigma_max(A): the inputs may carry
-    roundoff well above eps (e.g. computed powers), and a cut that moved
-    with B would move a verdict linear in B.
+    as U0^T B V0 = O, with rank(A) (and A^+) cut at tol * sigma_max(A):
+    the inputs may carry roundoff well above eps (e.g. computed powers),
+    and a cut that moved with B would move a verdict linear in B.
     """
     r_a, _, svd = _svd_rank(ah.std, rel=tol, uv=True)
-    ap = _pinv(r_a, svd)
-    return _certify({"penrose_projector": _penrose_projector(ah, ap)}, tol,
-                    lambda: _dmpgi_formula(ah, ap))
+    residual = _penrose_projector(ah.inf, r_a, svd)
+    return _certify({"penrose_projector": residual}, tol,
+                    lambda: _dmpgi_formula(ah, _pinv(r_a, svd)))
 
 
 def _dmpgi_formula(ah, ap):

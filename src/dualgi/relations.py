@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionError, HypothesisError
 from .inverses import _dcepgi, _Frame, _rel
-from .realkernel import DEFAULT_TOL, _lapack, _svd_rank, numerical_rank
+from .realkernel import DEFAULT_TOL
 
 __all__ = [
     "EquivalenceReport",
@@ -56,9 +56,9 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     read ||U2^T S|| and ||S U2||: no power of A, no pseudo-inverse."""
     x = _dcepgi(ah, tol).witness
     df = _Frame.of(ah)
-    s, u2 = df.s, df.blocks.U[:, df.blocks.t:]
-    left = _rel(np.linalg.norm(u2.T @ s), df.s_size)
-    both = max(left, _rel(np.linalg.norm(s @ u2), df.s_size))
+    left = _power_projector(df)
+    u2 = df.blocks.U[:, df.blocks.t:]
+    both = max(left, _rel(np.linalg.norm(df.s @ u2), df.s_size))
     conds = {
         "first_order_form": _first_order_form_residual(ah, x),
         "power_projector": left,
@@ -98,40 +98,42 @@ def _first_order_dcepgi(ah, tol):
     return x
 
 
+def _power_projector(df):
+    """``power_projector``: ||U2^T S||_F over the size of the terms of S
+    (U2 = U[:, t:]), O exactly when S maps into R(A^m) = R(U1), that is
+    rank([A^m  S]) = rank(A^m)."""
+    u2 = df.blocks.U[:, df.blocks.t:]
+    return _rel(np.linalg.norm(u2.T @ df.s), df.s_size)
+
+
 def rank_test(ah, tol=DEFAULT_TOL):
-    """rank([A^m  S]) == rank(A^m); equivalent to the first-order form."""
+    """rank([A^m  S]) == rank(A^m); equivalent to the first-order form.
+    R(A^m) = R(U1) in the core-EP frame, so this is the report's
+    ``power_projector`` at or below ``tol``: no SVD, no rank cut."""
     _dcepgi(ah, tol, "rank test needs the DCEPGI to exist")
-    df = _Frame.of(ah)
-    frame = df.blocks
-    return _svd_rank(np.hstack([frame.am, df.s]), rel=tol,
-                     floor=frame.sigma_max ** frame.mp)[0] == frame.t
+    return _power_projector(_Frame.of(ah)) <= tol
 
 
 # ---------------------------------------------------------------------------
 # dual range / null spaces
 # ---------------------------------------------------------------------------
 
-def _stacked(mh):
-    """Real 2n x 2n matrix whose column space / null space encode the
-    dual range / null space of mh (coordinates [std; inf])."""
-    m, m0 = mh.std, mh.inf
-    return np.block([[m, np.zeros_like(m)], [m0, m]])
-
-
-def _column_membership_residual(gen, space):
-    """Largest least-squares residual of the columns of ``gen`` against
-    the column space of ``space``, over ||gen||: a column that is zero
-    but for roundoff misses by roundoff."""
-    sol, *_ = _lapack("least squares", np.linalg.lstsq, space, gen,
-                      rcond=None)
-    resid = np.linalg.norm(space @ sol - gen, axis=0)
-    return _rel(resid.max(initial=0.0), np.linalg.norm(gen))
-
-
 @dataclass(frozen=True)
 class RangeNullReport:
-    """Membership residuals for the range/null characterizations of the
-    DCEPGI against Ahat^m."""
+    """Residuals for the range/null characterizations of the DCEPGI X
+    against Ahat^m, read from the dual core-EP frame.  When the DCEPGI
+    exists, R(X) = R(Ahat^m) is the dual range of Uhat1 and
+    N(X) = N((Ahat^m)^T) that of Uhat2 (the leading t and trailing
+    n - t columns of Uhat), so ``range_equal_residual`` is the larger of
+    ||Uhat2^T X|| / ||X|| and ||Uhat2^T Ahat^m|| / (||A^m||_F + the size
+    of the terms of S), and ``null_equal_residual`` the same for X Uhat2
+    and (Ahat^m)^T Uhat2 (sizes by ``_Frame.off_range_norm``).
+    ``intersection_dimension`` is 0 when Uhat^T Uhat = I holds, as
+    Uhat1 a = Uhat2 b then gives a = Uhat1^T Uhat2 b = 0; otherwise
+    min(t, n - t), the most the two ranges can share.  Since
+    Uhat^T Uhat = U^T U + eps (U^T U G + G^T U^T U) with G skew, that
+    is U^T U = I, ||U^T U - I||_F / n within the tolerance: no SVD.
+    """
 
     range_equal_residual: float
     null_equal_residual: float
@@ -147,36 +149,25 @@ class RangeNullReport:
 
 def range_null_report(ah, tol=DEFAULT_TOL):
     """Verify R(X) = R(Ahat^m), N(X) = N((Ahat^m)^T) and the trivial
-    intersection R(Ahat^m) cap N((Ahat^m)^T) = {0} for X the DCEPGI.
+    intersection R(Ahat^m) cap N((Ahat^m)^T) = {0} for X the DCEPGI,
+    against the frame's Uhat (see RangeNullReport).
 
     Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep
     to hold; raises HypothesisError otherwise.
     """
-    x, ahm = _first_order_dcepgi(ah, tol), _Frame.of(ah).ahm
-    sx = _stacked(x)
-    sm = _stacked(ahm)
-    smt = _stacked(ahm.T)
-
-    range_res = max(_column_membership_residual(sx, sm),
-                    _column_membership_residual(sm, sx))
-
-    r_x, _, (_, _, vt_x) = _svd_rank(sx, rel=tol, uv=True)
-    r_mt, _, (_, _, vt_mt) = _svd_rank(smt, rel=tol, uv=True)
-    null_x, null_mt = vt_x[r_x:].T, vt_mt[r_mt:].T
-    null_res = 0.0
-    if null_x.shape[1]:
-        null_res = max(null_res,
-                       _rel(np.linalg.norm(smt @ null_x), ahm.norm()))
-    if null_mt.shape[1]:
-        null_res = max(null_res, _rel(np.linalg.norm(sx @ null_mt), x.norm()))
-    if r_x != r_mt:
-        null_res = max(null_res, 1.0)  # dimension mismatch: not equal
-
-    r_m, _, (u_m, _, _) = _svd_rank(sm, uv=True)
-    inter_dim = r_m - numerical_rank(smt @ u_m[:, :r_m])
+    x, df = _first_order_dcepgi(ah, tol), _Frame.of(ah)
+    ahm, x_size = df.ahm, x.norm()
+    ahm_res = _rel(df.off_range_norm(ahm.std, ahm.inf),
+                   np.linalg.norm(ahm.std) + df.s_size)
+    range_res = max(_rel(df.off_range_norm(x.std, x.inf), x_size), ahm_res)
+    null_res = max(_rel(df.off_range_norm(x.std.T, x.inf.T), x_size), ahm_res)
+    n, t = df.blocks.n, df.blocks.t
+    u = df.blocks.U  # Uhat^T Uhat = I exactly when U^T U = I
+    orthogonal = _rel(np.linalg.norm(u.T @ u - np.eye(n)), n) <= tol
     return RangeNullReport(range_equal_residual=range_res,
                            null_equal_residual=null_res,
-                           intersection_dimension=int(inter_dim),
+                           intersection_dimension=0 if orthogonal
+                           else min(t, n - t),
                            tolerance=tol)
 
 

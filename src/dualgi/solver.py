@@ -98,20 +98,14 @@ def _surrogate_residuals(ah, bhat, rhs, solutions):
 
 
 def _range_residual(df, xhat, scale):
-    """Residual of xhat = x + eps x' against the dual range of Ahat^m,
-    that of Uhat1 when the DCEPGI exists: the size of Uhat2^T xhat =
-    U2^T x + eps (U2^T x' - U3 U1^T x), over ``scale``, for
-    Uhat2 = U2 - eps U1 U3^T the trailing columns of Uhat (U1, U2 =
-    U[:, :t], U[:, t:]).  Since U2^T S U1 = U3 T1^m then, this is the
-    part of x and of x' - S y along U2 at the preimage
-    y = U1 T1^-m U1^T x, formed without T1^-m and its roundoff of
-    order eps cond(T1)^m.  No preimage misses less than the
-    least-squares one, so this check is never laxer than a
-    least-squares test on the stacked 2n x 2n matrix."""
-    u2, v2 = (part[:, df.blocks.t:] for part in df.u_hat)
-    x, x1 = xhat.std, xhat.inf
-    return _rel(np.hypot(np.linalg.norm(u2.T @ x),
-                         np.linalg.norm(u2.T @ x1 + v2.T @ x)), scale)
+    """Residual of xhat against the dual range of Ahat^m, that of Uhat1
+    when the DCEPGI exists: ``_Frame.off_range_norm`` over ``scale``.
+    Since U2^T S U1 = U3 T1^m then, this is the part of x and of
+    x' - S y along U2 at the preimage y = U1 T1^-m U1^T x, formed
+    without T1^-m and its roundoff of order eps cond(T1)^m.  No
+    preimage misses less, so this is never laxer than least squares on
+    the stacked 2n x 2n matrix."""
+    return _rel(df.off_range_norm(xhat.std, xhat.inf), scale)
 
 
 def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):

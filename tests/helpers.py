@@ -156,6 +156,23 @@ def stacked_rank_gap(ah, t, m, tol=DEFAULT_TOL):
     return int(np.sum(sv > cut)) - 2 * t
 
 
+def stacked(mh):
+    """Real 2n x 2n matrix [[M, O], [M', M]] whose column space encodes
+    the dual range of mh = M + eps M' (coordinates [std; inf])."""
+    m, m0 = mh.std, mh.inf
+    return np.block([[m, np.zeros_like(m)], [m0, m]])
+
+
+def column_membership_residual(gen, space):
+    """Largest least-squares residual of the columns of ``gen`` against
+    the column space of ``space``, over ||gen||: the least-squares
+    reference for a dual-range membership check."""
+    sol, *_ = np.linalg.lstsq(space, gen, rcond=None)
+    miss = np.linalg.norm(space @ sol - gen, axis=0).max(initial=0.0)
+    size = np.linalg.norm(gen)
+    return miss / size if size else miss
+
+
 def _t_tilde(frame):
     acc = np.zeros_like(frame.T2)
     t1_pow = np.eye(frame.t)

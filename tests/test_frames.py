@@ -35,7 +35,8 @@ import dualgi
 from dualgi import CoreEPBlocks, DualMatrix, DualVector, inverses
 from dualgi.dual import _s_terms
 from dualgi.cli import main
-from dualgi.errors import DimensionError, DualgiError
+from dualgi.errors import (DimensionError, DualgiError, HypothesisError,
+                           InverseNotExistError)
 from dualgi.io import dual_vector_to_dict, write_dual_matrix
 from dualgi.realkernel import core_ep_decompose
 from helpers import (Frame, existing_dual, existing_dual_b3, random_dual,
@@ -439,7 +440,7 @@ def _sweep_inputs():
                 ah = None
                 while ah is None:  # existing_dual_b3 may ask for a redraw
                     ah = gen(rng, Frame(rng, n, t, m))
-                yield ah, random_dual_vector(rng, n)
+                yield gen, ah, random_dual_vector(rng, n)
 
 
 def test_kept_frame_is_bitwise_cold():
@@ -447,7 +448,7 @@ def test_kept_frame_is_bitwise_cold():
     # (in reverse order, so parts are formed in another order) equals
     # that of cold calls, bit for bit
     count = 0
-    for ah, bh in _sweep_inputs():
+    for _, ah, bh in _sweep_inputs():
         names = SWEEP_CALLS + (("dcepgi_bruteforce_oracle",)
                                if ah.shape[0] <= 6 else ())
         inverses._last_frame = None
@@ -455,6 +456,26 @@ def test_kept_frame_is_bitwise_cold():
         assert warm == _cold(names, ah, bh), ah.shape
         count += 1
     assert count >= 200
+
+
+def test_sweep_outcomes_of_the_frame_readings():
+    # rank_test and range_null_report read the frame: random_dual has no
+    # DCEPGI, existing_dual_b3 fails the first-order form, and the rank
+    # test is the first-order-form verdict
+    for gen, ah, _ in _sweep_inputs():
+        if gen is random_dual:
+            for name in ("rank_test", "range_null_report"):
+                with pytest.raises(InverseNotExistError):
+                    getattr(dualgi, name)(ah)
+            continue
+        report = dualgi.first_order_form_report(ah)
+        assert dualgi.rank_test(ah) \
+            == report.conditions["first_order_form"][0]
+        if gen is existing_dual_b3:
+            with pytest.raises(HypothesisError):
+                dualgi.range_null_report(ah)
+        else:
+            assert dualgi.range_null_report(ah).all_hold, ah.shape
 
 
 @pytest.mark.parametrize("name", SWEEP_CALLS + ("dcepgi_bruteforce_oracle",))

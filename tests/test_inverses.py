@@ -76,6 +76,17 @@ class TestDMPGI:
                     verdict = dmpgi_exists(DualMatrix(ah.std, c * ah.inf))
                     assert verdict.exists == exists, (s, build, c)
 
+    @pytest.mark.parametrize("seed", [19, 27, 59, 75, 87])
+    def test_computed_power_at_ill_conditioned_t1(self, seed):
+        # index 4, cond(T1) = 1e3: (I - A A^+) B (I - A^+ A) formed
+        # through A A^+ carried roundoff of order cond(A) eps and read
+        # 3e-10 to 1e-8 here, denying the DMPGI of Ahat^m with the DDGI
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 10
+        ah = existing_dual(rng, Frame(rng, n, (n - 4) // 2, 4, cond=1e3))
+        assert ddgi_exists(ah).exists
+        assert dmpgi_exists(dual_power(ah, 4)).exists
+
     def test_nonexistence_raises_with_certificate(self):
         a = np.diag([1.0, 0.0])
         b = np.full((2, 2), 1.0)

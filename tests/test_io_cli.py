@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from dualgi import (DualMatrix, DualVector, dcepgi, dcepgi_bruteforce_oracle,
-                    dcepgi_compact, ddgi, dual_core_ep_decompose,
-                    range_null_report)
+                    dcepgi_compact, ddgi, dual_core_ep_decompose)
 from dualgi.cli import (EXIT_HYPOTHESIS, EXIT_NOT_EXIST, EXIT_NUMERICAL,
                         EXIT_OK, EXIT_USAGE, main)
 from dualgi.errors import DimensionError, DualgiError, NumericalError
@@ -326,10 +325,8 @@ class TestNumericalFailure:
         assert captured.err.startswith("error: ")
 
     def test_least_squares_failure_is_typed(self, existing_file, monkeypatch):
-        # the membership checks of range_null_report and the oracle's
-        # vectorized system
+        # the oracle's vectorized system
         _, ah = existing_file
         monkeypatch.setattr(np.linalg, "lstsq", self.failing)
-        for fn in (range_null_report, dcepgi_bruteforce_oracle):
-            with pytest.raises(NumericalError):
-                fn(ah)
+        with pytest.raises(NumericalError):
+            dcepgi_bruteforce_oracle(ah)

@@ -15,7 +15,8 @@ import sympy
 
 from dualgi import (DualMatrix, DualVector, core_ep_decompose, dcepgi_exists,
                     ddgi_exists, dmpgi_exists, dual_core_ep_decompose,
-                    first_order_form_report, index, solve_unique_in_range)
+                    first_order_form_report, index, range_null_report,
+                    rank_test, solve_unique_in_range)
 from dualgi.errors import HypothesisError, InverseNotExistError
 from helpers import (Frame, existing_dual, existing_dual_b3, orthogonal,
                      random_dual, random_dual_vector, random_frame,
@@ -73,24 +74,31 @@ def test_exact_integer_oracle():
         assert (frame.t, frame.m) == (t, m), a
 
 
+def outcome(call):
+    """``call()``, or the name of the HypothesisError or
+    InverseNotExistError it raises."""
+    try:
+        return call()
+    except (HypothesisError, InverseNotExistError) as exc:
+        return type(exc).__name__
+
+
 def decisions(ah, bh):
     """The rank decisions, every existence verdict, ``canonical``, the
-    five first-order-form verdicts and how solve_unique_in_range ends."""
+    five first-order-form verdicts, the rank test, whether the
+    range/null characterizations all hold and how solve_unique_in_range
+    ends."""
     frame = core_ep_decompose(ah.std)
     ddgi, dmpgi = ddgi_exists(ah), dmpgi_exists(ah)
-    try:
-        report = first_order_form_report(ah)
-        conditions = {k: holds for k, (holds, _) in report.conditions.items()}
-    except InverseNotExistError:
-        conditions = None
-    try:
-        solve_unique_in_range(ah, bh)
-        solved = "solved"
-    except (HypothesisError, InverseNotExistError) as exc:
-        solved = type(exc).__name__
+    conditions = outcome(lambda: {
+        k: holds for k, (holds, _) in first_order_form_report(ah)
+        .conditions.items()})
     return (frame.t, frame.m,
             dcepgi_exists(ah).exists, ddgi.exists, dmpgi.exists,
-            dual_core_ep_decompose(ah).canonical, conditions, solved)
+            dual_core_ep_decompose(ah).canonical, conditions,
+            outcome(lambda: rank_test(ah)),
+            outcome(lambda: range_null_report(ah).all_hold),
+            outcome(lambda: solve_unique_in_range(ah, bh) is not None))
 
 
 @pytest.mark.parametrize("build", [existing_dual, random_dual,

@@ -4,6 +4,7 @@ spaces, order laws."""
 import numpy as np
 import pytest
 
+import dualgi
 from dualgi import (DualMatrix, core_ep_inverse, dcepgi,
                     first_order_form_report, order_law_check,
                     range_null_report, rank_test)
@@ -119,6 +120,17 @@ class TestRankTest:
         with pytest.raises(InverseNotExistError):
             rank_test(random_dual(RNG, f))
 
+    @pytest.mark.parametrize("build", [existing_dual, reducing_dual])
+    @pytest.mark.parametrize("seed, n", [(8, 17), (18, 14)])
+    def test_holds_at_ill_conditioned_power(self, seed, n, build):
+        # index 4, cond(T1) = 1e4: an SVD of [A^m, S] cut at
+        # tol * max(sigma_max, sigma_max(A)^m) dropped sigma_t(A^m)
+        # itself (sigma_t / cut 0.82 and 0.26) and said False here
+        rng = np.random.default_rng(seed)
+        ah = build(rng, Frame(rng, n, (n - 4) // 2, 4, cond=1e4))
+        assert first_order_form_report(ah).conditions["first_order_form"][0]
+        assert rank_test(ah)
+
 
 class TestRangeNull:
     def test_verified_on_first_order_instances(self):
@@ -144,6 +156,35 @@ class TestRangeNull:
         report = range_null_report(DualMatrix.from_real(a), tol=1e-8)
         assert report.all_hold
         assert report.intersection_dimension == 0
+
+    @pytest.mark.parametrize("n, m", [(6, 2), (14, 4), (17, 4)])
+    @pytest.mark.parametrize("build", [existing_dual, reducing_dual])
+    def test_holds_at_ill_conditioned_t1(self, n, m, build):
+        # cond(T1) = 1e4: least squares and null bases on the stacked
+        # 2n x 2n matrices carried cond(A^m) eps, and denied all_hold on
+        # 110 of these 120 inputs (range residual up to 0.56, null up to
+        # 1.7) where the first-order form holds
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            ah = build(rng, Frame(rng, n, (n - m) // 2, m, cond=1e4))
+            report = range_null_report(ah)
+            assert report.all_hold, (seed, report)
+
+
+@pytest.mark.parametrize("name", ["rank_test", "range_null_report"])
+def test_warm_frame_factors_nothing(name, monkeypatch):
+    # on a kept frame both read U, Uhat and S: no SVD, least squares or
+    # pseudo-inverse of their own
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization called")
+
+    rng = np.random.default_rng(3)
+    ah = existing_dual(rng, Frame(rng, 9, 4, 3))
+    dcepgi(ah)
+    for routine in ("svd", "lstsq", "pinv"):
+        monkeypatch.setattr(np.linalg, routine, refuse)
+    result = getattr(dualgi, name)(ah)
+    assert result if name == "rank_test" else result.all_hold
 
 
 def commuting_pair(rng, n=4):

@@ -11,10 +11,10 @@ from dualgi import (DualMatrix, DualVector, dcepgi, dmpgi, dual_power,
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
 from dualgi.inverses import _dmpgi_formula, _Frame
 from dualgi.realkernel import DEFAULT_TOL
-from dualgi.relations import _column_membership_residual, _stacked
 from dualgi.solver import _range_residual
-from helpers import (Frame, existing_dual, existing_dual_b3, random_dual,
-                     random_dual_vector, random_frame, reducing_dual)
+from helpers import (Frame, column_membership_residual, existing_dual,
+                     existing_dual_b3, random_dual, random_dual_vector,
+                     random_frame, reducing_dual, stacked)
 
 RNG = np.random.default_rng(20240822)
 
@@ -203,7 +203,7 @@ class TestFrameRangeCheck:
     @staticmethod
     def lstsq_residual(ahm, vh):
         col = np.concatenate([vh.std, vh.inf])[:, None]
-        return _column_membership_residual(col, _stacked(ahm))
+        return column_membership_residual(col, stacked(ahm))
 
     def test_never_below_least_squares(self):
         for rng, ah, df, ahm in self.draws(60):
