@@ -15,13 +15,14 @@ Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, so neither factors a
 Y = O for the DCEPGI and T1hat^-(m+1) Ttilde_hat for the DDGI.
 
 Every public call on one input shares one dual frame (``_Frame.of``),
-which forms S, Ahat^m, U^T B U, U3, Uhat, the blocks T1hat, T2hat and
-Nhat, and the witnesses at most once: the last frame is kept, keyed by
-the input's bytes, until a call on another input.  The other modules
+which forms S, U^T B U, U3, Uhat, the blocks T1hat, T2hat and Nhat,
+and the witnesses at most once: the last frame is kept, keyed by the
+input's bytes, until a call on another input.  The other modules
 share it through ``_Frame.of``.  ``solve_unique_in_range`` and
 ``range_null_report`` read dual-range membership off it as the size of
 Uhat2^T Mhat (``off_range_norm``), ``rank_test`` reads ||U2^T S||, and
-none factors a stacked 2n x 2n matrix.
+none factors a stacked 2n x 2n matrix.  Only ``range_null_report``,
+the compact product and the oracle form Ahat^m.
 """
 
 from dataclasses import dataclass
@@ -156,8 +157,9 @@ class _Frame:
 
     @cached_property
     def ahm(self):
-        """Ahat^m = A^m + eps S."""
-        return DualMatrix(self.blocks.am, self.s)
+        """Ahat^m = A^m + eps S, from powers of A as ``dual_power``."""
+        return DualMatrix(np.linalg.matrix_power(self.ah.std, self.blocks.mp),
+                          self.s)
 
     @cached_property
     def b_blocks(self):
@@ -322,12 +324,17 @@ def penrose_residuals(ah, xh):
     }
 
 
+def _power_identity(ah, xh, m):
+    """||X Ahat^(m+1) - Ahat^m||, with Ahat^(m+1) as Ahat^m Ahat."""
+    ahm = dual_power(ah, m)
+    return (xh @ (ahm @ ah) - ahm).norm()
+
+
 def drazin_residuals(ah, xh, m):
     """Relative residuals of the dual {1^m, 2, 5} identities."""
     scale = max(ah.norm(), xh.norm())
     return {
-        "drazin_1m": _rel((xh @ dual_power(ah, m + 1) - dual_power(ah, m)).norm(),
-                          scale),
+        "drazin_1m": _rel(_power_identity(ah, xh, m), scale),
         "drazin_2": _rel((xh @ ah @ xh - xh).norm(), scale),
         "drazin_5": _rel((ah @ xh - xh @ ah).norm(), scale),
     }
@@ -341,8 +348,7 @@ def core_ep_residuals(ah, xh, m):
     return {
         "cep_symmetry": _rel((ax.T - ax).norm(), scale),
         "cep_outer": _rel((ah @ xh @ xh - xh).norm(), scale),
-        "cep_power": _rel((xh @ dual_power(ah, m + 1) - dual_power(ah, m)).norm(),
-                          scale),
+        "cep_power": _rel(_power_identity(ah, xh, m), scale),
     }
 
 
@@ -479,19 +485,26 @@ def dcepgi_compact(ah, tol=DEFAULT_TOL):
     """Compact product formula Ahat^D Ahat^m (Ahat^m)^dagger.
 
     Needs the DDGI and (Ahat^m)^dagger, which exist exactly when the
-    DCEPGI does; agrees with ``dcepgi`` then.
+    DCEPGI does; agrees with ``dcepgi`` then, in exact arithmetic.  The
+    certificate certifies existence, not the product's accuracy, which
+    falls with cond(T1)^m (README, "Numerical conventions").
     """
     return _dcepgi_compact(ah, tol).witness
 
 
 def _dcepgi_compact(ah, tol):
     """The DCEPGI certificate with the compact product as its only
-    witness, (Ahat^m)^+ at the frame's rank-t (A^m)^+."""
+    witness, (A^m)^+ at the frame's rank t: M^+ U1^T for M = U1^T A^m,
+    M^+ = Q R^-T from (A^m)^T U1 = Q R (U1 = U[:, :t])."""
     df = _Frame.of(ah)
-    return _certified(_certify(
-        {"core_ep_projector": df.defect_residual}, tol,
-        lambda: df.ddgi @ df.ahm @ _dmpgi_formula(df.ahm, df.blocks.am_pinv)),
-        _NO_DCEPGI)
+
+    def product():
+        u1 = df.blocks.U[:, :df.blocks.t]
+        q, r = _lapack("QR", np.linalg.qr, df.ahm.std.T @ u1)
+        am_pinv = _lapack("solve", np.linalg.solve, r, q.T).T @ u1.T
+        return df.ddgi @ df.ahm @ _dmpgi_formula(df.ahm, am_pinv)
+    return _certified(_certify({"core_ep_projector": df.defect_residual},
+                               tol, product), _NO_DCEPGI)
 
 
 def _vec(x):
@@ -517,10 +530,8 @@ def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
     df = _Frame.of(ah)
     a, b = ah.std, ah.inf
     n = a.shape[0]
-    m = df.blocks.mp
     x = core_ep_inverse(a, blocks=df.blocks)
-    s = df.s
-    am = np.linalg.matrix_power(a, m)
+    s, am = df.s, df.ahm.std
     eye_n = np.eye(n)
     eye_n2 = np.eye(n * n)
 

@@ -86,7 +86,7 @@ _STAIRCASE_REL = 100 * np.finfo(float).eps
 
 
 def _staircase(a):
-    """(U, t, m, sigma_max(A)) by staircase deflation of A^T (Kublanovskaya
+    """(U, t, m) by staircase deflation of A^T (Kublanovskaya
     1966; Van Dooren 1979): each step's SVD of the trailing block (A^T at
     first), cut at 100 n eps sigma_max(A), moves the block's null space
     V_0 behind the rest V_r and goes on with V_r^T blk V_r, until a block
@@ -103,7 +103,7 @@ def _staircase(a):
             break
         u[:, :t] = u[:, :t] @ vt.T
         blk, t, m = vt[:r] @ blk @ vt[:r].T, r, m + 1
-    return u, t, m, sigma
+    return u, t, m
 
 
 def index(a):
@@ -129,8 +129,8 @@ class CoreEPBlocks:
     reconstructed quantities are.
 
     The one frame every dual inverse, certificate, decomposition and
-    solution derives from; the quantities below are computed once, on
-    first use.  "A^m" means A^mp, mp = max(m, 1).
+    solution derives from; T1^-1 is computed once, on first use.  The
+    dual formulas use the effective index mp = max(m, 1).
     """
 
     U: np.ndarray
@@ -178,34 +178,8 @@ class CoreEPBlocks:
         return self.U[:, :self.t] @ np.hstack([m11, m12]) @ self.U.T
 
     @cached_property
-    def sigma_max(self):
-        """sigma_max(A); ``core_ep_decompose`` fills it in, since its
-        rank cutoff already needs it."""
-        return float(np.linalg.norm(self.upper(), 2))
-
-    @cached_property
     def t1_inv(self):
         return _lapack("inverse", np.linalg.inv, self.T1)
-
-    @cached_property
-    def am(self):
-        """A^m = U [[T1^m, Ttilde], [O, O]] U^T (N^m = O drops out), by
-        Ttilde_(k+1) = T1 Ttilde_k + T2 N^k, the blocks of A^(k+1)."""
-        top, n_pow = np.zeros_like(self.T2), np.eye(self.n - self.t)
-        for k in range(self.mp):
-            top = self.T1 @ top + self.T2 @ n_pow
-            n_pow = n_pow @ self.N if k else self.N  # N itself, not I N
-        return self.assemble_top(np.linalg.matrix_power(self.T1, self.mp),
-                                 top)
-
-    @cached_property
-    def am_pinv(self):
-        """(A^m)^+ = U [M^+, O] U^T at rank t, for M = [T1^m, Ttilde] of
-        full row rank: M^+ = Q R^-T from the QR factorization M^T = Q R
-        (here of U M^T = (A^m)^T U1, for U1 the leading t columns)."""
-        u1 = self.U[:, :self.t]
-        q, r = _lapack("QR", np.linalg.qr, self.am.T @ u1)
-        return _lapack("solve", np.linalg.solve, r, q.T).T @ u1.T
 
     def sylvester(self, b3):
         """U3 = sum_{i<mp} N^i B3 T1^-(i+1) for B3 the lower-left block
@@ -228,7 +202,7 @@ def core_ep_decompose(a, u=None):
     """
     a = _square(a, "core_ep_decompose")
     n = a.shape[0]
-    u_stair, t, m, sigma = _staircase(a)
+    u_stair, t, m = _staircase(a)
     if u is None:
         u = u_stair
     else:
@@ -242,10 +216,8 @@ def core_ep_decompose(a, u=None):
             raise ValueError("leading columns of supplied basis do not "
                              "span range(A^m)")
     w = u.T @ a @ u
-    blocks = CoreEPBlocks(U=u, T1=w[:t, :t].copy(), T2=w[:t, t:].copy(),
-                          N=w[t:, t:].copy(), t=t, m=m)
-    vars(blocks)["sigma_max"] = sigma  # where cached_property keeps it
-    return blocks
+    return CoreEPBlocks(U=u, T1=w[:t, :t].copy(), T2=w[:t, t:].copy(),
+                        N=w[t:, t:].copy(), t=t, m=m)
 
 
 def drazin(a, blocks=None):

@@ -13,7 +13,8 @@ Ahat Ahat^cep xhat = Ahat^cep bhat.
 Both read the blocks of the dual core-EP decomposition
 Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T (``inverses._Frame``):
 Ahat^m (Ahat^m)^+ is then the dual orthogonal projector Uhat1 Uhat1^T,
-and no pseudo-inverse of A^m is formed.
+and Ahat^m Uhat1 = Uhat1 T1hat^m: neither forms A^m or a
+pseudo-inverse of it.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,8 @@ __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
 class SolutionReport:
     """Particular solution and homogeneous projector of the surrogate
     system, with its substitution residual and its right-hand side
-    Ahat^(2m) (Ahat^m)^+ bhat, formed as Ahat^m Uhat1 Uhat1^T bhat."""
+    Ahat^(2m) (Ahat^m)^+ bhat, formed as Uhat1 (T1hat^m (Uhat1^T bhat))
+    by matrix-vector products."""
 
     particular: DualVector
     homogeneous_projector: DualMatrix
@@ -64,7 +66,7 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     The particular solution comes from the canonical DCEPGI; the
     projector is Uhat [[O, -(T1hat^-1 T2hat + Y Nhat)], [O, I]] Uhat^T =
     I - Uhat [[I, T1hat^-1 T2hat + Y Nhat], [O, O]] Uhat^T, Y the DDGI's
-    upper-right block; the right-hand side is Ahat^m Uhat1 Uhat1^T bhat.
+    upper-right block; the right-hand side is Uhat1 T1hat^m Uhat1^T bhat.
     """
     df = _checked_frame(ah, bhat)
     particular = _dcepgi(ah, tol).witness @ bhat
@@ -73,7 +75,10 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     ad_a = df.conjugate(_row((np.eye(t), np.zeros((t, t))), z))
     projector = DualMatrix(np.eye(df.blocks.n) - ad_a.std, -ad_a.inf)
     u1 = df.u_hat1
-    rhs = df.ahm @ (u1 @ (u1.T @ bhat))
+    y = _dot((u1.std.T, u1.inf.T), (bhat.std, bhat.inf))
+    for _ in range(df.blocks.mp):
+        y = _dot(df.t1_hat, y)
+    rhs = DualVector(*_dot((u1.std, u1.inf), y))
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
                           residual=_surrogate_residuals(
@@ -82,19 +87,27 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
 
 
 def _surrogate_residuals(ah, bhat, rhs, solutions):
-    """Residuals of Ahat^(m+1) xh = Ahat^m Uhat1 Uhat1^T bhat = rhs, one
-    per xh in ``solutions``, over the size of the terms both sides are
-    formed from, ||Ahat|| ||Ahat^m|| (||Ahat^cep|| ||bhat|| + ||xh||)
-    and ||Ahat^m|| ||Uhat1||^2 ||bhat||, with Ahat^cep the frame's
-    canonical DCEPGI: not over ||xh|| or ||rhs||, for bhat in
-    N((Ahat^m)^T) both are roundoff."""
+    """Residuals of Ahat^(m+1) xh = rhs, one per xh in ``solutions``
+    (Ahat applied m + 1 times to them as the columns of one pair), over
+    ||Ahat|| ||T1hat^m|| (||xh|| + ||Ahat^cep|| ||bhat||) + ||T1hat^m||
+    ||bhat||, the size of the terms of both sides, Ahat^cep the frame's
+    DCEPGI: not over ||xh|| or ||rhs||, roundoff for bhat in N((Ahat^m)^T)."""
+    if not solutions:
+        return []
     df = _Frame.of(ah)
-    ahm = df.ahm
-    a_size = ah.norm() * ahm.norm()
-    b_size = bhat.norm() * (a_size * df.dcepgi.norm()
-                            + ahm.norm() * df.u_hat1.norm() ** 2)
-    return [_rel((ah @ (ahm @ xh) - rhs).norm(), a_size * xh.norm() + b_size)
-            for xh in solutions]
+    x = tuple(np.column_stack([getattr(xh, part) for xh in solutions])
+              for part in ("std", "inf"))
+    lhs = x
+    for _ in range(df.blocks.mp + 1):
+        lhs = _dot((ah.std, ah.inf), lhs)
+    t1m = max(map(np.linalg.norm, _dot(*[df.t1_hat] * df.blocks.mp)))
+    a_size = ah.norm() * t1m
+    b_size = t1m * bhat.norm() * (1 + ah.norm() * df.dcepgi.norm())
+    miss = np.maximum(*(np.linalg.norm(part - want[:, None], axis=0)
+                        for part, want in zip(lhs, (rhs.std, rhs.inf))))
+    size = np.maximum(*(np.linalg.norm(part, axis=0) for part in x))
+    return [_rel(value, a_size * xh_size + b_size)
+            for value, xh_size in zip(miss, size)]
 
 
 def _range_residual(df, xhat, scale):

@@ -256,7 +256,8 @@ def test_cli_one_dual_frame(argv, dual_frame_calls, frame_calls, index_three,
 
 def test_cli_general_forms_the_dcepgi_once(monkeypatch, index_three,
                                            tmp_path, capsys):
-    # the spot checks read the canonical DCEPGI that the solution used
+    # the spot checks read the canonical DCEPGI that the solution used,
+    # and apply Ahat m + 1 times rather than form Ahat^m
     forms = []
     form = dualgi.inverses._Frame.dcepgi.func
 
@@ -275,6 +276,7 @@ def test_cli_general_forms_the_dcepgi_once(monkeypatch, index_three,
     report = json.loads(capsys.readouterr().out)
     assert len(report["spot_check_residuals"]) == 5
     assert len(forms) == 1
+    assert "ahm" not in vars(forms[0])
 
 
 def test_compact_forms_no_canonical_dcepgi(index_three):
@@ -290,8 +292,14 @@ def test_first_order_report_forms_no_power(index_three):
     # the projector conditions read U2 = U[:, t:] and S, not A^m (A^m)^+
     ah, _ = index_three
     dualgi.first_order_form_report(ah)
-    formed = vars(inverses._Frame.of(ah).blocks)
-    assert "am" not in formed and "am_pinv" not in formed
+    assert "ahm" not in vars(inverses._Frame.of(ah))
+
+
+def test_solve_general_forms_no_power(index_three):
+    # the right-hand side and the residual read Ahat^m Uhat1 = Uhat1 T1hat^m
+    ah, bh = index_three
+    dualgi.solve_general(ah, bh)
+    assert "ahm" not in vars(inverses._Frame.of(ah))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Every name a module of ``dualgi`` imports is used in it or exported
-through its ``__all__``, and every private function, class or method
-the package defines is referenced in it: an import or a helper left
-behind by a deletion fails here (no linter runs on the package)."""
+through its ``__all__``, every private function, class or method the
+package defines is referenced in it, and every ``cached_property`` it
+defines is read in it as an attribute: an import, a helper or a cached
+quantity left behind by a deletion fails here (no linter runs on the
+package)."""
 
 import ast
 import pathlib
@@ -79,3 +81,40 @@ def test_finds_an_unreferenced_private_definition():
     }
     assert _unreferenced_private(sources) == [("a.py", 5, "_unused"),
                                               ("a.py", 13, "_method")]
+
+
+def _unread_cached_properties(sources):
+    """(module, line, name) of each ``cached_property`` that ``sources``,
+    a dict of module name to source, define but never read as an
+    attribute (``obj.name``): one filled in through ``vars`` or never
+    used at all."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(getattr(d, "id", getattr(d, "attr", None))
+                            == "cached_property"
+                            for d in node.decorator_list):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(item for item in defined if item[2] not in read)
+
+
+def test_every_cached_property_is_read():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_cached_properties(sources) == []
+
+
+def test_finds_an_unread_cached_property():
+    sources = {
+        "a.py": ("import functools\nfrom functools import cached_property\n"
+                 "\n\nclass K:\n    @cached_property\n    def read(self):\n"
+                 "        return 1\n\n    @functools.cached_property\n"
+                 "    def filled(self):\n        return 2\n\n"
+                 "    @property\n    def plain(self):\n        return 3\n"),
+        "b.py": ("from .a import K\nk = K()\nk.read\n"
+                 "vars(k)['filled'] = 0\n"),
+    }
+    assert _unread_cached_properties(sources) == [("a.py", 11, "filled")]

@@ -1,5 +1,6 @@
 """Dual linear system solver built on the DCEPGI."""
 
+import itertools
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ from dualgi import (DualMatrix, DualVector, dcepgi, dmpgi, dual_power,
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
 from dualgi.inverses import _dmpgi_formula, _Frame
 from dualgi.realkernel import DEFAULT_TOL
-from dualgi.solver import _range_residual
+from dualgi.solver import _range_residual, _surrogate_residuals
 from helpers import (Frame, column_membership_residual, existing_dual,
                      existing_dual_b3, random_dual, random_dual_vector,
                      random_frame, reducing_dual, stacked)
@@ -79,22 +80,22 @@ class TestSolveGeneral:
                           random_dual_vector(RNG, 2))
 
     def test_builds_no_power_pinv(self, monkeypatch):
-        # (Ahat^m)^+ bhat by matrix-vector products, not the whole matrix
+        # (Ahat^m)^+ bhat by matrix-vector products, not the whole matrix;
+        # the reference goes through the DMPGI of dual_power(ah, m)
         def refuse(*args):
             raise AssertionError("(Ahat^m)^+ was formed")
 
+        cases = []
+        for n, t, m in ((6, 2, 3), (12, 6, 2), (20, 10, 4)):
+            f = Frame(RNG, n, t, m)
+            ah, bhat = existing_dual(RNG, f), random_dual_vector(RNG, n)
+            cases.append((ah, bhat, surrogate_rhs(ah, bhat)))
         for name, module in list(sys.modules.items()):
             if (name == "dualgi" or name.startswith("dualgi.")) and \
                     getattr(module, "_dmpgi_formula", None) is _dmpgi_formula:
                 monkeypatch.setattr(module, "_dmpgi_formula", refuse)
-        for n, t, m in ((6, 2, 3), (12, 6, 2), (20, 10, 4)):
-            f = Frame(RNG, n, t, m)
-            ah, bhat = existing_dual(RNG, f), random_dual_vector(RNG, n)
+        for ah, bhat, want in cases:
             got = solve_general(ah, bhat).surrogate_rhs
-            df = _Frame(ah)
-            ahm = df.ahm
-            want = ahm @ (ahm @ (_dmpgi_formula(ahm, df.blocks.am_pinv)
-                                 @ bhat))
             assert (got - want).norm() <= 1e-12 * want.norm()
 
 
@@ -248,3 +249,36 @@ def test_general_residual_with_ill_conditioned_power(n):
                 worst.append((sol.residual, m, seed, build.__name__))
     assert len(worst) == (24 if n == 6 else 32)
     assert max(worst)[0] <= 1e-10, max(worst)
+
+
+@pytest.mark.parametrize("n", [6, 20, 50])
+def test_surrogate_residual_separates_a_shift(n):
+    # correct solutions read roundoff, and a shift of 1e-6 of the
+    # solution's size along Uhat1 reads above the tolerance, for a
+    # generic bhat and for one in N((Ahat^m)^T) (solution and right-hand
+    # side then roundoff), with Ahat scaled by c
+    t, correct, shifted, count = n // 2, 0.0, np.inf, 0
+    draws = itertools.product(range(1, min(4, n - t) + 1), (None, 1e3, 1e4),
+                              range(3), ((0, existing_dual),
+                                         (2, reducing_dual)))
+    for m, cond, seed, (gi, build) in draws:
+        rng = np.random.default_rng([seed, n, m, int(cond or 1), gi])
+        ah0 = build(rng, Frame(rng, n, t, m, cond=cond))
+        yhat = random_dual_vector(rng, n)
+        for c in (1e-6, 1.0, 1e6):
+            ah = DualMatrix(c * ah0.std, c * ah0.inf)
+            u1 = _Frame.of(ah).u_hat1
+            along = u1 @ DualVector(np.ones(t) / np.sqrt(t), np.zeros(t))
+            for bhat in (yhat, yhat - u1 @ (u1.T @ yhat)):
+                sol = solve_general(ah, bhat)
+                size = 1e-6 * dcepgi(ah).norm() * bhat.norm()
+                wrong = sol.particular + DualVector(size * along.std,
+                                                    size * along.inf)
+                res = _surrogate_residuals(ah, bhat, sol.surrogate_rhs,
+                                           [sol.particular, wrong])
+                correct = max(correct, sol.residual, res[0])
+                shifted = min(shifted, res[1])
+                count += 1
+    assert count == (324 if n == 6 else 432)
+    assert correct <= 1e-14
+    assert shifted > DEFAULT_TOL
