@@ -21,8 +21,7 @@ input's bytes, until a call on another input.  The other modules
 share it through ``_Frame.of``.  ``solve_unique_in_range`` and
 ``range_null_report`` read dual-range membership off it as the size of
 Uhat2^T Mhat (``off_range_norm``), ``rank_test`` reads ||U2^T S||, and
-none factors a stacked 2n x 2n matrix.  Only ``range_null_report``,
-the compact product and the oracle form Ahat^m.
+none factors a stacked 2n x 2n matrix.
 """
 
 from dataclasses import dataclass
@@ -259,6 +258,17 @@ class _Frame:
         for _ in range(self.blocks.mp - 1):  # Horner in T1hat^-1, Nhat
             acc = _add(self.t2_hat, _dot(ti, acc, self.n_hat))
         return _dot(ti, ti, acc)
+
+    @cached_property
+    def power_top(self):
+        """[T1hat^m, Ttilde_hat], the top block row of Uhat^T Ahat^m Uhat,
+        as a pair, by R_(k+1) = R_k [[T1hat, T2hat], [O, Nhat]]: its
+        standard part has the norm of A^m."""
+        p, q = self.t1_hat, self.t2_hat
+        for _ in range(self.blocks.mp - 1):
+            p, q = _dot(p, self.t1_hat), _add(_dot(p, self.t2_hat),
+                                              _dot(q, self.n_hat))
+        return _row(p, q)
 
     @cached_property
     def dcepgi(self):

@@ -13,8 +13,7 @@ Ahat Ahat^cep xhat = Ahat^cep bhat.
 Both read the blocks of the dual core-EP decomposition
 Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T (``inverses._Frame``):
 Ahat^m (Ahat^m)^+ is then the dual orthogonal projector Uhat1 Uhat1^T,
-and Ahat^m Uhat1 = Uhat1 T1hat^m: neither forms A^m or a
-pseudo-inverse of it.
+and Ahat^m Uhat1 = Uhat1 T1hat^m: no A^m or (A^m)^+ is formed.
 """
 
 from dataclasses import dataclass
@@ -34,8 +33,7 @@ __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
 class SolutionReport:
     """Particular solution and homogeneous projector of the surrogate
     system, with its substitution residual and its right-hand side
-    Ahat^(2m) (Ahat^m)^+ bhat, formed as Uhat1 (T1hat^m (Uhat1^T bhat))
-    by matrix-vector products."""
+    Ahat^(2m) (Ahat^m)^+ bhat = Uhat1 (T1hat^m (Uhat1^T bhat))."""
 
     particular: DualVector
     homogeneous_projector: DualMatrix
@@ -74,11 +72,10 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     z = _add(_dot(df.t1_hat_inv, df.t2_hat), _dot(df.drazin_top, df.n_hat))
     ad_a = df.conjugate(_row((np.eye(t), np.zeros((t, t))), z))
     projector = DualMatrix(np.eye(df.blocks.n) - ad_a.std, -ad_a.inf)
-    u1 = df.u_hat1
-    y = _dot((u1.std.T, u1.inf.T), (bhat.std, bhat.inf))
+    y, t1_hat = df.u_hat1.T @ bhat, DualMatrix(*df.t1_hat)
     for _ in range(df.blocks.mp):
-        y = _dot(df.t1_hat, y)
-    rhs = DualVector(*_dot((u1.std, u1.inf), y))
+        y = t1_hat @ y
+    rhs = df.u_hat1 @ y
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
                           residual=_surrogate_residuals(
@@ -87,27 +84,22 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
 
 
 def _surrogate_residuals(ah, bhat, rhs, solutions):
-    """Residuals of Ahat^(m+1) xh = rhs, one per xh in ``solutions``
-    (Ahat applied m + 1 times to them as the columns of one pair), over
-    ||Ahat|| ||T1hat^m|| (||xh|| + ||Ahat^cep|| ||bhat||) + ||T1hat^m||
-    ||bhat||, the size of the terms of both sides, Ahat^cep the frame's
-    DCEPGI: not over ||xh|| or ||rhs||, roundoff for bhat in N((Ahat^m)^T)."""
-    if not solutions:
-        return []
+    """Residuals of Ahat^(m+1) xh = rhs, one per xh in ``solutions``,
+    over ||Ahat|| ||Ahat^m|| (||xh|| + ||Ahat^cep|| ||bhat||) +
+    ||Ahat^m|| ||bhat||, ||Ahat^m|| read off ``_Frame.power_top``: the
+    first product's roundoff reaches the residual through Ahat^m, not
+    T1hat^m alone.  Not over ||xh|| or ||rhs||, both roundoff for bhat
+    in N((Ahat^m)^T)."""
     df = _Frame.of(ah)
-    x = tuple(np.column_stack([getattr(xh, part) for xh in solutions])
-              for part in ("std", "inf"))
-    lhs = x
-    for _ in range(df.blocks.mp + 1):
-        lhs = _dot((ah.std, ah.inf), lhs)
-    t1m = max(map(np.linalg.norm, _dot(*[df.t1_hat] * df.blocks.mp)))
-    a_size = ah.norm() * t1m
-    b_size = t1m * bhat.norm() * (1 + ah.norm() * df.dcepgi.norm())
-    miss = np.maximum(*(np.linalg.norm(part - want[:, None], axis=0)
-                        for part, want in zip(lhs, (rhs.std, rhs.inf))))
-    size = np.maximum(*(np.linalg.norm(part, axis=0) for part in x))
-    return [_rel(value, a_size * xh_size + b_size)
-            for value, xh_size in zip(miss, size)]
+    am_size = max(map(np.linalg.norm, df.power_top))
+    a_size = ah.norm() * am_size
+    b_size = am_size * bhat.norm() * (1 + ah.norm() * df.dcepgi.norm())
+
+    def miss(xh):
+        for _ in range(df.blocks.mp + 1):
+            xh = ah @ xh
+        return (xh - rhs).norm()
+    return [_rel(miss(xh), a_size * xh.norm() + b_size) for xh in solutions]
 
 
 def _range_residual(df, xhat, scale):

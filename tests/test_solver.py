@@ -14,8 +14,9 @@ from dualgi.inverses import _dmpgi_formula, _Frame
 from dualgi.realkernel import DEFAULT_TOL
 from dualgi.solver import _range_residual, _surrogate_residuals
 from helpers import (Frame, column_membership_residual, existing_dual,
-                     existing_dual_b3, random_dual, random_dual_vector,
-                     random_frame, reducing_dual, stacked)
+                     existing_dual_b3, orthogonal, random_dual,
+                     random_dual_vector, random_frame, reducing_dual,
+                     stacked)
 
 RNG = np.random.default_rng(20240822)
 
@@ -282,3 +283,26 @@ def test_surrogate_residual_separates_a_shift(n):
     assert count == (324 if n == 6 else 432)
     assert correct <= 1e-14
     assert shifted > DEFAULT_TOL
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6])
+def test_surrogate_residual_with_small_t1(d):
+    # A = Q [[d, 1, 0], [0, 0, 1], [0, 0, 0]] Q^T, index 2: the roundoff
+    # of the first product, about eps ||A|| ||x|| in every direction,
+    # reaches the residual through A^2 = Q [[d^2, d, 1], [O]] Q^T, not
+    # through T1^2 = d^2.  Over ||T1hat^m||, correct solutions read
+    # about eps / d^2 (3e-5 at d = 1e-6)
+    mid = np.array([[d, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    worst = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        q = orthogonal(rng, 3)
+        ah = DualMatrix(q @ mid @ q.T, np.zeros((3, 3)))
+        bhat = random_dual_vector(rng, 3)
+        sol = solve_general(ah, bhat)
+        shifted = [sol.solution(random_dual_vector(rng, 3))
+                   for _ in range(4)]
+        worst += [sol.residual] + _surrogate_residuals(
+            ah, bhat, sol.surrogate_rhs, shifted)
+    assert len(worst) == 25
+    assert max(worst) <= DEFAULT_TOL
