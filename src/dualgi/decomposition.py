@@ -25,7 +25,7 @@ import numpy as np
 
 from .dual import DualMatrix
 from .errors import InverseNotExistError
-from .inverses import _dcepgi, _Frame, _readonly, _rel, _row
+from .inverses import _dcepgi, _Frame, _rel, _row
 from .realkernel import DEFAULT_TOL
 
 __all__ = [
@@ -90,16 +90,12 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     """
     df = _Frame.of(ah, u)
     t2, u3 = df.blocks.T2, df.u3
-    u3.flags.writeable = False
-    u_hat, t1_hat, t2_hat, n_hat = (
-        _readonly(DualMatrix(*pair))
-        for pair in (df.u_hat, df.t1_hat, df.t2_hat, df.n_hat))
     b_norm = np.linalg.norm(df.ah.inf)
     canonical = bool(_rel(np.linalg.norm(t2 @ u3), b_norm) <= tol
                      and _rel(np.linalg.norm(u3 @ t2), b_norm) <= tol)
     return DualCoreEPDecomposition(
-        U_hat=u_hat, T1_hat=t1_hat, T2_hat=t2_hat,
-        N_hat=n_hat, U3=u3, canonical=canonical, t=df.blocks.t,
+        U_hat=df.u_hat, T1_hat=df.t1_hat, T2_hat=df.t2_hat,
+        N_hat=df.n_hat, U3=u3, canonical=canonical, t=df.blocks.t,
         m=df.blocks.m, _frame=df)
 
 

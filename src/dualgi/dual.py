@@ -3,9 +3,12 @@
 A dual number is a + eps*b with eps != 0 and eps**2 == 0.  A dual matrix
 is written Ahat = A + eps*B for real matrices A (standard part) and B
 (infinitesimal part) of equal shape.  All arithmetic follows the ring
-law (a + eps b)(c + eps d) = ac + eps(ad + bc).
+law (a + eps b)(c + eps d) = ac + eps(ad + bc).  Values a caller
+supplies are checked; ring results are not (``_trusted``), so one that
+overflows holds inf, as a NumPy array would.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +85,16 @@ def _as_pair(std, inf, ndim):
     return std, inf
 
 
+def _trusted(cls, std, inf):
+    """The ``cls`` (DualMatrix or DualVector) with parts ``std`` and
+    ``inf``, float arrays of equal shape, built with none of the
+    constructor's checks: for ring results of checked values."""
+    x = object.__new__(cls)
+    object.__setattr__(x, "std", std)
+    object.__setattr__(x, "inf", inf)
+    return x
+
+
 @dataclass(frozen=True)
 class DualVector:
     """Dual column vector std + eps*inf."""
@@ -98,13 +111,15 @@ class DualVector:
         return self.std.shape[0]
 
     def __add__(self, other):
-        return DualVector(self.std + other.std, self.inf + other.inf)
+        _check_length(self, other, "add")
+        return _trusted(DualVector, self.std + other.std, self.inf + other.inf)
 
     def __sub__(self, other):
-        return DualVector(self.std - other.std, self.inf - other.inf)
+        _check_length(self, other, "subtract")
+        return _trusted(DualVector, self.std - other.std, self.inf - other.inf)
 
     def __neg__(self):
-        return DualVector(-self.std, -self.inf)
+        return _trusted(DualVector, -self.std, -self.inf)
 
     def norm(self):
         """max of the 2-norms of the two parts."""
@@ -113,6 +128,14 @@ class DualVector:
     @classmethod
     def zeros(cls, n):
         return cls(np.zeros(n), np.zeros(n))
+
+
+def _check_length(x, y, verb):
+    """DimensionError unless ``y`` is a DualVector as long as ``x``."""
+    size = len(y) if isinstance(y, DualVector) else type(y).__name__
+    if size != len(x):
+        raise DimensionError(f"cannot {verb} dual vectors of length "
+                             f"{len(x)} and {size}")
 
 
 @dataclass(frozen=True)
@@ -126,16 +149,6 @@ class DualMatrix:
         std, inf = _as_pair(self.std, self.inf, ndim=2)
         object.__setattr__(self, "std", std)
         object.__setattr__(self, "inf", inf)
-
-    @classmethod
-    def _trusted(cls, std, inf):
-        """The dual matrix of the float arrays ``std`` and ``inf``, with
-        none of ``__post_init__``'s checks: for copies of parts that
-        have passed them."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "std", std)
-        object.__setattr__(x, "inf", inf)
-        return x
 
     # -- structure ----------------------------------------------------
     @property
@@ -153,7 +166,7 @@ class DualMatrix:
     @property
     def T(self):
         """Dual transpose: both parts transposed componentwise."""
-        return DualMatrix(self.std.T, self.inf.T)
+        return _trusted(DualMatrix, self.std.T, self.inf.T)
 
     def norm(self):
         """Dual norm: max of the Frobenius norms of the two parts."""
@@ -176,40 +189,42 @@ class DualMatrix:
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
         other = _as_dual_matrix(other)
-        if self.shape != other.shape:
+        if self.std.shape != other.std.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return DualMatrix(self.std + other.std, self.inf + other.inf)
+        return _trusted(DualMatrix, self.std + other.std, self.inf + other.inf)
 
     def __sub__(self, other):
         other = _as_dual_matrix(other)
-        if self.shape != other.shape:
+        if self.std.shape != other.std.shape:
             raise DimensionError(f"cannot subtract {self.shape} and {other.shape}")
-        return DualMatrix(self.std - other.std, self.inf - other.inf)
+        return _trusted(DualMatrix, self.std - other.std, self.inf - other.inf)
 
     def __neg__(self):
-        return DualMatrix(-self.std, -self.inf)
+        return _trusted(DualMatrix, -self.std, -self.inf)
 
     def __mul__(self, scalar):
         s = _as_dual_scalar(scalar)
         if s is NotImplemented:
             return NotImplemented
-        return DualMatrix(s.std * self.std,
-                          s.std * self.inf + s.inf * self.std)
+        if not (math.isfinite(s.std) and math.isfinite(s.inf)):
+            raise ValueError("entries must be finite")
+        return _trusted(DualMatrix, s.std * self.std,
+                        s.std * self.inf + s.inf * self.std)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, DualVector):
-            if self.shape[1] != len(other):
+            if self.std.shape[1] != len(other):
                 raise DimensionError(f"cannot multiply {self.shape} by "
                                      f"vector of length {len(other)}")
-            return DualVector(self.std @ other.std,
-                              self.std @ other.inf + self.inf @ other.std)
+            return _trusted(DualVector, self.std @ other.std,
+                            self.std @ other.inf + self.inf @ other.std)
         other = _as_dual_matrix(other)
-        if self.shape[1] != other.shape[0]:
+        if self.std.shape[1] != other.std.shape[0]:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        return DualMatrix(self.std @ other.std,
-                          self.std @ other.inf + self.inf @ other.std)
+        return _trusted(DualMatrix, self.std @ other.std,
+                        self.std @ other.inf + self.inf @ other.std)
 
     def power(self, k):
         """k-th dual power via Ahat^k = A^k + eps * sum A^(k-i) B A^(i-1)."""

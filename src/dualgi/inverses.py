@@ -15,10 +15,10 @@ Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, so neither factors a
 Y = O for the DCEPGI and T1hat^-(m+1) Ttilde_hat for the DDGI.
 
 Every public call on one input shares one dual frame (``_Frame.of``),
-which forms S, U^T B U, U3, Uhat, the blocks T1hat, T2hat and Nhat,
-and the witnesses at most once: the last frame is kept, keyed by the
-input's bytes, until a call on another input.  The other modules
-share it through ``_Frame.of``.  ``solve_unique_in_range`` and
+which forms S, U^T B U, U3, and Uhat, T1hat, T2hat, Nhat and the
+witnesses as DualMatrix values, at most once: the last frame is kept,
+keyed by the input's bytes, until a call on another input.  The other
+modules share it through ``_Frame.of``.  ``solve_unique_in_range`` and
 ``range_null_report`` read dual-range membership off it as the size of
 Uhat2^T Mhat (``off_range_norm``), ``rank_test`` reads ||U2^T S||, and
 none factors a stacked 2n x 2n matrix.
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import DualMatrix, _s_terms, dual_power
+from .dual import DualMatrix, _s_terms, _trusted, dual_power
 from .errors import DimensionError, InverseNotExistError
 from .realkernel import (DEFAULT_TOL, _lapack, _pinv, _svd_rank,
                          core_ep_decompose, core_ep_inverse, moore_penrose)
@@ -103,8 +103,8 @@ class _Frame:
     of N U3 + B3 - U3 T1 = O.  The DCEPGI and the DDGI exist exactly
     when Nhat^m = O; each witness, and each part of the public
     decomposition, is ``conjugate`` of a block in T1hat, T2hat and
-    Nhat.  Each part is formed once, on first use; the blocks, as
-    (standard, infinitesimal) pairs of real arrays.
+    Nhat.  Each part is formed once, on first use, by the ring
+    operations of DualMatrix.
 
     ``of`` serves every call on one input from one frame, so the parts
     a call hands out (the witnesses, the decomposition's blocks and U3)
@@ -139,8 +139,8 @@ class _Frame:
             return last[1]
         df = cls(ah)
         shape, std, inf = key
-        df.ah = DualMatrix._trusted(np.frombuffer(std).reshape(shape),
-                                    np.frombuffer(inf).reshape(shape))
+        df.ah = _trusted(DualMatrix, np.frombuffer(std).reshape(shape),
+                         np.frombuffer(inf).reshape(shape))
         _last_frame = key, df
         return df
 
@@ -168,23 +168,27 @@ class _Frame:
     @cached_property
     def u3(self):
         """U3, the solution of N U3 + B3 - U3 T1 = O."""
-        return self.blocks.sylvester(self.b_blocks[2])
+        u3 = self.blocks.sylvester(self.b_blocks[2])
+        u3.flags.writeable = False
+        return u3
 
     @cached_property
     def t1_hat(self):
         """T1hat = T1 + eps (T2 U3 + B1)."""
-        return self.blocks.T1, self.blocks.T2 @ self.u3 + self.b_blocks[0]
+        f = self.blocks
+        return _readonly(f.T1, f.T2 @ self.u3 + self.b_blocks[0])
 
     @cached_property
     def t2_hat(self):
         """T2hat = T2 + eps (B2 + U3^T N - T1 U3^T)."""
         f, u3 = self.blocks, self.u3
-        return f.T2, self.b_blocks[1] + u3.T @ f.N - f.T1 @ u3.T
+        return _readonly(f.T2, self.b_blocks[1] + u3.T @ f.N - f.T1 @ u3.T)
 
     @cached_property
     def n_hat(self):
         """Nhat = N + eps (B4 - U3 T2)."""
-        return self.blocks.N, self.b_blocks[3] - self.u3 @ self.blocks.T2
+        f = self.blocks
+        return _readonly(f.N, self.b_blocks[3] - self.u3 @ f.T2)
 
     @cached_property
     def defect_residual(self):
@@ -197,7 +201,7 @@ class _Frame:
         A^m) U2 of S, # the core-EP inverse, and so is O exactly when
         S maps N(A^m) into R(A^m).
         """
-        f, c = self.blocks, self.n_hat[1]
+        f, c = self.blocks, self.n_hat.inf
         d, n_pow = c, f.N  # D_k = N D_(k-1) + C N^(k-1), D_1 = C
         for _ in range(f.mp - 1):
             d, n_pow = f.N @ d + c @ n_pow, n_pow @ f.N
@@ -205,69 +209,68 @@ class _Frame:
 
     @cached_property
     def u_hat(self):
-        """Uhat = U + eps U G, dual orthogonal (Uhat^T Uhat = I), as a
-        pair."""
+        """Uhat = U + eps U G, dual orthogonal (Uhat^T Uhat = I)."""
         f, u3 = self.blocks, self.u3
         u1, u2 = f.U[:, :f.t], f.U[:, f.t:]
-        return f.U, np.hstack([u2 @ u3, -(u1 @ u3.T)])
+        return _readonly(f.U, np.hstack([u2 @ u3, -(u1 @ u3.T)]))
+
+    def _columns(self, start, stop=None):
+        """The columns of Uhat from ``start`` up to ``stop`` (to the last
+        one when ``stop`` is None)."""
+        u, cols = self.u_hat, slice(start, stop)
+        return _trusted(DualMatrix, u.std[:, cols], u.inf[:, cols])
 
     @cached_property
     def u_hat1(self):
         """Uhat1 = U1 + eps U2 U3, the leading t columns of Uhat: a dual
         orthonormal basis of the dual range of Ahat^m."""
-        t = self.blocks.t
-        return DualMatrix(self.u_hat[0][:, :t], self.u_hat[1][:, :t])
+        return self._columns(0, self.blocks.t)
 
-    def off_range_norm(self, std, inf):
+    def off_range_norm(self, x):
         """hypot(||U2^T M||_F, ||U2^T M' - U3 U1^T M||_F), the size of
-        Uhat2^T (M + eps M') for Uhat2 = U2 - eps U1 U3^T the trailing
-        n - t columns of Uhat (M, M' = ``std``, ``inf``): O exactly when
-        M + eps M' lies in the dual range of Uhat1, that of Ahat^m when
-        the DCEPGI exists."""
-        u2, v2 = (part[:, self.blocks.t:] for part in self.u_hat)
-        return np.hypot(np.linalg.norm(u2.T @ std),
-                        np.linalg.norm(u2.T @ inf + v2.T @ std))
+        Uhat2^T x for x = M + eps M' (a dual matrix or vector) and
+        Uhat2 = U2 - eps U1 U3^T the trailing n - t columns of Uhat: O
+        exactly when x lies in the dual range of Uhat1, that of Ahat^m
+        when the DCEPGI exists."""
+        y = self._columns(self.blocks.t).T @ x
+        return np.hypot(np.linalg.norm(y.std), np.linalg.norm(y.inf))
 
     def conjugate(self, block, first=0):
         """Uhat M Uhat^T = U (M + eps (M' + G M - M G)) U^T for the dual
         M + eps M' in frame coordinates that is O but for ``block``, an
-        r x k pair whose leading entry sits at (first, first):
+        r x k dual matrix whose leading entry sits at (first, first):
         Uhatr block Uhatk^T, for Uhatr and Uhatk the r and k columns of
         Uhat from column ``first`` on."""
-        b_std, b_inf = block
-        r, k = b_std.shape
-        u, v = (part[:, first:first + k] for part in self.u_hat)
-        p = b_std @ u.T
-        return DualMatrix(u[:, :r] @ p,
-                          u[:, :r] @ (b_inf @ u.T + b_std @ v.T)
-                          + v[:, :r] @ p)
+        r, k = block.shape
+        rows = self._columns(first, first + r)
+        return rows @ (block @ self._columns(first, first + k).T)
 
     @cached_property
     def t1_hat_inv(self):
-        """T1hat^-1 = T1^-1 - eps T1^-1 T1hat' T1^-1, as a pair."""
+        """T1hat^-1 = T1^-1 - eps T1^-1 T1hat' T1^-1."""
         t1_inv = self.blocks.t1_inv
-        return t1_inv, -t1_inv @ self.t1_hat[1] @ t1_inv
+        return _trusted(DualMatrix, t1_inv,
+                        -t1_inv @ self.t1_hat.inf @ t1_inv)
 
     @cached_property
     def drazin_top(self):
         """Y = T1hat^-(m+1) Ttilde_hat = sum_{i<m} T1hat^-(i+2) T2hat
-        Nhat^i, as a pair, for Ttilde_hat = sum_j T1hat^j T2hat
-        Nhat^(m-1-j) the upper-right block of the middle factor's m-th
-        power: the upper-right block of Uhat^T Ahat^D Uhat."""
+        Nhat^i, for Ttilde_hat = sum_j T1hat^j T2hat Nhat^(m-1-j) the
+        upper-right block of the middle factor's m-th power: the
+        upper-right block of Uhat^T Ahat^D Uhat."""
         ti, acc = self.t1_hat_inv, self.t2_hat
         for _ in range(self.blocks.mp - 1):  # Horner in T1hat^-1, Nhat
-            acc = _add(self.t2_hat, _dot(ti, acc, self.n_hat))
-        return _dot(ti, ti, acc)
+            acc = self.t2_hat + ti @ acc @ self.n_hat
+        return ti @ ti @ acc
 
     @cached_property
     def power_top(self):
         """[T1hat^m, Ttilde_hat], the top block row of Uhat^T Ahat^m Uhat,
-        as a pair, by R_(k+1) = R_k [[T1hat, T2hat], [O, Nhat]]: its
-        standard part has the norm of A^m."""
+        by R_(k+1) = R_k [[T1hat, T2hat], [O, Nhat]]: its standard part
+        has the norm of A^m."""
         p, q = self.t1_hat, self.t2_hat
         for _ in range(self.blocks.mp - 1):
-            p, q = _dot(p, self.t1_hat), _add(_dot(p, self.t2_hat),
-                                              _dot(q, self.n_hat))
+            p, q = p @ self.t1_hat, p @ self.t2_hat + q @ self.n_hat
         return _row(p, q)
 
     @cached_property
@@ -275,47 +278,32 @@ class _Frame:
         """The canonical DCEPGI, Uhat [[T1hat^-1, O], [O, O]] Uhat^T:
         U [[T1^-1, O], [O, O]] U^T + eps U [[-T1^-1 (B1 + T2 U3) T1^-1,
         T1^-1 U3^T], [U3 T1^-1, O]] U^T."""
-        return _readonly(self.conjugate(self.t1_hat_inv))
+        dcepgi = self.conjugate(self.t1_hat_inv)
+        return _readonly(dcepgi.std, dcepgi.inf)
 
     @cached_property
     def ddgi(self):
         """The DDGI, Uhat [[T1hat^-1, Y], [O, O]] Uhat^T with Y =
         ``drazin_top``."""
-        return _readonly(self.conjugate(_row(self.t1_hat_inv,
-                                             self.drazin_top)))
+        ddgi = self.conjugate(_row(self.t1_hat_inv, self.drazin_top))
+        return _readonly(ddgi.std, ddgi.inf)
 
 
 #: (key, frame) of the last frame ``_Frame.of`` built, or None.
 _last_frame = None
 
 
-def _readonly(x):
-    """``x``, a DualMatrix of the frame's, made read-only: the frame
-    that hands it out serves later calls too."""
-    x.std.flags.writeable = x.inf.flags.writeable = False
-    return x
-
-
-# The frame's block algebra works on (standard, infinitesimal) pairs of
-# real arrays: at n <= 6 a DualMatrix per step costs more than its
-# products.
-
-def _dot(*factors):
-    """The dual product of the pairs ``factors``."""
-    std, inf = factors[0]
-    for f_std, f_inf in factors[1:]:
-        std, inf = std @ f_std, std @ f_inf + inf @ f_std
-    return std, inf
-
-
-def _add(x, y):
-    """The dual sum of the pairs ``x`` and ``y``."""
-    return x[0] + y[0], x[1] + y[1]
+def _readonly(std, inf):
+    """The DualMatrix std + eps inf of the frame's, made read-only: the
+    frame that hands it out serves later calls too."""
+    std.flags.writeable = inf.flags.writeable = False
+    return _trusted(DualMatrix, std, inf)
 
 
 def _row(left, right):
-    """The dual block row [left, right] of the pairs ``left``, ``right``."""
-    return (np.hstack([left[0], right[0]]), np.hstack([left[1], right[1]]))
+    """The dual block row [left, right] of two dual matrices."""
+    return _trusted(DualMatrix, np.hstack([left.std, right.std]),
+                    np.hstack([left.inf, right.inf]))
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,10 @@ def range_null_report(ah, tol=DEFAULT_TOL):
     """
     x, df = _first_order_dcepgi(ah, tol), _Frame.of(ah)
     ahm, x_size = df.ahm, x.norm()
-    ahm_res = _rel(df.off_range_norm(ahm.std, ahm.inf),
+    ahm_res = _rel(df.off_range_norm(ahm),
                    np.linalg.norm(ahm.std) + df.s_size)
-    range_res = max(_rel(df.off_range_norm(x.std, x.inf), x_size), ahm_res)
-    null_res = max(_rel(df.off_range_norm(x.std.T, x.inf.T), x_size), ahm_res)
+    range_res = max(_rel(df.off_range_norm(x), x_size), ahm_res)
+    null_res = max(_rel(df.off_range_norm(x.T), x_size), ahm_res)
     n, t = df.blocks.n, df.blocks.t
     u = df.blocks.U  # Uhat^T Uhat = I exactly when U^T U = I
     orthogonal = _rel(np.linalg.norm(u.T @ u - np.eye(n)), n) <= tol

@@ -11,7 +11,8 @@ Ahat^cep bhat as the unique in-range solution of
 Ahat Ahat^cep xhat = Ahat^cep bhat.
 
 Both read the blocks of the dual core-EP decomposition
-Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T (``inverses._Frame``):
+Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, the DualMatrix values
+of ``inverses._Frame``, and combine them by the ring operations:
 Ahat^m (Ahat^m)^+ is then the dual orthogonal projector Uhat1 Uhat1^T,
 and Ahat^m Uhat1 = Uhat1 T1hat^m: no A^m or (A^m)^+ is formed.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dual import DualMatrix, DualVector
 from .errors import DimensionError, HypothesisError
-from .inverses import _add, _dcepgi, _dot, _Frame, _rel, _row
+from .inverses import _dcepgi, _Frame, _rel, _row
 from .realkernel import DEFAULT_TOL
 from .relations import _first_order_dcepgi, _first_order_size
 
@@ -68,13 +69,12 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     """
     df = _checked_frame(ah, bhat)
     particular = _dcepgi(ah, tol).witness @ bhat
-    t = df.blocks.t
-    z = _add(_dot(df.t1_hat_inv, df.t2_hat), _dot(df.drazin_top, df.n_hat))
-    ad_a = df.conjugate(_row((np.eye(t), np.zeros((t, t))), z))
-    projector = DualMatrix(np.eye(df.blocks.n) - ad_a.std, -ad_a.inf)
-    y, t1_hat = df.u_hat1.T @ bhat, DualMatrix(*df.t1_hat)
+    z = df.t1_hat_inv @ df.t2_hat + df.drazin_top @ df.n_hat
+    ad_a = df.conjugate(_row(DualMatrix.eye(df.blocks.t), z))
+    projector = DualMatrix.eye(df.blocks.n) - ad_a
+    y = df.u_hat1.T @ bhat
     for _ in range(df.blocks.mp):
-        y = t1_hat @ y
+        y = df.t1_hat @ y
     rhs = df.u_hat1 @ y
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
@@ -91,7 +91,7 @@ def _surrogate_residuals(ah, bhat, rhs, solutions):
     T1hat^m alone.  Not over ||xh|| or ||rhs||, both roundoff for bhat
     in N((Ahat^m)^T)."""
     df = _Frame.of(ah)
-    am_size = max(map(np.linalg.norm, df.power_top))
+    am_size = df.power_top.norm()
     a_size = ah.norm() * am_size
     b_size = am_size * bhat.norm() * (1 + ah.norm() * df.dcepgi.norm())
 
@@ -110,7 +110,7 @@ def _range_residual(df, xhat, scale):
     without T1^-m and its roundoff of order eps cond(T1)^m.  No
     preimage misses less, so this is never laxer than least squares on
     the stacked 2n x 2n matrix."""
-    return _rel(df.off_range_norm(xhat.std, xhat.inf), scale)
+    return _rel(df.off_range_norm(xhat), scale)
 
 
 def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):

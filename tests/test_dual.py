@@ -90,6 +90,42 @@ class TestDualMatrixRing:
         assert rand_dual(2).is_appreciable()
         assert not DualMatrix(np.zeros((2, 2)), np.ones((2, 2))).is_appreciable()
 
+    def test_caller_values_are_checked(self):
+        x, nan = rand_dual(2), np.array([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError):
+            x * np.nan
+        with pytest.raises(ValueError):
+            DualScalar(np.inf, 0.0) * x
+        with pytest.raises(ValueError):
+            x @ nan  # through from_real
+        with pytest.raises(ValueError):
+            x + nan
+        with pytest.raises(ValueError):
+            DualMatrix.from_real(nan)
+
+    def test_overflow_holds_inf(self):
+        # a ring result is not checked again: it overflows as NumPy does
+        x = DualMatrix.from_real([[1e200]])
+        with np.errstate(over="ignore"):
+            y = x @ x
+        assert y.std[0, 0] == np.inf and y.inf[0, 0] == 0.0
+
+
+def test_ring_results_are_not_rechecked(monkeypatch):
+    # every ring operation builds its result without _as_pair, the
+    # constructor's check; only the caller's values pass through it
+    x, y = rand_dual(3), rand_dual(3)
+    v, w = (DualVector(RNG.standard_normal(3), RNG.standard_normal(3))
+            for _ in range(2))
+    eps = DualScalar(0.0, 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ring result was checked again")
+    monkeypatch.setattr("dualgi.dual._as_pair", refuse)
+    results = [x + y, x - y, -x, x * 2.0, 2.0 * x, eps * x, x * eps,
+               x @ y, x.T, x @ v, v + w, v - w, -v]
+    assert all(type(r) in (DualMatrix, DualVector) for r in results)
+
 
 class TestDualVector:
     def test_matvec_product_rule(self):
@@ -102,6 +138,23 @@ class TestDualVector:
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
             rand_dual(3) @ DualVector.zeros(4)
+
+    def test_sum_needs_equal_lengths(self):
+        # no broadcast: a length-1 vector does not stretch to length 3
+        short, long = DualVector(np.ones(1), np.ones(1)), DualVector.zeros(3)
+        for op in (lambda p, q: p + q, lambda p, q: p - q):
+            for p, q in ((short, long), (long, short)):
+                with pytest.raises(DimensionError):
+                    op(p, q)
+            for other in (rand_dual(3), np.ones(3), 1.0):
+                with pytest.raises(DimensionError):
+                    op(long, other)
+
+    def test_nan_part_rejected(self):
+        with pytest.raises(ValueError):
+            DualVector(np.array([np.nan, 1.0]), np.zeros(2))
+        with pytest.raises(ValueError):
+            DualVector(np.zeros(2), np.array([0.0, np.inf]))
 
 
 class TestDualPower:

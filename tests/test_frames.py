@@ -302,6 +302,24 @@ def test_solve_general_forms_no_power(index_three):
     assert "ahm" not in vars(inverses._Frame.of(ah))
 
 
+def test_frame_computes_in_unchecked_dual_matrices(monkeypatch, index_three):
+    # the blocks, witnesses and conjugations of a cold frame are ring
+    # results of checked values, and none passes the constructor's check
+    ah, _ = index_three
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a part of the frame was checked again")
+    monkeypatch.setattr("dualgi.dual._as_pair", refuse)
+    df = inverses._Frame.of(ah)
+    parts = [getattr(df, name) for name in (
+        "u_hat", "u_hat1", "t1_hat", "t2_hat", "n_hat", "t1_hat_inv",
+        "drazin_top", "power_top", "dcepgi", "ddgi")]
+    parts.append(df.conjugate(df.n_hat, first=df.blocks.t))
+    assert all(type(part) is DualMatrix for part in parts)
+    assert df.defect_residual <= dualgi.DEFAULT_TOL
+    assert not df.u3.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # the kept frame: one per input, across calls
 # ---------------------------------------------------------------------------
