@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import DualMatrix
+from .dual import DualMatrix, _fro
 from .errors import InverseNotExistError
 from .inverses import _dcepgi, _Frame, _rel, _row
 from .realkernel import DEFAULT_TOL
@@ -90,9 +90,9 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     """
     df = _Frame.of(ah, u)
     t2, u3 = df.blocks.T2, df.u3
-    b_norm = np.linalg.norm(df.ah.inf)
-    canonical = bool(_rel(np.linalg.norm(t2 @ u3), b_norm) <= tol
-                     and _rel(np.linalg.norm(u3 @ t2), b_norm) <= tol)
+    b_norm = _fro(df.ah.inf)
+    canonical = bool(_rel(_fro(t2 @ u3), b_norm) <= tol
+                     and _rel(_fro(u3 @ t2), b_norm) <= tol)
     return DualCoreEPDecomposition(
         U_hat=df.u_hat, T1_hat=df.t1_hat, T2_hat=df.t2_hat,
         N_hat=df.n_hat, U3=u3, canonical=canonical, t=df.blocks.t,

@@ -123,7 +123,7 @@ class DualVector:
 
     def norm(self):
         """max of the 2-norms of the two parts."""
-        return max(np.linalg.norm(self.std), np.linalg.norm(self.inf))
+        return max(_fro(self.std), _fro(self.inf))
 
     @classmethod
     def zeros(cls, n):
@@ -161,7 +161,7 @@ class DualMatrix:
 
     def is_appreciable(self, tol=0.0):
         """True when the standard part is nonzero."""
-        return np.linalg.norm(self.std) > tol
+        return _fro(self.std) > tol
 
     @property
     def T(self):
@@ -170,7 +170,7 @@ class DualMatrix:
 
     def norm(self):
         """Dual norm: max of the Frobenius norms of the two parts."""
-        return max(np.linalg.norm(self.std), np.linalg.norm(self.inf))
+        return max(_fro(self.std), _fro(self.inf))
 
     @classmethod
     def from_real(cls, a):
@@ -234,6 +234,9 @@ class DualMatrix:
 def _as_dual_matrix(x):
     if isinstance(x, DualMatrix):
         return x
+    if isinstance(x, DualVector):
+        raise DimensionError(f"a dual vector of length {len(x)} is not a "
+                             "dual matrix operand")
     return DualMatrix.from_real(x)
 
 
@@ -278,5 +281,13 @@ def _s_terms(a, b, m):
         if i > 1:
             term = term @ powers[i - 1]
         s += term
-        size += np.linalg.norm(term)
+        size += _fro(term)
     return s, size
+
+
+def _fro(x):
+    """The Frobenius (2-) norm of the float array ``x`` as a Python float:
+    NumPy's own route for ``np.linalg.norm(x)``, bit for bit, without its
+    argument handling."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))

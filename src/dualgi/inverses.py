@@ -22,6 +22,11 @@ modules share it through ``_Frame.of``.  ``solve_unique_in_range`` and
 ``range_null_report`` read dual-range membership off it as the size of
 Uhat2^T Mhat (``off_range_norm``), ``rank_test`` reads ||U2^T S||, and
 none factors a stacked 2n x 2n matrix.
+
+A certificate forms its witness on the first read of ``witness``
+(``_certify``), so a caller that reads only the verdict forms no
+inverse.  Until that read, a certificate whose inverse exists keeps the
+frame alive, also once the kept frame has moved on to another input.
 """
 
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import DualMatrix, _s_terms, _trusted, dual_power
+from .dual import DualMatrix, _fro, _s_terms, _trusted, dual_power
 from .errors import DimensionError, InverseNotExistError
 from .realkernel import (DEFAULT_TOL, _lapack, _pinv, _svd_rank,
                          core_ep_decompose, core_ep_inverse, moore_penrose)
@@ -54,19 +59,48 @@ __all__ = [
 ]
 
 
+class _Witness:
+    """The ``witness`` field of ExistenceCertificate: the value given, or
+    the one ``_certify``'s function forms on the first read, then kept
+    (and the function dropped)."""
+
+    def __get__(self, cert, owner=None):
+        if cert is None:
+            return None  # the field's default
+        state = vars(cert)
+        form = state.get("_form_witness")
+        if form is not None:
+            state["witness"] = form()
+            # not del: a concurrent first read may have dropped it already
+            state.pop("_form_witness", None)
+        return state["witness"]
+
+    def __set__(self, cert, value):
+        vars(cert)["witness"] = value
+
+
 @dataclass(frozen=True)
 class ExistenceCertificate:
     """Outcome of an existence test.
 
     ``residuals`` maps identity names to scale-free residuals (``_rel``);
     ``exists`` is true iff every residual is <= ``tolerance``.  When the
-    inverse exists, ``witness`` holds it.
+    inverse exists, ``witness`` holds it.  The package's certificates
+    form it, read-only, on the first read of ``witness``: a caller that
+    reads only the verdict forms no inverse.  Until that read one keeps
+    alive what the witness is formed from, the input's dual core-EP
+    frame (for the DMPGI, copies of A and B and the SVD of A); a "does
+    not exist" certificate keeps neither.
     """
 
     exists: bool
     residuals: dict
     tolerance: float
-    witness: Optional[DualMatrix] = None
+    witness: Optional[DualMatrix] = _Witness()
+
+    def __getstate__(self):
+        witness = self.witness  # formed: a pickle carries no function
+        return {**vars(self), "witness": witness}
 
 
 _NO_DDGI = "dual Drazin inverse does not exist"
@@ -80,10 +114,14 @@ def _rel(value, scale):
 
 
 def _certify(residuals, tol, witness_fn=None):
+    """The certificate of ``residuals`` at ``tol``; when the inverse
+    exists, ``witness_fn()`` forms its witness on the first read."""
     exists = all(r <= tol for r in residuals.values())
-    witness = witness_fn() if (exists and witness_fn is not None) else None
-    return ExistenceCertificate(exists=exists, residuals=residuals,
-                                tolerance=tol, witness=witness)
+    cert = ExistenceCertificate(exists=exists, residuals=residuals,
+                                tolerance=tol)
+    if exists and witness_fn is not None:
+        vars(cert)["_form_witness"] = witness_fn
+    return cert
 
 
 def _certified(cert, message):
@@ -205,7 +243,7 @@ class _Frame:
         d, n_pow = c, f.N  # D_k = N D_(k-1) + C N^(k-1), D_1 = C
         for _ in range(f.mp - 1):
             d, n_pow = f.N @ d + c @ n_pow, n_pow @ f.N
-        return _rel(np.linalg.norm(d), self.s_size)
+        return _rel(_fro(d), self.s_size)
 
     @cached_property
     def u_hat(self):
@@ -233,7 +271,7 @@ class _Frame:
         exactly when x lies in the dual range of Uhat1, that of Ahat^m
         when the DCEPGI exists."""
         y = self._columns(self.blocks.t).T @ x
-        return np.hypot(np.linalg.norm(y.std), np.linalg.norm(y.inf))
+        return np.hypot(_fro(y.std), _fro(y.inf))
 
     def conjugate(self, block, first=0):
         """Uhat M Uhat^T = U (M + eps (M' + G M - M G)) U^T for the dual
@@ -368,8 +406,7 @@ def _penrose_projector(b, rank, svd):
     in the SVD (U, sv, Vt) of A: (I - A A^+) B (I - A^+ A) is
     U0 U0^T B V0 V0^T, here free of the roundoff of A A^+."""
     u, _, vt = svd
-    return _rel(np.linalg.norm(u[:, rank:].T @ b @ vt[rank:].T),
-                np.linalg.norm(b))
+    return _rel(_fro(u[:, rank:].T @ b @ vt[rank:].T), _fro(b))
 
 
 def dmpgi_exists(ah, tol=DEFAULT_TOL):
@@ -382,18 +419,21 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL):
     """
     r_a, _, svd = _svd_rank(ah.std, rel=tol, uv=True)
     residual = _penrose_projector(ah.inf, r_a, svd)
+    # the witness is formed later, from copies: the caller's arrays may
+    # change in place before it is read
+    copy = _trusted(DualMatrix, ah.std.copy(), ah.inf.copy())
     return _certify({"penrose_projector": residual}, tol,
-                    lambda: _dmpgi_formula(ah, _pinv(r_a, svd)))
+                    lambda: _dmpgi_formula(copy, _pinv(r_a, svd)))
 
 
 def _dmpgi_formula(ah, ap):
     """A^+ + eps (-A^+ B A^+ + (A^T A)^+ B^T (I - A A^+) + (I - A^+ A)
     B^T (A A^T)^+), with (A^T A)^+ = A^+ (A^+)^T and (A A^T)^+ =
-    (A^+)^T A^+, for A^+ = ``ap``."""
+    (A^+)^T A^+, for A^+ = ``ap``, read-only."""
     a, b = ah.std, ah.inf
     w = b.T @ (ap.T @ ap)
-    return DualMatrix(ap, -ap @ b @ ap + ap @ (ap.T @ (b.T - b.T @ (a @ ap)))
-                      + w - ap @ (a @ w))
+    return _readonly(ap, -ap @ b @ ap + ap @ (ap.T @ (b.T - b.T @ (a @ ap)))
+                     + w - ap @ (a @ w))
 
 
 def dmpgi(ah, tol=DEFAULT_TOL):
@@ -500,7 +540,8 @@ def _dcepgi_compact(ah, tol):
         u1 = df.blocks.U[:, :df.blocks.t]
         q, r = _lapack("QR", np.linalg.qr, df.ahm.std.T @ u1)
         am_pinv = _lapack("solve", np.linalg.solve, r, q.T).T @ u1.T
-        return df.ddgi @ df.ahm @ _dmpgi_formula(df.ahm, am_pinv)
+        x = df.ddgi @ df.ahm @ _dmpgi_formula(df.ahm, am_pinv)
+        return _readonly(x.std, x.inf)
     return _certified(_certify({"core_ep_projector": df.defect_residual},
                                tol, product), _NO_DCEPGI)
 
@@ -542,13 +583,12 @@ def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
     m3 = np.kron((a @ am).T, eye_n)
     rhs3 = _vec(s - x @ a @ s - x @ b @ am)
 
-    sizes = [np.linalg.norm(mk) or 1.0 for mk in (m1, m2, m3)]
+    sizes = [_fro(mk) or 1.0 for mk in (m1, m2, m3)]
     big = np.vstack([m1 / sizes[0], m2 / sizes[1], m3 / sizes[2]])
     rhs = np.concatenate([rhs1 / sizes[0], rhs2 / sizes[1], rhs3 / sizes[2]])
     sol, *_ = _lapack("least squares", np.linalg.lstsq, big, rhs, rcond=None)
-    residual = _rel(np.linalg.norm(big @ sol - rhs),
-                    np.linalg.norm(big) * np.linalg.norm(sol)
-                    + np.linalg.norm(rhs))
+    residual = _rel(_fro(big @ sol - rhs),
+                    _fro(big) * _fro(sol) + _fro(rhs))
     if residual > tol:
         return None
     r = sol.reshape((n, n), order="F")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual import _fro
 from .errors import DimensionError, HypothesisError
 from .inverses import _dcepgi, _Frame, _rel
 from .realkernel import DEFAULT_TOL
@@ -58,7 +59,7 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     df = _Frame.of(ah)
     left = _power_projector(df)
     u2 = df.blocks.U[:, df.blocks.t:]
-    both = max(left, _rel(np.linalg.norm(df.s @ u2), df.s_size))
+    both = max(left, _rel(_fro(df.s @ u2), df.s_size))
     conds = {
         "first_order_form": _first_order_form_residual(ah, x),
         "power_projector": left,
@@ -77,13 +78,13 @@ def _first_order_form_residual(ah, x):
     the DCEPGI of ``ah``, over ``_first_order_size``: not over x.inf
     and A^cep B A^cep, roundoff where B vanishes on R(A^m)."""
     a_cep, b = x.std, ah.inf  # a_cep: the real core-EP inverse of A
-    return _rel(np.linalg.norm(x.inf + a_cep @ b @ a_cep),
+    return _rel(_fro(x.inf + a_cep @ b @ a_cep),
                 _first_order_size(x, b))
 
 
 def _first_order_size(x, b):
     """||A^cep||^2 ||B||, the size of the terms of A^cep B A^cep."""
-    return np.linalg.norm(x.std) ** 2 * np.linalg.norm(b)
+    return _fro(x.std) ** 2 * _fro(b)
 
 
 def _first_order_dcepgi(ah, tol):
@@ -103,7 +104,7 @@ def _power_projector(df):
     (U2 = U[:, t:]), O exactly when S maps into R(A^m) = R(U1), that is
     rank([A^m  S]) = rank(A^m)."""
     u2 = df.blocks.U[:, df.blocks.t:]
-    return _rel(np.linalg.norm(u2.T @ df.s), df.s_size)
+    return _rel(_fro(u2.T @ df.s), df.s_size)
 
 
 def rank_test(ah, tol=DEFAULT_TOL):
@@ -158,12 +159,12 @@ def range_null_report(ah, tol=DEFAULT_TOL):
     x, df = _first_order_dcepgi(ah, tol), _Frame.of(ah)
     ahm, x_size = df.ahm, x.norm()
     ahm_res = _rel(df.off_range_norm(ahm),
-                   np.linalg.norm(ahm.std) + df.s_size)
+                   _fro(ahm.std) + df.s_size)
     range_res = max(_rel(df.off_range_norm(x), x_size), ahm_res)
     null_res = max(_rel(df.off_range_norm(x.T), x_size), ahm_res)
     n, t = df.blocks.n, df.blocks.t
     u = df.blocks.U  # Uhat^T Uhat = I exactly when U^T U = I
-    orthogonal = _rel(np.linalg.norm(u.T @ u - np.eye(n)), n) <= tol
+    orthogonal = _rel(_fro(u.T @ u - np.eye(n)), n) <= tol
     return RangeNullReport(range_equal_residual=range_res,
                            null_equal_residual=null_res,
                            intersection_dimension=0 if orthogonal
@@ -232,8 +233,7 @@ def order_law_check(ah, bh, tol=DEFAULT_TOL):
                        ("std_inf_commute_right", b_cep, a0),
                        ("std_inf_commute_left", a_cep, b0)):
         # x y - y x over the size of its terms
-        res = _rel(np.linalg.norm(x @ y - y @ x),
-                   np.linalg.norm(x) * np.linalg.norm(y))
+        res = _rel(_fro(x @ y - y @ x), _fro(x) * _fro(y))
         conditions[name] = (res <= tol, res)
     return OrderLawReport(reverse_residual=reverse, forward_residual=forward,
                           sufficient_conditions=conditions, tolerance=tol)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualMatrix, DualVector
+from .dual import DualMatrix, DualVector, _fro
 from .errors import DimensionError, HypothesisError
 from .inverses import _dcepgi, _Frame, _rel, _row
 from .realkernel import DEFAULT_TOL
@@ -127,7 +127,7 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     df = _checked_frame(ah, bhat)
     x_cep = _first_order_dcepgi(ah, tol)
     xhat = x_cep @ bhat
-    scale = np.hypot(np.linalg.norm(x_cep.std),
+    scale = np.hypot(_fro(x_cep.std),
                      _first_order_size(x_cep, ah.inf)) * bhat.norm()
     member = _range_residual(df, xhat, scale)
     if member > tol:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualgi import DualMatrix, DualScalar, DualVector, dual_power, s_matrix
-from dualgi.dual import _s_terms
+from dualgi.dual import _fro, _s_terms
 from dualgi.errors import DimensionError
 
 RNG = np.random.default_rng(20240817)
@@ -81,6 +81,9 @@ class TestDualMatrixRing:
             rand_dual(2, 3) @ rand_dual(2, 3)
         with pytest.raises(DimensionError):
             rand_dual(2) + rand_dual(3)
+        for op in (lambda p, q: p + q, lambda p, q: p - q):
+            with pytest.raises(DimensionError):
+                op(DualMatrix.eye(3), DualVector.zeros(3))
         with pytest.raises(DimensionError):
             DualMatrix(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
@@ -125,6 +128,18 @@ def test_ring_results_are_not_rechecked(monkeypatch):
     results = [x + y, x - y, -x, x * 2.0, 2.0 * x, eps * x, x * eps,
                x @ y, x.T, x @ v, v + w, v - w, -v]
     assert all(type(r) in (DualMatrix, DualVector) for r in results)
+
+
+@pytest.mark.parametrize("x", [
+    np.arange(12.0).reshape(3, 4) - 5.5,     # C order
+    (np.arange(12.0).reshape(3, 4) - 5.5).T,  # F order
+    np.random.default_rng(3).standard_normal((5, 6))[:, ::2],  # strided
+    np.random.default_rng(4).standard_normal(7),
+    np.zeros((0, 3)), np.zeros((4, 4))])
+def test_fro_is_numpy_norm_bitwise(x):
+    got = _fro(x)
+    assert type(got) is float
+    assert got.hex() == float(np.linalg.norm(x)).hex()
 
 
 class TestDualVector:

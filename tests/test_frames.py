@@ -17,15 +17,21 @@ linear solves and inverses of a call are recorded the same way,
 ``numpy.linalg`` wrapped also where ``norm(x, 2)`` looks them up: the
 DDGI and solver paths factor nothing larger than n x n, and the DDGI,
 its certificate and both solvers factor nothing beyond the frame's SVDs
-and the inverse of T1.
+and the inverse of T1.  A certificate forms its witness on the first
+read of ``witness``: until then it keeps its frame alive, after that
+(or when the inverse does not exist) it keeps none, and the DMPGI's
+witness reads no array of the caller's.
 """
 
 import collections
 import dataclasses
 import functools
+import gc
 import json
+import pickle
 import sys
 import threading
+import weakref
 
 import numpy as np
 import numpy.linalg._linalg as linalg_impl
@@ -39,8 +45,8 @@ from dualgi.errors import (DimensionError, DualgiError, HypothesisError,
                            InverseNotExistError)
 from dualgi.io import dual_vector_to_dict, write_dual_matrix
 from dualgi.realkernel import core_ep_decompose
-from helpers import (Frame, existing_dual, existing_dual_b3, random_dual,
-                     random_dual_vector, reducing_dual)
+from helpers import (Frame, existing_dual, existing_dual_b3, mp_existing_dual,
+                     random_dual, random_dual_vector, reducing_dual)
 
 RNG = np.random.default_rng(20260301)
 
@@ -426,6 +432,7 @@ def test_returned_arrays_are_read_only(frame_calls, index_three):
     returned = [dualgi.dcepgi(ah), dualgi.ddgi(ah),
                 dualgi.dcepgi_exists(ah).witness,
                 dualgi.ddgi_exists(ah).witness,
+                dualgi.dmpgi_exists(ah).witness, dualgi.dcepgi_compact(ah),
                 d.U_hat, d.T1_hat, d.T2_hat, d.N_hat]
     arrays = [x.std for x in returned] + [x.inf for x in returned] + [d.U3]
     for array in arrays:
@@ -543,3 +550,77 @@ def test_threads_share_the_kept_frame_safely():
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# the certificate's witness, formed on first read
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def mp_input():
+    rng = np.random.default_rng(20261021)
+    return mp_existing_dual(rng, Frame(rng, 5, 2, 2))
+
+
+@pytest.mark.parametrize("name, part", [("dcepgi_exists", "dcepgi"),
+                                        ("ddgi_exists", "ddgi")])
+def test_verdict_forms_no_witness(name, part, index_three):
+    # a caller that reads only the verdict forms no inverse
+    ah, _ = index_three
+    cert = getattr(dualgi, name)(ah)
+    df = inverses._last_frame[1]
+    assert cert.exists
+    assert part not in vars(df)
+    assert cert.witness is vars(df)[part]
+
+
+@pytest.mark.parametrize("name", ["dcepgi", "ddgi", "dmpgi"])
+def test_witness_is_formed_once(name, index_three, mp_input):
+    # every read returns one read-only object, the inverse a cold call
+    # returns, and a pickled certificate carries it
+    ah = mp_input if name == "dmpgi" else index_three[0]
+    cert = getattr(dualgi, name + "_exists")(ah)
+    witness = cert.witness
+    assert cert.witness is witness
+    assert not (witness.std.flags.writeable or witness.inf.flags.writeable)
+    inverses._last_frame = None
+    assert _bits(witness) == _bits(getattr(dualgi, name)(ah))
+    unread = getattr(dualgi, name + "_exists")(ah)
+    assert _bits(pickle.loads(pickle.dumps(unread))) == _bits(cert)
+
+
+def test_given_witness_is_kept():
+    x = DualMatrix.eye(2)
+    cert = dualgi.ExistenceCertificate(exists=True, residuals={},
+                                       tolerance=1e-10, witness=x)
+    assert cert.witness is x
+    assert x.std.flags.writeable
+    assert dualgi.ExistenceCertificate(False, {}, 1e-10).witness is None
+
+
+def test_certificate_keeps_its_frame_until_read(index_three):
+    # an unread witness keeps the frame alive; a read one, or a verdict
+    # that the inverse does not exist, keeps no reference to it
+    rng = np.random.default_rng(20261022)
+    absent = random_dual(rng, Frame(rng, 6, 2, 3))
+    certs, frames = [], []
+    for ah in (absent, index_three[0]):
+        certs.append(dualgi.dcepgi_exists(ah))
+        frames.append(weakref.ref(inverses._last_frame[1]))
+    dualgi.dcepgi_exists(random_dual(rng, Frame(rng, 4, 1, 2)))
+    gc.collect()
+    assert [cert.exists for cert in certs] == [False, True]
+    assert frames[0]() is None
+    assert frames[1]() is not None
+    assert certs[1].witness is not None
+    gc.collect()
+    assert frames[1]() is None
+
+
+@pytest.mark.parametrize("part", ["std", "inf"])
+def test_dmpgi_witness_reads_no_caller_array(part, mp_input):
+    # the witness is formed after the caller changes its input in place
+    ah = DualMatrix(mp_input.std.copy(), mp_input.inf.copy())
+    cert = dualgi.dmpgi_exists(ah)
+    getattr(ah, part)[...] *= 2.0
+    assert _bits(cert.witness) == _bits(dualgi.dmpgi(mp_input))

@@ -324,6 +324,19 @@ class TestNumericalFailure:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("routine", ["qr", "solve"])
+    def test_compact_witness_failure_exit_code(self, routine, existing_file,
+                                               monkeypatch, capsys):
+        # the compact witness is formed when the report reads it, after
+        # the certificate, and its failure still ends in status 4
+        path, _ = existing_file
+        monkeypatch.setattr(np.linalg, routine, self.failing)
+        assert main(["inverse", "--kind", "cep-compact", path]) \
+            == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_least_squares_failure_is_typed(self, existing_file, monkeypatch):
         # the oracle's vectorized system
         _, ah = existing_file
