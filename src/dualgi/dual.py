@@ -101,6 +101,7 @@ class DualVector:
 
     std: np.ndarray
     inf: np.ndarray = None
+    __array_ufunc__ = None  # as DualMatrix: a real array goes on the right
 
     def __post_init__(self):
         std, inf = _as_pair(self.std, self.inf, ndim=1)
@@ -140,10 +141,16 @@ def _check_length(x, y, verb):
 
 @dataclass(frozen=True)
 class DualMatrix:
-    """Dual matrix Ahat = std + eps*inf with real parts of equal shape."""
+    """Dual matrix Ahat = std + eps*inf with real parts of equal shape.
+
+    A real array operand goes on the right (``X + a``, ``X @ a``) or
+    through ``from_real``: ``a + X``, ``a - X`` and ``a @ X`` raise
+    TypeError, as NumPy defers to DualMatrix (``__array_ufunc__ =
+    None``), which defines no reflected operator."""
 
     std: np.ndarray
     inf: np.ndarray = None
+    __array_ufunc__ = None
 
     def __post_init__(self):
         std, inf = _as_pair(self.std, self.inf, ndim=2)
@@ -234,9 +241,9 @@ class DualMatrix:
 def _as_dual_matrix(x):
     if isinstance(x, DualMatrix):
         return x
-    if isinstance(x, DualVector):
-        raise DimensionError(f"a dual vector of length {len(x)} is not a "
-                             "dual matrix operand")
+    if isinstance(x, (DualVector, DualScalar)):
+        raise DimensionError(f"a {type(x).__name__} is not a dual matrix "
+                             "operand")
     return DualMatrix.from_real(x)
 
 

@@ -200,13 +200,22 @@ class _Frame:
 
     @cached_property
     def b_blocks(self):
-        """(B1, B2, B3, B4), the blocks of U^T B U."""
-        return self.blocks.split_blocks(self.ah.inf)
+        """(B1, B2, B3, B4), the blocks of U^T B U conformal with
+        (T1, T2, O, N)."""
+        f = self.blocks
+        w, t = f.U.T @ self.ah.inf @ f.U, f.t
+        return w[:t, :t], w[:t, t:], w[t:, :t], w[t:, t:]
 
     @cached_property
     def u3(self):
-        """U3, the solution of N U3 + B3 - U3 T1 = O."""
-        u3 = self.blocks.sylvester(self.b_blocks[2])
+        """U3 = sum_{i<mp} N^i B3 T1^-(i+1), the unique solution of
+        N U3 + B3 - U3 T1 = O (T1 invertible, N nilpotent), by Horner's
+        rule in N and T1^-1."""
+        f, b3 = self.blocks, self.b_blocks[2]
+        acc = b3
+        for _ in range(f.mp - 1):
+            acc = b3 + f.N @ acc @ f.t1_inv
+        u3 = acc @ f.t1_inv
         u3.flags.writeable = False
         return u3
 
@@ -401,14 +410,6 @@ def mpdgi(ah):
     return DualMatrix(ap, -ap @ ah.inf @ ap)
 
 
-def _penrose_projector(b, rank, svd):
-    """||U0^T B V0||_F / ||B||_F, for U0, V0 the null bases past ``rank``
-    in the SVD (U, sv, Vt) of A: (I - A A^+) B (I - A^+ A) is
-    U0 U0^T B V0 V0^T, here free of the roundoff of A A^+."""
-    u, _, vt = svd
-    return _rel(_fro(u[:, rank:].T @ b @ vt[rank:].T), _fro(b))
-
-
 def dmpgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual Moore-Penrose inverse.
 
@@ -418,7 +419,11 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL):
     and a cut that moved with B would move a verdict linear in B.
     """
     r_a, _, svd = _svd_rank(ah.std, rel=tol, uv=True)
-    residual = _penrose_projector(ah.inf, r_a, svd)
+    # (I - A A^+) B (I - A^+ A) is U0 U0^T B V0 V0^T, U0 and V0 the null
+    # bases past rank(A) in the SVD: ||U0^T B V0|| over ||B||, free of the
+    # roundoff of A A^+
+    u, _, vt = svd
+    residual = _rel(_fro(u[:, r_a:].T @ ah.inf @ vt[r_a:].T), _fro(ah.inf))
     # the witness is formed later, from copies: the caller's arrays may
     # change in place before it is read
     copy = _trusted(DualMatrix, ah.std.copy(), ah.inf.copy())

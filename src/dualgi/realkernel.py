@@ -1,13 +1,12 @@
 """Real-matrix kernel: rank, index, Moore-Penrose, Drazin, core-EP.
 
-Everything the dual layer consumes.  The central object is the
-core-EP (Schur-like) decomposition
+The central object is the core-EP (Schur-like) decomposition
 
     A = U [[T1, T2], [O, N]] U^T
 
 with U orthogonal, T1 invertible (t x t, t = rank(A^m), m = Ind(A))
 and N nilpotent.  One factorization feeds the Drazin inverse, the
-core-EP inverse and all dual formulas built on top of them.
+core-EP inverse and the dual core-EP frame (``inverses._Frame``).
 """
 
 from dataclasses import dataclass
@@ -128,9 +127,10 @@ class CoreEPBlocks:
     N nilpotent with N^max(m,1) = O.  U is not unique; only the
     reconstructed quantities are.
 
-    The one frame every dual inverse, certificate, decomposition and
-    solution derives from; T1^-1 is computed once, on first use.  The
-    dual formulas use the effective index mp = max(m, 1).
+    The real decomposition and its real uses; T1^-1 is computed once,
+    on first use.  The dual frame (``inverses._Frame``) forms U^T B U
+    and U3 on it.  The dual formulas use the effective index
+    mp = max(m, 1).
     """
 
     U: np.ndarray
@@ -157,16 +157,6 @@ class CoreEPBlocks:
     def reconstruct(self):
         return self.U @ self.upper() @ self.U.T
 
-    def split_blocks(self, b):
-        """Partition U^T B U into (B1, B2, B3, B4) conformally with
-        (T1, T2, O, N)."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n, self.n):
-            raise DimensionError(f"expected {(self.n, self.n)}, got {b.shape}")
-        w = self.U.T @ b @ self.U
-        t = self.t
-        return w[:t, :t], w[:t, t:], w[t:, :t], w[t:, t:]
-
     def assemble(self, m11, m12, m21, m22):
         """U [[m11, m12], [m21, m22]] U^T for conformal blocks."""
         top = np.hstack([m11, m12])
@@ -180,15 +170,6 @@ class CoreEPBlocks:
     @cached_property
     def t1_inv(self):
         return _lapack("inverse", np.linalg.inv, self.T1)
-
-    def sylvester(self, b3):
-        """U3 = sum_{i<mp} N^i B3 T1^-(i+1) for B3 the lower-left block
-        of U^T B U: the unique solution of N U3 + B3 - U3 T1 = O
-        (T1 invertible, N nilpotent), by Horner's rule in N and T1^-1."""
-        acc = b3
-        for _ in range(self.mp - 1):
-            acc = b3 + self.N @ acc @ self.t1_inv
-        return acc @ self.t1_inv
 
 
 def core_ep_decompose(a, u=None):

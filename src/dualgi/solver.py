@@ -102,17 +102,6 @@ def _surrogate_residuals(ah, bhat, rhs, solutions):
     return [_rel(miss(xh), a_size * xh.norm() + b_size) for xh in solutions]
 
 
-def _range_residual(df, xhat, scale):
-    """Residual of xhat against the dual range of Ahat^m, that of Uhat1
-    when the DCEPGI exists: ``_Frame.off_range_norm`` over ``scale``.
-    Since U2^T S U1 = U3 T1^m then, this is the part of x and of
-    x' - S y along U2 at the preimage y = U1 T1^-m U1^T x, formed
-    without T1^-m and its roundoff of order eps cond(T1)^m.  No
-    preimage misses less, so this is never laxer than least squares on
-    the stacked 2n x 2n matrix."""
-    return _rel(df.off_range_norm(xhat), scale)
-
-
 def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     """Unique solution of Ahat Ahat^cep xhat = Ahat^cep bhat inside the
     dual range of Ahat^m, namely Ahat^cep bhat.
@@ -129,7 +118,10 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     xhat = x_cep @ bhat
     scale = np.hypot(_fro(x_cep.std),
                      _first_order_size(x_cep, ah.inf)) * bhat.norm()
-    member = _range_residual(df, xhat, scale)
+    # the size of Uhat2^T xhat: the part of x and of x' - S y along U2 at
+    # the preimage y = U1 T1^-m U1^T x, without T1^-m and its roundoff of
+    # eps cond(T1)^m, and never laxer than stacked 2n x 2n least squares
+    member = _rel(df.off_range_norm(xhat), scale)
     if member > tol:
         raise HypothesisError(
             f"solution fails dual-range membership (residual {member:.3e})")

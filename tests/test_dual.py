@@ -84,10 +84,26 @@ class TestDualMatrixRing:
         for op in (lambda p, q: p + q, lambda p, q: p - q):
             with pytest.raises(DimensionError):
                 op(DualMatrix.eye(3), DualVector.zeros(3))
+        for op in (lambda p, q: p + q, lambda p, q: p - q,
+                   lambda p, q: p @ q):
+            with pytest.raises(DimensionError, match="DualScalar"):
+                op(DualMatrix.eye(2), DualScalar(1.0))
         with pytest.raises(DimensionError):
             DualMatrix(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             DualMatrix(np.array([[np.nan]]), np.zeros((1, 1)))
+
+    def test_real_array_on_the_left_is_refused(self):
+        # NumPy defers to the dual types, which have no reflected + - @
+        x, v = DualMatrix.eye(2), DualVector.zeros(2)
+        for op in (lambda p, q: p + q, lambda p, q: p - q,
+                   lambda p, q: p @ q):
+            for left, right in ((np.eye(2), x), (np.ones(2), v)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+        scaled = np.float64(2.0) * x  # through __rmul__
+        assert type(scaled) is DualMatrix
+        assert (scaled - 2.0 * x).norm() == 0.0
 
     def test_appreciable(self):
         assert rand_dual(2).is_appreciable()
@@ -191,6 +207,8 @@ class TestDualPower:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             dual_power(rand_dual(2), -1)
+        with pytest.raises(DimensionError):
+            dual_power(DualMatrix.zeros(2, 3), 2)
 
     def test_method_alias(self):
         x = rand_dual(3)

@@ -120,6 +120,9 @@ class TestCLIExitCodes:
     @pytest.mark.parametrize("doc", [
         [1, 2],
         {"rows": None, "cols": 2, "standard": [[1, 0], [0, 1]],
+         "infinitesimal": [[0, 0], [0, 0]]},
+        # an object entry; a null one reads as NaN ("must be finite")
+        {"rows": 2, "cols": 2, "standard": [[1, {}], [0, 1]],
          "infinitesimal": [[0, 0], [0, 0]]}])
     def test_usage_error_on_malformed_json(self, doc, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -127,7 +130,29 @@ class TestCLIExitCodes:
         assert main(["inverse", "--kind", "cep", str(path)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        with pytest.raises(ValueError) as info:
+            read_dual_matrix(path)
+        assert captured.err == f"error: {info.value}\n"
+
+    def test_core_inverse_needs_index_one(self, tmp_path, capsys):
+        # an index-2 input has no dual core inverse and no certificate
+        rng = np.random.default_rng(11)
+        path = tmp_path / "m.json"
+        write_dual_matrix(path, existing_dual(rng, Frame(rng, 5, 2, 2)))
+        assert main(["inverse", "--kind", "core", str(path)]) \
+            == EXIT_NOT_EXIST
+        report = json.loads(capsys.readouterr().out)
+        assert report["exists"] is False
+        assert report["certificate"] is None
+
+    def test_rhs_needs_one_column(self, tmp_path, capsys):
+        mat, rhs = tmp_path / "m.json", tmp_path / "b.json"
+        write_dual_matrix(mat, DualMatrix.eye(2))
+        rhs.write_text(json.dumps({"rows": 2, "cols": 2,
+                                   "standard": np.eye(2).tolist(),
+                                   "infinitesimal": np.eye(2).tolist()}))
+        assert main(["solve", str(mat), str(rhs)]) == EXIT_USAGE
+        assert "vector file must have cols = 1" in capsys.readouterr().err
 
     def test_seed_only_on_solve(self, existing_file, capsys):
         path, _ = existing_file

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from dualgi import (CoreEPBlocks, core_ep_decompose, core_ep_inverse, drazin,
+from dualgi import (DualMatrix, core_ep_decompose, core_ep_inverse, drazin,
                     index, moore_penrose, numerical_rank)
 from dualgi.errors import DimensionError
+from dualgi.inverses import _Frame
 from helpers import Frame, orthogonal, random_frame
 
 RNG = np.random.default_rng(20240818)
@@ -86,12 +87,15 @@ class TestCoreEPDecomposition:
         wrong_span = orthogonal(np.random.default_rng(7), 4)
         with pytest.raises(ValueError):
             core_ep_decompose(f.A, u=wrong_span)
+        with pytest.raises(DimensionError):
+            core_ep_decompose(np.eye(4), u=np.eye(3))
 
     def test_split_and_assemble_roundtrip(self):
+        # the dual frame splits U^T B U on the real decomposition
         f = Frame(RNG, 5, 2, 2)
-        blocks = core_ep_decompose(f.A)
         b = RNG.standard_normal((5, 5))
-        assert np.allclose(blocks.assemble(*blocks.split_blocks(b)), b)
+        df = _Frame(DualMatrix(f.A, b))
+        assert np.allclose(df.blocks.assemble(*df.b_blocks), b)
 
 
 class TestDrazin:

@@ -10,9 +10,9 @@ import dualgi
 from dualgi import (DualMatrix, DualVector, dcepgi, dmpgi, dual_power,
                     solve_general, solve_unique_in_range)
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
-from dualgi.inverses import _dmpgi_formula, _Frame
+from dualgi.inverses import _dmpgi_formula, _Frame, _rel
 from dualgi.realkernel import DEFAULT_TOL
-from dualgi.solver import _range_residual, _surrogate_residuals
+from dualgi.solver import _surrogate_residuals
 from helpers import (Frame, column_membership_residual, existing_dual,
                      existing_dual_b3, orthogonal, random_dual,
                      random_dual_vector, random_frame, reducing_dual,
@@ -199,8 +199,8 @@ class TestFrameRangeCheck:
     @staticmethod
     def frame_residual(df, vh):
         # over ||[v; v']||, as the least-squares residual is
-        return _range_residual(df, vh, np.hypot(np.linalg.norm(vh.std),
-                                                np.linalg.norm(vh.inf)))
+        return _rel(df.off_range_norm(vh), np.hypot(np.linalg.norm(vh.std),
+                                                    np.linalg.norm(vh.inf)))
 
     @staticmethod
     def lstsq_residual(ahm, vh):
