@@ -85,6 +85,14 @@ def _as_pair(std, inf, ndim):
     return std, inf
 
 
+def _refuse_radd(self, other):
+    """Refuse ``other + self`` with the TypeError ``other - self``
+    raises: without it an ndarray ``other`` falls back to concatenation,
+    whose message misleads."""
+    raise TypeError(f"unsupported operand type(s) for +: "
+                    f"'{type(other).__name__}' and '{type(self).__name__}'")
+
+
 def _trusted(cls, std, inf):
     """The ``cls`` (DualMatrix or DualVector) with parts ``std`` and
     ``inf``, float arrays of equal shape, built with none of the
@@ -114,6 +122,8 @@ class DualVector:
     def __add__(self, other):
         _check_length(self, other, "add")
         return _trusted(DualVector, self.std + other.std, self.inf + other.inf)
+
+    __radd__ = _refuse_radd
 
     def __sub__(self, other):
         _check_length(self, other, "subtract")
@@ -146,7 +156,8 @@ class DualMatrix:
     A real array operand goes on the right (``X + a``, ``X @ a``) or
     through ``from_real``: ``a + X``, ``a - X`` and ``a @ X`` raise
     TypeError, as NumPy defers to DualMatrix (``__array_ufunc__ =
-    None``), which defines no reflected operator."""
+    None``), which defines no reflected operator but a refusing
+    ``__radd__``."""
 
     std: np.ndarray
     inf: np.ndarray = None
@@ -200,6 +211,8 @@ class DualMatrix:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
         return _trusted(DualMatrix, self.std + other.std, self.inf + other.inf)
 
+    __radd__ = _refuse_radd
+
     def __sub__(self, other):
         other = _as_dual_matrix(other)
         if self.std.shape != other.std.shape:
@@ -244,7 +257,11 @@ def _as_dual_matrix(x):
     if isinstance(x, (DualVector, DualScalar)):
         raise DimensionError(f"a {type(x).__name__} is not a dual matrix "
                              "operand")
-    return DualMatrix.from_real(x)
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2:
+        raise DimensionError(f"a {a.ndim}-dimensional {type(x).__name__} is "
+                             "not a dual matrix operand")
+    return DualMatrix.from_real(a)
 
 
 def dual_power(x, k):

@@ -414,11 +414,11 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL):
     """Existence certificate for the dual Moore-Penrose inverse.
 
     Verdict from the projector condition (I - A A^+) B (I - A^+ A) = O,
-    as U0^T B V0 = O, with rank(A) (and A^+) cut at tol * sigma_max(A):
-    the inputs may carry roundoff well above eps (e.g. computed powers),
-    and a cut that moved with B would move a verdict linear in B.
+    as U0^T B V0 = O, with rank(A) (and A^+) from the one rank rule
+    (``numerical_rank``): ``tol`` compares the residual only, and a cut
+    that moved with B would move a verdict linear in B.
     """
-    r_a, _, svd = _svd_rank(ah.std, rel=tol, uv=True)
+    r_a, _, svd = _svd_rank(ah.std, uv=True)
     # (I - A A^+) B (I - A^+ A) is U0 U0^T B V0 V0^T, U0 and V0 the null
     # bases past rank(A) in the SVD: ||U0^T B V0|| over ||B||, free of the
     # roundoff of A A^+

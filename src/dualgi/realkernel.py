@@ -30,6 +30,9 @@ __all__ = [
 #: Default relative residual threshold used throughout the package.
 DEFAULT_TOL = 1e-10
 
+#: The rank rule cuts at this times the roundoff scale; README says why.
+_RANK_REL = 100 * np.finfo(float).eps
+
 
 def _square(a, op):
     a = np.asarray(a, dtype=float)
@@ -49,24 +52,22 @@ def _lapack(what, fn, a, *args, **kwargs):
                              f"failed: {exc}") from exc
 
 
-def _svd_rank(a, rel=None, floor=0.0, uv=False):
+def _svd_rank(a, floor=0.0, uv=False):
     """The one rank rule: one SVD of ``a``, and the count of its
-    singular values above rel * max(sigma_max(a), floor).
+    singular values above 100 eps max(max(shape) sigma_max(a), floor).
 
-    rel defaults to max(shape) * eps; certificates pass their tolerance.
-    ``floor`` is sigma_max of the matrix whose roundoff ``a`` carries (A
-    for a staircase block, A^m for one built from A^m).  Returns (rank,
-    sigma_max(a), svd), svd being the singular values, or (U, sv, Vt)
-    with ``uv``, so that a basis or pseudo-inverse from these factors
-    has that rank.
+    ``floor`` is the roundoff scale ``a`` carries from the matrix it was
+    built from (n sigma_max(A) for a staircase block of A).  Returns
+    (rank, sigma_max(a), svd), svd being the singular values, or
+    (U, sv, Vt) with ``uv``, so that a basis or pseudo-inverse from
+    these factors has that rank.
     """
     a = np.asarray(a, dtype=float)
     svd = _lapack("SVD", np.linalg.svd, a, compute_uv=uv)
     sv = svd[1] if uv else svd
     sigma = float(sv[0]) if sv.size else 0.0
-    if rel is None:
-        rel = max(a.shape) * np.finfo(float).eps
-    return int(np.count_nonzero(sv > rel * max(sigma, floor))), sigma, svd
+    cut = _RANK_REL * max(max(a.shape) * sigma, floor)
+    return int(np.count_nonzero(sv > cut)), sigma, svd
 
 
 def _pinv(rank, svd):
@@ -76,27 +77,23 @@ def _pinv(rank, svd):
 
 
 def numerical_rank(a):
-    """Rank via singular values, cut at max(rows, cols) * eps * sigma_max."""
+    """Rank via singular values, cut at 100 max(rows, cols) eps sigma_max."""
     return _svd_rank(a)[0]
-
-
-#: The staircase cut is this times n sigma_max(A); README says why 100.
-_STAIRCASE_REL = 100 * np.finfo(float).eps
 
 
 def _staircase(a):
     """(U, t, m) by staircase deflation of A^T (Kublanovskaya
     1966; Van Dooren 1979): each step's SVD of the trailing block (A^T at
-    first), cut at 100 n eps sigma_max(A), moves the block's null space
-    V_0 behind the rest V_r and goes on with V_r^T blk V_r, until a block
-    is nonsingular.  The m steps' deflated columns span N((A^T)^m), the
-    complement of R(A^m), so U^T A U is block upper triangular.
+    first), cut at 100 n eps sigma_max(A) (floor n sigma_max(A)), moves
+    the block's null space V_0 behind the rest V_r and goes on with
+    V_r^T blk V_r, until a block is nonsingular.  The m steps' deflated
+    columns span N((A^T)^m), the complement of R(A^m), so U^T A U is
+    block upper triangular.
     """
     n = a.shape[0]
     u, blk, t, m, sigma = np.eye(n), a.T, n, 0, 0.0
     while t:
-        r, sig, (_, _, vt) = _svd_rank(blk, rel=_STAIRCASE_REL * n,
-                                       floor=sigma, uv=True)
+        r, sig, (_, _, vt) = _svd_rank(blk, floor=n * sigma, uv=True)
         sigma = max(sigma, sig)
         if r == t:
             break
@@ -114,7 +111,7 @@ def index(a):
 
 
 def moore_penrose(a):
-    """Moore-Penrose inverse (the unique four-Penrose-equations solution)."""
+    """Moore-Penrose inverse, at the rank ``numerical_rank`` decides."""
     rank, _, svd = _svd_rank(a, uv=True)
     return _pinv(rank, svd)
 
@@ -190,10 +187,10 @@ def core_ep_decompose(a, u=None):
         u = np.array(u, dtype=float)  # a copy, not the caller's array
         if u.shape != (n, n):
             raise DimensionError(f"basis must be {n}x{n}, got {u.shape}")
-        if not np.allclose(u.T @ u, np.eye(n), atol=1e-10):
+        if not np.allclose(u.T @ u, np.eye(n), rtol=0, atol=1e-10):
             raise ValueError("supplied basis is not orthogonal")
         lead, basis = u[:, :t], u_stair[:, :t]
-        if not np.allclose(basis @ (basis.T @ lead), lead, atol=1e-8):
+        if not np.allclose(basis @ (basis.T @ lead), lead, rtol=0, atol=1e-8):
             raise ValueError("leading columns of supplied basis do not "
                              "span range(A^m)")
     w = u.T @ a @ u

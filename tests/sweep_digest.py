@@ -8,7 +8,9 @@ It prints the number of inputs and one hex digest.  Two trees whose
 digests agree give the same outputs, bit for bit, on every input: a
 refactor that claims to change no result is checked by running this
 script on the parent and on the change.  Two runs of one tree give one
-digest.
+digest.  The digest also depends on the BLAS library and its thread
+count, so compare two trees under one setting, for example with
+``OPENBLAS_NUM_THREADS=1``.
 
 The sweep: n 6/20/50, t = n/2, index m 1-4 with m <= n - t, cond(T1)
 default, 1e3 and 1e4, the generators ``existing_dual``,

@@ -88,18 +88,26 @@ class TestDualMatrixRing:
                    lambda p, q: p @ q):
             with pytest.raises(DimensionError, match="DualScalar"):
                 op(DualMatrix.eye(2), DualScalar(1.0))
+            # a real operand that is not 2-D is named, not its parts
+            for other, what in ((np.ones(2), "1-dimensional ndarray"),
+                                (1.0, "0-dimensional float")):
+                with pytest.raises(DimensionError, match=f"^a {what} is not"):
+                    op(DualMatrix.eye(2), other)
         with pytest.raises(DimensionError):
             DualMatrix(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             DualMatrix(np.array([[np.nan]]), np.zeros((1, 1)))
 
     def test_real_array_on_the_left_is_refused(self):
-        # NumPy defers to the dual types, which have no reflected + - @
+        # NumPy defers to the dual types, which have no reflected - @ and
+        # refuse + rather than fall back to ndarray's concatenation
         x, v = DualMatrix.eye(2), DualVector.zeros(2)
-        for op in (lambda p, q: p + q, lambda p, q: p - q,
-                   lambda p, q: p @ q):
+        for op, sign in ((lambda p, q: p + q, "+"), (lambda p, q: p - q, "-"),
+                         (lambda p, q: p @ q, "@")):
             for left, right in ((np.eye(2), x), (np.ones(2), v)):
-                with pytest.raises(TypeError):
+                with pytest.raises(TypeError, match=(
+                        rf"^unsupported operand type\(s\) for \{sign}: "
+                        rf"'.*ndarray' and '{type(right).__name__}'$")):
                     op(left, right)
         scaled = np.float64(2.0) * x  # through __rmul__
         assert type(scaled) is DualMatrix

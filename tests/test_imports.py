@@ -3,7 +3,8 @@ through its ``__all__``, every private function, class or method the
 package defines is referenced in it, and every ``cached_property`` it
 defines is read in it as an attribute: an import, a helper or a cached
 quantity left behind by a deletion fails here (no linter runs on the
-package)."""
+package).  Only ``realkernel`` calls the NumPy routines that decide a
+rank, so the package keeps one rank rule."""
 
 import ast
 import pathlib
@@ -118,3 +119,39 @@ def test_finds_an_unread_cached_property():
                  "vars(k)['filled'] = 0\n"),
     }
     assert _unread_cached_properties(sources) == [("a.py", 11, "filled")]
+
+
+#: NumPy routines that decide a rank, each with a cutoff of its own.
+RANK_ROUTINES = {"svd", "pinv", "matrix_rank"}
+
+
+def _rank_routine_calls(source):
+    """(line, name) of each ``np.linalg.<name>`` (or ``numpy.linalg``)
+    in ``source`` that names a rank routine, called or passed on, and of
+    each such name imported from ``numpy.linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in RANK_ROUTINES \
+                and getattr(node.value, "attr", None) == "linalg":
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module == "numpy.linalg":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in RANK_ROUTINES]
+    return sorted(found)
+
+
+def test_rank_decisions_stay_in_realkernel():
+    found = {path.name: _rank_routine_calls(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "realkernel.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    assert _rank_routine_calls((PACKAGE / "realkernel.py").read_text())
+
+
+def test_finds_a_rank_routine_call():
+    source = ("import numpy as np\nnp.linalg.pinv(a)\n"
+              "x = numpy.linalg.matrix_rank(a)\nnp.linalg.qr(a)\n"
+              "f(np.linalg.svd, a)\nfrom numpy.linalg import inv, svd\n")
+    assert _rank_routine_calls(source) == [(2, "pinv"), (3, "matrix_rank"),
+                                           (5, "svd"), (6, "svd")]

@@ -128,6 +128,18 @@ class TestDDGI:
             verdicts = {r <= power_cert.tolerance
                         for r in power_cert.residuals.values()}
             assert len(verdicts) == 1, power_cert.residuals
+        # index 4 at cond(T1) = 1e3: sigma_t(A^4) / sigma_1 is near 1e-12,
+        # so a rank cut at tol * sigma_max(A^m) left rank t - 1 and
+        # denied the DMPGI of Ahat^m
+        for seed in (7, 15, 47):
+            rng = np.random.default_rng(seed)
+            n = 3 + seed % 10
+            f = Frame(rng, n, (n - 4) // 2, 4, cond=1e3)
+            for build in (existing_dual, reducing_dual):
+                ah = build(rng, f)
+                assert ddgi_exists(ah).exists, (seed, build.__name__)
+                assert dmpgi_exists(dual_power(ah, 4)).exists, \
+                    (seed, build.__name__)
 
     def test_nonexistence(self):
         f = Frame(RNG, 4, 1, 2)

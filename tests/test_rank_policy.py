@@ -15,8 +15,8 @@ import sympy
 
 from dualgi import (DualMatrix, DualVector, core_ep_decompose, dcepgi_exists,
                     ddgi_exists, dmpgi_exists, dual_core_ep_decompose,
-                    first_order_form_report, index, range_null_report,
-                    rank_test, solve_unique_in_range)
+                    first_order_form_report, index, numerical_rank,
+                    range_null_report, rank_test, solve_unique_in_range)
 from dualgi.errors import HypothesisError, InverseNotExistError
 from helpers import (Frame, existing_dual, existing_dual_b3, orthogonal,
                      random_dual, random_dual_vector, random_frame,
@@ -70,6 +70,7 @@ def test_exact_integer_oracle():
         m, t = exact_index_and_t(a)
         a_float = np.array(a.tolist(), dtype=float)
         assert index(a_float) == m, a
+        assert numerical_rank(a_float) == a.rank(), a
         frame = core_ep_decompose(a_float)
         assert (frame.t, frame.m) == (t, m), a
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dualgi import (DualMatrix, core_ep_decompose, core_ep_inverse, drazin,
-                    index, moore_penrose, numerical_rank)
+                    dual_core_ep_decompose, index, moore_penrose,
+                    numerical_rank)
 from dualgi.errors import DimensionError
 from dualgi.inverses import _Frame
 from helpers import Frame, orthogonal, random_frame
@@ -89,6 +90,13 @@ class TestCoreEPDecomposition:
             core_ep_decompose(f.A, u=wrong_span)
         with pytest.raises(DimensionError):
             core_ep_decompose(np.eye(4), u=np.eye(3))
+        # ||U^T U - I||_F = 1.6e-5: under allclose's default rtol of 1e-5
+        # this basis passed, and both reconstructions were off by 1.6e-5
+        skewed = f.U * 1.000004
+        with pytest.raises(ValueError, match="not orthogonal"):
+            core_ep_decompose(f.A, u=skewed)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            dual_core_ep_decompose(DualMatrix(f.A, f.A.T), u=skewed)
 
     def test_split_and_assemble_roundtrip(self):
         # the dual frame splits U^T B U on the real decomposition
