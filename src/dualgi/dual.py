@@ -257,11 +257,10 @@ def _as_dual_matrix(x):
     if isinstance(x, (DualVector, DualScalar)):
         raise DimensionError(f"a {type(x).__name__} is not a dual matrix "
                              "operand")
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"a {a.ndim}-dimensional {type(x).__name__} is "
-                             "not a dual matrix operand")
-    return DualMatrix.from_real(a)
+    if np.ndim(x) != 2:
+        raise DimensionError(f"a {np.ndim(x)}-dimensional {type(x).__name__}"
+                             " is not a dual matrix operand")
+    return DualMatrix.from_real(x)
 
 
 def dual_power(x, k):

@@ -410,15 +410,18 @@ def mpdgi(ah):
     return DualMatrix(ap, -ap @ ah.inf @ ap)
 
 
-def dmpgi_exists(ah, tol=DEFAULT_TOL):
-    """Existence certificate for the dual Moore-Penrose inverse.
+def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
+    """Existence certificate for the dual Moore-Penrose inverse of Ahat^m.
 
     Verdict from the projector condition (I - A A^+) B (I - A^+ A) = O,
-    as U0^T B V0 = O, with rank(A) (and A^+) from the one rank rule
-    (``numerical_rank``): ``tol`` compares the residual only, and a cut
-    that moved with B would move a verdict linear in B.
+    as U0^T B V0 = O, for A + eps B = Ahat^m, with rank(A) (and A^+)
+    from the one rank rule: ``tol`` compares the residual only, and a
+    cut that moved with B would move a verdict linear in B.  A power
+    is formed here, so its cut takes its roundoff's floor (README).
     """
-    r_a, _, svd = _svd_rank(ah.std, uv=True)
+    floor = 0.0 if m == 1 else ah.shape[0] * _svd_rank(ah.std)[1] ** m
+    ah = ah if m == 1 else dual_power(ah, m)
+    r_a, _, svd = _svd_rank(ah.std, floor=floor, uv=True)
     # (I - A A^+) B (I - A^+ A) is U0 U0^T B V0 V0^T, U0 and V0 the null
     # bases past rank(A) in the SVD: ||U0^T B V0|| over ||B||, free of the
     # roundoff of A A^+

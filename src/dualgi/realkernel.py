@@ -84,11 +84,10 @@ def numerical_rank(a):
 def _staircase(a):
     """(U, t, m) by staircase deflation of A^T (Kublanovskaya
     1966; Van Dooren 1979): each step's SVD of the trailing block (A^T at
-    first), cut at 100 n eps sigma_max(A) (floor n sigma_max(A)), moves
-    the block's null space V_0 behind the rest V_r and goes on with
-    V_r^T blk V_r, until a block is nonsingular.  The m steps' deflated
-    columns span N((A^T)^m), the complement of R(A^m), so U^T A U is
-    block upper triangular.
+    first), cut at 100 n eps sigma_max(A), moves the block's null space
+    V_0 behind the rest V_r and goes on with V_r^T blk V_r, until a block
+    is nonsingular.  The m steps' deflated columns span N((A^T)^m), the
+    complement of R(A^m), so U^T A U is block upper triangular.
     """
     n = a.shape[0]
     u, blk, t, m, sigma = np.eye(n), a.T, n, 0, 0.0

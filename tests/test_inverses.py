@@ -1,5 +1,7 @@
 """Dual generalized inverses: formulas, certificates, oracle agreement."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from dualgi import (DualMatrix, core_ep_inverse, core_ep_residuals, dcepgi,
                     solve_general)
 from dualgi.errors import DimensionError, InverseNotExistError
 from helpers import (REDUCING_CUTOFF_CASES, Frame, existing_dual,
-                     existing_dual_b3, mp_existing_dual, random_dual,
-                     random_dual_vector, random_frame, reducing_dual,
-                     seeded_reducing_dual, stacked_rank_gap)
+                     existing_dual_b3, mp_existing_dual, orthogonal,
+                     random_dual, random_dual_vector, random_frame,
+                     reducing_dual, seeded_reducing_dual, stacked_rank_gap)
 
 RNG = np.random.default_rng(20240819)
 
@@ -117,13 +119,17 @@ class TestDDGI:
             ah = existing_dual(RNG, f) if RNG.random() < 0.5 \
                 else random_dual(RNG, f)
             cert = ddgi_exists(ah)
-            power_cert = dmpgi_exists(dual_power(ah, max(f.m, 1)))
+            power_cert = dmpgi_exists(ah, m=max(f.m, 1))
             assert cert.exists == power_cert.exists
+            if cert.exists:
+                res = penrose_residuals(dual_power(ah, max(f.m, 1)),
+                                        power_cert.witness)
+                assert max(res.values()) < 1e-8, res
         # computed powers whose roundoff singular values a default-cutoff
         # A^+ kept: the DMPGI was denied while its own rank test held
         for seed, shape in REDUCING_CUTOFF_CASES:
             ah = seeded_reducing_dual(seed, shape)
-            power_cert = dmpgi_exists(dual_power(ah, shape[2]))
+            power_cert = dmpgi_exists(ah, m=shape[2])
             assert ddgi_exists(ah).exists == power_cert.exists
             verdicts = {r <= power_cert.tolerance
                         for r in power_cert.residuals.values()}
@@ -138,8 +144,19 @@ class TestDDGI:
             for build in (existing_dual, reducing_dual):
                 ah = build(rng, f)
                 assert ddgi_exists(ah).exists, (seed, build.__name__)
-                assert dmpgi_exists(dual_power(ah, 4)).exists, \
-                    (seed, build.__name__)
+                assert dmpgi_exists(ah, m=4).exists, (seed, build.__name__)
+        # small T1 and T2 = O: ||A^2|| = d^2, while the computed power
+        # carries roundoff of about eps ||A||^2 = eps.  A cut at the
+        # power's own sigma_max kept that roundoff as rank, left no null
+        # space and accepted a B that the DDGI rejects
+        mid = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        for d, seed in itertools.product((1e-2, 1e-4), range(20)):
+            rng = np.random.default_rng(seed)
+            q = orthogonal(rng, 3)
+            mid[0, 0] = d
+            ah = DualMatrix(q @ mid @ q.T, rng.standard_normal((3, 3)))
+            assert not ddgi_exists(ah).exists, (d, seed)
+            assert not dmpgi_exists(ah, m=2).exists, (d, seed)
 
     def test_nonexistence(self):
         f = Frame(RNG, 4, 1, 2)
