@@ -10,7 +10,7 @@ numerical certificate in both cases.
 import numpy as np
 
 from dualgi import (DualMatrix, core_ep_residuals, dcepgi, dcepgi_compact,
-                    dcepgi_exists, index, dcepgi_bruteforce_oracle)
+                    dcepgi_exists, index)
 
 # Construct A = U [[T1, T2], [0, N]] U^T with index 2 directly in a
 # rotated frame, so we control which blocks of B are populated.
@@ -38,11 +38,9 @@ print("Ahat X^2 = X, X Ahat^(m+1) = Ahat^m, all hold:")
 for name, res in core_ep_residuals(good, x, index(a)).items():
     print(f"  {name}: {res:.3e}")
 
-# Two independent routes to the same inverse:
+# A second route to the same inverse:
 x2 = dcepgi_compact(good)          # Ahat^D Ahat^m (Ahat^m)^+
-x3 = dcepgi_bruteforce_oracle(good)  # dense linear-system solve
 print("\ncompact product formula agrees:", (x - x2).norm())
-print("brute-force oracle agrees:      ", (x - x3).norm())
 
 # A generic infinitesimal part breaks existence; the certificate says
 # which condition failed and by how much.
@@ -50,4 +48,3 @@ bad = DualMatrix(a, rng.standard_normal((4, 4)))
 cert = dcepgi_exists(bad)
 print("\ngeneric B: exists =", cert.exists)
 print("certificate residuals:", cert.residuals)
-print("oracle also finds no solution:", dcepgi_bruteforce_oracle(bad) is None)

@@ -16,10 +16,10 @@ from .decomposition import (DualCNSplit, DualCoreEPDecomposition,
 from .errors import (DimensionError, DualgiError, HypothesisError,
                      InverseNotExistError)
 from .inverses import (ExistenceCertificate, core_ep_residuals, dcepgi,
-                       dcepgi_bruteforce_oracle, dcepgi_compact,
-                       dcepgi_exists, ddgi, ddgi_exists, dmpgi, dmpgi_exists,
-                       drazin_residuals, dual_core_inverse, dual_group,
-                       mpdgi, penrose_residuals)
+                       dcepgi_compact, dcepgi_exists, ddgi, ddgi_exists,
+                       dmpgi, dmpgi_exists, drazin_residuals,
+                       dual_core_inverse, dual_group, mpdgi,
+                       penrose_residuals)
 from .realkernel import (DEFAULT_TOL, CoreEPBlocks, core_ep_decompose,
                          core_ep_inverse, drazin, index, moore_penrose,
                          numerical_rank)
@@ -51,7 +51,6 @@ __all__ = [
     "core_ep_inverse",
     "core_ep_residuals",
     "dcepgi",
-    "dcepgi_bruteforce_oracle",
     "dcepgi_compact",
     "dcepgi_exists",
     "dcepgi_from_decomposition",

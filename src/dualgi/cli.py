@@ -7,8 +7,10 @@
 Reports are emitted as compact one-line JSON on standard output.  Exit
 statuses: 0 success, 1 usage/parse error, 2 proven nonexistence, 3
 theorem hypothesis failure, 4 numerical failure (a factorization did
-not converge).  The default tolerance (1e-10) can be overridden, by
-a finite number > 0, with --tol or the DUALGI_TOL environment variable.
+not converge, or a value is not finite, which JSON cannot hold, and no
+report is written).  The default tolerance (1e-10) can be overridden,
+by a finite number > 0, with --tol or the DUALGI_TOL environment
+variable.
 """
 
 import argparse
@@ -95,7 +97,13 @@ def _default_tol():
 
 
 def _emit(report, output):
-    text = json.dumps(report)
+    """Write ``report`` as one line of JSON (RFC 8259, which has no NaN or
+    infinity): NumericalError, before anything is written, when it holds
+    a value that is not finite."""
+    try:
+        text = json.dumps(report, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"the report is not finite: {exc}") from None
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -244,11 +252,12 @@ def main(argv=None):
     try:
         if args.tol is None:
             args.tol = _default_tol()
-        return args.func(args)
-    except InverseNotExistError as exc:
-        print(json.dumps({"error": str(exc), "exists": False,
-                          "certificate": _certificate_dict(exc.certificate)}))
-        return EXIT_NOT_EXIST
+        try:
+            return args.func(args)
+        except InverseNotExistError as exc:
+            _emit({"error": str(exc), "exists": False,
+                   "certificate": _certificate_dict(exc.certificate)}, None)
+            return EXIT_NOT_EXIST
     except HypothesisError as exc:
         print(json.dumps({"error": str(exc)}))
         return EXIT_HYPOTHESIS

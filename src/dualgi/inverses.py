@@ -3,7 +3,7 @@
 Implements the MPDGI formula, the dual Moore-Penrose inverse (DMPGI),
 the dual Drazin inverse (DDGI), the dual group and dual core inverses,
 and the dual core-EP generalized inverse (DCEPGI) together with its
-compact product formula and a brute-force linear-system oracle.
+compact product formula.
 
 Existence is decided numerically: each certificate lists residuals,
 identity differences over the size of their terms (``_rel``), and the
@@ -27,6 +27,7 @@ A certificate forms its witness on the first read of ``witness``
 (``_certify``), so a caller that reads only the verdict forms no
 inverse.  Until that read, a certificate whose inverse exists keeps the
 frame alive, also once the kept frame has moved on to another input.
+A witness with an entry that is not finite raises NumericalError.
 """
 
 from dataclasses import dataclass
@@ -36,9 +37,9 @@ from typing import Optional
 import numpy as np
 
 from .dual import DualMatrix, _fro, _s_terms, _trusted, dual_power
-from .errors import DimensionError, InverseNotExistError
-from .realkernel import (DEFAULT_TOL, _lapack, _pinv, _svd_rank,
-                         core_ep_decompose, core_ep_inverse, moore_penrose)
+from .errors import DimensionError, InverseNotExistError, NumericalError
+from .realkernel import (DEFAULT_TOL, _pinv, _range_pinv, _svd_rank,
+                         core_ep_decompose, moore_penrose)
 
 __all__ = [
     "ExistenceCertificate",
@@ -51,7 +52,6 @@ __all__ = [
     "dcepgi_exists",
     "dcepgi",
     "dcepgi_compact",
-    "dcepgi_bruteforce_oracle",
     "dual_core_inverse",
     "penrose_residuals",
     "drazin_residuals",
@@ -326,14 +326,14 @@ class _Frame:
         U [[T1^-1, O], [O, O]] U^T + eps U [[-T1^-1 (B1 + T2 U3) T1^-1,
         T1^-1 U3^T], [U3 T1^-1, O]] U^T."""
         dcepgi = self.conjugate(self.t1_hat_inv)
-        return _readonly(dcepgi.std, dcepgi.inf)
+        return _finite(_readonly(dcepgi.std, dcepgi.inf))
 
     @cached_property
     def ddgi(self):
         """The DDGI, Uhat [[T1hat^-1, Y], [O, O]] Uhat^T with Y =
         ``drazin_top``."""
         ddgi = self.conjugate(_row(self.t1_hat_inv, self.drazin_top))
-        return _readonly(ddgi.std, ddgi.inf)
+        return _finite(_readonly(ddgi.std, ddgi.inf))
 
 
 #: (key, frame) of the last frame ``_Frame.of`` built, or None.
@@ -345,6 +345,16 @@ def _readonly(std, inf):
     frame that hands it out serves later calls too."""
     std.flags.writeable = inf.flags.writeable = False
     return _trusted(DualMatrix, std, inf)
+
+
+def _finite(xh):
+    """The witness ``xh``; NumericalError when an entry is not finite, as
+    where a rank cut that underflowed to 0 keeps a singular value (or a
+    T1) whose inverse overflows."""
+    if not (np.isfinite(xh.std).all() and np.isfinite(xh.inf).all()):
+        raise NumericalError(f"the {xh.shape[0]}x{xh.shape[1]} inverse has "
+                             "entries that are not finite")
+    return xh
 
 
 def _row(left, right):
@@ -407,7 +417,7 @@ def mpdgi(ah):
     Not in general the dual Moore-Penrose inverse; see ``dmpgi``.
     """
     ap = moore_penrose(ah.std)
-    return DualMatrix(ap, -ap @ ah.inf @ ap)
+    return _finite(_trusted(DualMatrix, ap, -ap @ ah.inf @ ap))
 
 
 def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
@@ -431,7 +441,7 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
     # change in place before it is read
     copy = _trusted(DualMatrix, ah.std.copy(), ah.inf.copy())
     return _certify({"penrose_projector": residual}, tol,
-                    lambda: _dmpgi_formula(copy, _pinv(r_a, svd)))
+                    lambda: _finite(_dmpgi_formula(copy, _pinv(r_a, svd))))
 
 
 def _dmpgi_formula(ah, ap):
@@ -540,67 +550,15 @@ def dcepgi_compact(ah, tol=DEFAULT_TOL):
 
 def _dcepgi_compact(ah, tol):
     """The DCEPGI certificate with the compact product as its only
-    witness, (A^m)^+ at the frame's rank t: M^+ U1^T for M = U1^T A^m,
-    M^+ = Q R^-T from (A^m)^T U1 = Q R (U1 = U[:, :t])."""
+    witness, (A^m)^+ at the frame's rank t (``_range_pinv``)."""
     df = _Frame.of(ah)
 
     def product():
-        u1 = df.blocks.U[:, :df.blocks.t]
-        q, r = _lapack("QR", np.linalg.qr, df.ahm.std.T @ u1)
-        am_pinv = _lapack("solve", np.linalg.solve, r, q.T).T @ u1.T
+        am_pinv = _range_pinv(df.ahm.std, df.blocks.U[:, :df.blocks.t])
         x = df.ddgi @ df.ahm @ _dmpgi_formula(df.ahm, am_pinv)
-        return _readonly(x.std, x.inf)
+        return _finite(_readonly(x.std, x.inf))
     return _certified(_certify({"core_ep_projector": df.defect_residual},
                                tol, product), _NO_DCEPGI)
-
-
-def _vec(x):
-    return x.reshape(-1, order="F")
-
-
-def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
-    """Independent DCEPGI oracle: solve the defining linear system for
-    the infinitesimal part R by vectorized least squares.
-
-    The three dual conditions reduce to linear equations in R once the
-    standard part is pinned to the real core-EP inverse X:
-
-        (A R + B X)^T = A R + B X
-        A X R + A R X - R = -B X^2
-        R A^(m+1) = S - X A S - X B A^m
-
-    Returns X + eps R when the least-squares backward error
-    ||M r - c|| / (||M|| ||r|| + ||c||) of that system M r = c, each
-    block of equations over its matrix's norm, is at or below
-    tolerance, else None.  Test-scale only (dense n^2 unknowns).
-    """
-    df = _Frame.of(ah)
-    a, b = ah.std, ah.inf
-    n = a.shape[0]
-    x = core_ep_inverse(a, blocks=df.blocks)
-    s, am = df.s, df.ahm.std
-    eye_n = np.eye(n)
-    eye_n2 = np.eye(n * n)
-
-    # vec(X)[i + j n] = X[i, j]: this row order maps vec(X) to vec(X^T)
-    m1 = np.kron(eye_n, a)
-    m1 -= m1[np.arange(n * n).reshape(n, n).T.ravel()]
-    rhs1 = _vec((b @ x).T - b @ x)
-    m2 = np.kron(eye_n, a @ x) + np.kron(x.T, a) - eye_n2
-    rhs2 = _vec(-b @ x @ x)
-    m3 = np.kron((a @ am).T, eye_n)
-    rhs3 = _vec(s - x @ a @ s - x @ b @ am)
-
-    sizes = [_fro(mk) or 1.0 for mk in (m1, m2, m3)]
-    big = np.vstack([m1 / sizes[0], m2 / sizes[1], m3 / sizes[2]])
-    rhs = np.concatenate([rhs1 / sizes[0], rhs2 / sizes[1], rhs3 / sizes[2]])
-    sol, *_ = _lapack("least squares", np.linalg.lstsq, big, rhs, rcond=None)
-    residual = _rel(_fro(big @ sol - rhs),
-                    _fro(big) * _fro(sol) + _fro(rhs))
-    if residual > tol:
-        return None
-    r = sol.reshape((n, n), order="F")
-    return DualMatrix(x, r)
 
 
 def dual_core_inverse(ah, tol=DEFAULT_TOL):

@@ -48,9 +48,10 @@ def _load(path, cols=None):
 
 
 def _size(value):
-    """A declared 'rows' or 'cols': a JSON integer, not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"'rows' and 'cols' must be integers, got {value!r}")
+    """A declared 'rows' or 'cols': a JSON integer >= 0, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"'rows' and 'cols' must be integers >= 0, "
+                         f"got {value!r}")
     return value
 
 

@@ -7,6 +7,8 @@ The central object is the core-EP (Schur-like) decomposition
 with U orthogonal, T1 invertible (t x t, t = rank(A^m), m = Ind(A))
 and N nilpotent.  One factorization feeds the Drazin inverse, the
 core-EP inverse and the dual core-EP frame (``inverses._Frame``).
+Every factorization and solve of the package runs in this module,
+through ``_lapack``, and every rank it cuts follows ``_svd_rank``.
 """
 
 from dataclasses import dataclass
@@ -74,6 +76,15 @@ def _pinv(rank, svd):
     """The pseudo-inverse at ``rank`` from the factors (U, sv, Vt)."""
     u, sv, vt = svd
     return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
+
+
+def _range_pinv(a, u1):
+    """The pseudo-inverse of ``a`` at rank t, for ``u1`` t orthonormal
+    columns that span R(a) (U1 of the core-EP frame for a = A^m): M^+
+    U1^T for M = U1^T a, M^+ = Q R^-T from a^T U1 = Q R.  The rank is
+    the frame's t; no singular value is cut here."""
+    q, r = _lapack("QR", np.linalg.qr, a.T @ u1)
+    return _lapack("solve", np.linalg.solve, r, q.T).T @ u1.T
 
 
 def numerical_rank(a):

@@ -23,6 +23,10 @@ purpose:
 * ``reducing_dual(...)``: T2 = O and B = P W P with P = A A^cep, so
   S = P S = S P and all five first-order-form conditions hold.
 
+``dcepgi_bruteforce_oracle`` solves the DCEPGI's defining linear system
+by dense least squares, from public calls alone: a check on the
+certificates that reads nothing of the frame they rest on.
+
 The ``exact_*`` helpers redo the dual product and the dual core-EP
 identities over ``fractions.Fraction`` (object arrays), so small
 integer instances can be checked without any tolerance.
@@ -33,8 +37,8 @@ from functools import reduce
 
 import numpy as np
 
-from dualgi import DEFAULT_TOL, DualMatrix, DualVector, dcepgi_exists, \
-    dual_power
+from dualgi import (DEFAULT_TOL, DualMatrix, DualVector, core_ep_inverse,
+                    dcepgi_exists, dual_power, index, s_matrix)
 
 
 def orthogonal(rng, n):
@@ -232,6 +236,54 @@ def mp_existing_dual(rng, frame):
     w = rng.standard_normal((n, n))
     v = rng.standard_normal((n, n))
     return DualMatrix(frame.A, frame.A @ w + v @ frame.A)
+
+
+def _vec(x):
+    return x.reshape(-1, order="F")
+
+
+def dcepgi_bruteforce_oracle(ah, tol=DEFAULT_TOL):
+    """Independent DCEPGI oracle: solve the defining linear system for
+    the infinitesimal part R by vectorized least squares.
+
+    The three dual conditions reduce to linear equations in R once the
+    standard part is pinned to the real core-EP inverse X:
+
+        (A R + B X)^T = A R + B X
+        A X R + A R X - R = -B X^2
+        R A^(m+1) = S - X A S - X B A^m
+
+    Returns X + eps R when the least-squares backward error
+    ||M r - c|| / (||M|| ||r|| + ||c||) of that system M r = c, each
+    block of equations over its matrix's norm, is at or below
+    tolerance, else None.  Test-scale only (dense n^2 unknowns).
+    """
+    a, b = ah.std, ah.inf
+    n = a.shape[0]
+    m = max(index(a), 1)
+    x = core_ep_inverse(a)
+    s, am = s_matrix(a, b, m), np.linalg.matrix_power(a, m)
+    eye_n = np.eye(n)
+    eye_n2 = np.eye(n * n)
+
+    # vec(X)[i + j n] = X[i, j]: this row order maps vec(X) to vec(X^T)
+    m1 = np.kron(eye_n, a)
+    m1 -= m1[np.arange(n * n).reshape(n, n).T.ravel()]
+    rhs1 = _vec((b @ x).T - b @ x)
+    m2 = np.kron(eye_n, a @ x) + np.kron(x.T, a) - eye_n2
+    rhs2 = _vec(-b @ x @ x)
+    m3 = np.kron((a @ am).T, eye_n)
+    rhs3 = _vec(s - x @ a @ s - x @ b @ am)
+
+    sizes = [np.linalg.norm(mk) or 1.0 for mk in (m1, m2, m3)]
+    big = np.vstack([m1 / sizes[0], m2 / sizes[1], m3 / sizes[2]])
+    rhs = np.concatenate([rhs1 / sizes[0], rhs2 / sizes[1], rhs3 / sizes[2]])
+    sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
+    miss = np.linalg.norm(big @ sol - rhs)
+    scale = np.linalg.norm(big) * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    if (miss / scale if scale else miss) > tol:
+        return None
+    return DualMatrix(x, sol.reshape((n, n), order="F"))
 
 
 def random_dual_vector(rng, n):

@@ -12,6 +12,18 @@ digest.  The digest also depends on the BLAS library and its thread
 count, so compare two trees under one setting, for example with
 ``OPENBLAS_NUM_THREADS=1``.
 
+When two digests differ, two flags show what moved:
+
+    python tests/sweep_digest.py --per-input
+    python tests/sweep_digest.py --ignore-signed-zeros
+
+``--per-input`` first prints one line per input: its index, its (n, m,
+cond, generator, seed, c) and the SHA-256 of its outputs alone, so a
+diff of two runs names the inputs that changed.  ``--ignore-signed-zeros``
+hashes each float and float array as ``x + 0.0``, which turns -0.0 into
+0.0: a digest that then agrees moved only in the signs of zeros.  The
+last line, and with neither flag the only one, is the digest as above.
+
 The sweep: n 6/20/50, t = n/2, index m 1-4 with m <= n - t, cond(T1)
 default, 1e3 and 1e4, the generators ``existing_dual``,
 ``existing_dual_b3``, ``reducing_dual`` and ``random_dual`` of
@@ -23,6 +35,7 @@ dtype, shape and bytes, and errors by type and message.  pytest does
 not collect this file (its name does not start with ``test_``).
 """
 
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -36,8 +49,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import dualgi  # noqa: E402
 from dualgi import inverses  # noqa: E402
-from helpers import (Frame, existing_dual, existing_dual_b3,  # noqa: E402
-                     random_dual, random_dual_vector, reducing_dual)
+from helpers import (Frame, dcepgi_bruteforce_oracle,  # noqa: E402
+                     existing_dual, existing_dual_b3, random_dual,
+                     random_dual_vector, reducing_dual)
 
 GENERATORS = (existing_dual, existing_dual_b3, reducing_dual, random_dual)
 CONDS = (None, 1e3, 1e4)
@@ -45,8 +59,12 @@ SCALES = (1e-6, 1.0, 1e6)
 ORACLE_MAX_N = 20  # the oracle solves for n^2 unknowns
 
 
-def feed(h, x):
-    """Hash ``x``, tagged with its kind, into ``h``."""
+def feed(h, x, unsigned_zeros=False):
+    """Hash ``x``, tagged with its kind, into ``h``; with
+    ``unsigned_zeros``, each float and float array as ``x + 0.0``."""
+    if unsigned_zeros and (isinstance(x, (float, np.floating)) or (
+            isinstance(x, np.ndarray) and x.dtype.kind == "f")):
+        x = x + 0.0  # -0.0 + 0.0 is 0.0
     if x is None or isinstance(x, (bool, int, str)):
         h.update(f"{type(x).__name__}:{x!r};".encode())
     elif isinstance(x, (float, np.floating)):
@@ -58,18 +76,18 @@ def feed(h, x):
         h.update(f"error:{type(x).__name__}:{x};".encode())
     elif isinstance(x, dict):
         for key in sorted(x):
-            feed(h, key)
-            feed(h, x[key])
+            feed(h, key, unsigned_zeros)
+            feed(h, x[key], unsigned_zeros)
     elif isinstance(x, (list, tuple)):
         h.update(f"seq:{len(x)};".encode())
         for item in x:
-            feed(h, item)
+            feed(h, item, unsigned_zeros)
     elif dataclasses.is_dataclass(x):
         h.update(f"{type(x).__name__};".encode())
         for f in dataclasses.fields(x):
             if not f.name.startswith("_"):
-                feed(h, f.name)
-                feed(h, getattr(x, f.name))
+                feed(h, f.name, unsigned_zeros)
+                feed(h, getattr(x, f.name), unsigned_zeros)
     else:
         raise TypeError(f"no digest rule for {type(x).__name__}")
 
@@ -114,12 +132,13 @@ def outputs(ah, bh):
             attempt(dualgi.solve_general, ah, bh),
             attempt(dualgi.solve_unique_in_range, ah, bh)]
     if a.shape[0] <= ORACLE_MAX_N:
-        out.append(dualgi.dcepgi_bruteforce_oracle(ah))
+        out.append(dcepgi_bruteforce_oracle(ah))
     return out
 
 
 def sweep():
-    """(ah, bh) of each input of the sweep, in a fixed order."""
+    """(ah, bh, label) of each input of the sweep, in a fixed order; the
+    label names its (n, m, cond, generator, seed, c)."""
     for n, cond, (g, generator) in itertools.product(
             (6, 20, 50), CONDS, enumerate(GENERATORS)):
         t = n // 2
@@ -130,15 +149,28 @@ def sweep():
                 continue
             bh = random_dual_vector(rng, n)
             for c in SCALES:
-                yield dualgi.DualMatrix(c * ah.std, c * ah.inf), bh
+                label = (f"n={n} m={m} cond={cond} {generator.__name__} "
+                         f"seed={s} c={c:g}")
+                yield dualgi.DualMatrix(c * ah.std, c * ah.inf), bh, label
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--per-input", action="store_true",
+                        help="also print one digest line per input")
+    parser.add_argument("--ignore-signed-zeros", action="store_true",
+                        help="hash each float and float array as x + 0.0")
+    args = parser.parse_args(argv)
     h = hashlib.sha256()
     count = 0
-    for ah, bh in sweep():
+    for ah, bh, label in sweep():
         inverses._last_frame = None  # a cold frame per input
-        feed(h, outputs(ah, bh))
+        out = outputs(ah, bh)
+        feed(h, out, args.ignore_signed_zeros)
+        if args.per_input:
+            one = hashlib.sha256()
+            feed(one, out, args.ignore_signed_zeros)
+            print(f"{count:4d}  {label}  {one.hexdigest()}")
         count += 1
     print(f"{count} inputs  sha256 {h.hexdigest()}")
 

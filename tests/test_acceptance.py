@@ -17,17 +17,17 @@ import pytest
 
 import dualgi
 from dualgi import (DEFAULT_TOL, DualMatrix, core_ep_inverse, dcepgi,
-                    dcepgi_bruteforce_oracle, dcepgi_compact, dcepgi_exists,
-                    ddgi, ddgi_exists, dmpgi, dmpgi_exists, dual_core_ep_decompose,
-                    dual_power, first_order_form_report, order_law_check,
-                    s_matrix, solve_general, solve_unique_in_range)
+                    dcepgi_compact, dcepgi_exists, ddgi, ddgi_exists, dmpgi,
+                    dmpgi_exists, dual_core_ep_decompose, dual_power,
+                    first_order_form_report, order_law_check, s_matrix,
+                    solve_general, solve_unique_in_range)
 from dualgi.errors import InverseNotExistError
 from dualgi.inverses import (core_ep_residuals, drazin_residuals,
                              penrose_residuals)
-from helpers import (exact_core_ep_residuals, exact_mul, existing_dual,
-                     existing_dual_b3, fractions, mp_existing_dual,
-                     random_dual, random_dual_vector, random_frame,
-                     reducing_dual, stacked_rank_gap)
+from helpers import (dcepgi_bruteforce_oracle, exact_core_ep_residuals,
+                     exact_mul, existing_dual, existing_dual_b3, fractions,
+                     mp_existing_dual, random_dual, random_dual_vector,
+                     random_frame, reducing_dual, stacked_rank_gap)
 
 # the five first-order-form conditions: three equivalent ones, and a
 # pair that adds the right-sided identity S A^m (A^m)^+ = S

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from dualgi import (DualMatrix, dcepgi, dcepgi_bruteforce_oracle,
-                    dcepgi_exists, dcepgi_from_decomposition, dual_cn_split,
+from dualgi import (DualMatrix, dcepgi, dcepgi_exists,
+                    dcepgi_from_decomposition, dual_cn_split,
                     dual_core_ep_decompose, dual_power)
 from dualgi.errors import DimensionError, InverseNotExistError
-from helpers import Frame, existing_dual, existing_dual_b3, random_dual, \
-    random_frame
+from helpers import (Frame, dcepgi_bruteforce_oracle, existing_dual,
+                     existing_dual_b3, random_dual, random_frame)
 
 RNG = np.random.default_rng(20240820)
 

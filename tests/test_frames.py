@@ -182,9 +182,7 @@ def test_mp_inverses_build_no_frame(frame_calls, index_three):
     # A, which gives rank(A) and A^+
     ("dmpgi_exists", 1),
     # the frame's m + 1 only: the DCEPGI's residual decides the DDGI
-    ("ddgi_exists", 3 + 1),
-    # the frame's m + 1 give m, A^cep and S (lstsq calls no svd)
-    ("dcepgi_bruteforce_oracle", 3 + 1)])
+    ("ddgi_exists", 3 + 1)])
 def test_svd_count(name, count, linalg_calls, index_three):
     ah, _ = index_three
     getattr(dualgi, name)(ah)
@@ -483,11 +481,9 @@ def test_kept_frame_is_bitwise_cold():
     # that of cold calls, bit for bit
     count = 0
     for _, ah, bh in _sweep_inputs():
-        names = SWEEP_CALLS + (("dcepgi_bruteforce_oracle",)
-                               if ah.shape[0] <= 6 else ())
         inverses._last_frame = None
-        warm = _warm(names[::-1], ah, bh)[::-1]
-        assert warm == _cold(names, ah, bh), ah.shape
+        warm = _warm(SWEEP_CALLS[::-1], ah, bh)[::-1]
+        assert warm == _cold(SWEEP_CALLS, ah, bh), ah.shape
         count += 1
     assert count >= 200
 
@@ -512,7 +508,7 @@ def test_sweep_outcomes_of_the_frame_readings():
             assert dualgi.range_null_report(ah).all_hold, ah.shape
 
 
-@pytest.mark.parametrize("name", SWEEP_CALLS + ("dcepgi_bruteforce_oracle",))
+@pytest.mark.parametrize("name", SWEEP_CALLS)
 def test_non_square_rejected(name):
     # every call that builds a dual frame checks that its input is square
     ah = DualMatrix(np.ones((2, 3)), np.ones((2, 3)))

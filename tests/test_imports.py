@@ -3,12 +3,14 @@ through its ``__all__``, every private function, class or method the
 package defines is referenced in it, and every ``cached_property`` it
 defines is read in it as an attribute: an import, a helper or a cached
 quantity left behind by a deletion fails here (no linter runs on the
-package).  Only ``realkernel`` calls the NumPy routines that decide a
-rank, so the package keeps one rank rule."""
+package).  Only ``realkernel`` names a ``numpy.linalg`` routine beyond
+``matrix_power``, so every factorization, solve and rank decision, and
+with them the one rank rule, stays in one module."""
 
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dualgi"
@@ -121,22 +123,18 @@ def test_finds_an_unread_cached_property():
     assert _unread_cached_properties(sources) == [("a.py", 11, "filled")]
 
 
-#: NumPy routines that decide a rank, each with a cutoff of its own.
-RANK_ROUTINES = {"svd", "pinv", "matrix_rank", "lstsq"}
-
-#: (module, function, routine) allowed outside realkernel.  The brute-force
-#: oracle checks the certificates; its verdict is the backward error of its
-#: own least-squares solve, and sharing their rank rule would not make it
-#: independent of them.
-RANK_ROUTINE_EXEMPT = {("inverses.py", "dcepgi_bruteforce_oracle", "lstsq")}
+#: ``numpy.linalg`` routines that factor a matrix, solve with one or decide
+#: a rank, some with a cutoff of their own: every name but ``matrix_power``,
+#: repeated products, and the error type.
+RANK_ROUTINES = set(np.linalg.__all__) - {"matrix_power", "LinAlgError"}
 
 
 def _rank_routine_calls(source):
     """(line, function, name) of each ``np.linalg.<name>`` (also through
     ``numpy.linalg`` or a name bound to ``numpy.linalg``) in ``source``
-    that names a rank routine, called or passed on, and of each such
-    name imported from ``numpy.linalg``; ``function`` is the innermost
-    enclosing def, or None."""
+    that names one of ``RANK_ROUTINES``, called or passed on, and of
+    each such name imported from ``numpy.linalg``; ``function`` is the
+    innermost enclosing def, or None."""
     tree = ast.parse(source)
     linalg, owner = {"linalg"}, {}
     for node in ast.walk(tree):
@@ -166,7 +164,7 @@ def test_rank_decisions_stay_in_realkernel():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "realkernel.py"
              for _, func, name in _rank_routine_calls(path.read_text())}
-    assert found == RANK_ROUTINE_EXEMPT
+    assert found == set()
     assert _rank_routine_calls((PACKAGE / "realkernel.py").read_text())
 
 
@@ -175,7 +173,9 @@ def test_finds_a_rank_routine_call():
               "x = numpy.linalg.matrix_rank(a)\nnp.linalg.qr(a)\n"
               "f(np.linalg.svd, a)\nfrom numpy.linalg import inv, svd\n"
               "from numpy import linalg\nimport numpy.linalg as la\n"
-              "def g(a):\n    return linalg.lstsq(a, a) + la.svd(a)\n")
+              "def g(a):\n    return linalg.lstsq(a, a) + la.svd(a)\n"
+              "np.linalg.matrix_power(a, 2)\nerror = np.linalg.LinAlgError\n")
     assert _rank_routine_calls(source) == [
-        (2, None, "pinv"), (3, None, "matrix_rank"), (5, None, "svd"),
-        (6, None, "svd"), (10, "g", "lstsq"), (10, "g", "svd")]
+        (2, None, "pinv"), (3, None, "matrix_rank"), (4, None, "qr"),
+        (5, None, "svd"), (6, None, "inv"), (6, None, "svd"),
+        (10, "g", "lstsq"), (10, "g", "svd")]

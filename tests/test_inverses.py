@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from dualgi import (DualMatrix, core_ep_inverse, core_ep_residuals, dcepgi,
-                    dcepgi_bruteforce_oracle, dcepgi_compact, dcepgi_exists,
-                    ddgi, ddgi_exists, dmpgi, dmpgi_exists, drazin,
-                    drazin_residuals, dual_core_inverse, dual_group, dual_power,
-                    index, moore_penrose, mpdgi, penrose_residuals,
-                    solve_general)
+                    dcepgi_compact, dcepgi_exists, ddgi, ddgi_exists, dmpgi,
+                    dmpgi_exists, drazin, drazin_residuals, dual_core_inverse,
+                    dual_group, dual_power, index, moore_penrose, mpdgi,
+                    penrose_residuals, solve_general)
 from dualgi.errors import DimensionError, InverseNotExistError
-from helpers import (REDUCING_CUTOFF_CASES, Frame, existing_dual,
-                     existing_dual_b3, mp_existing_dual, orthogonal,
-                     random_dual, random_dual_vector, random_frame,
-                     reducing_dual, seeded_reducing_dual, stacked_rank_gap)
+from helpers import (REDUCING_CUTOFF_CASES, Frame, dcepgi_bruteforce_oracle,
+                     existing_dual, existing_dual_b3, mp_existing_dual,
+                     orthogonal, random_dual, random_dual_vector,
+                     random_frame, reducing_dual, seeded_reducing_dual,
+                     stacked_rank_gap)
 
 RNG = np.random.default_rng(20240819)
 

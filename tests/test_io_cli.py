@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from dualgi import (DualMatrix, DualVector, dcepgi, dcepgi_bruteforce_oracle,
-                    dcepgi_compact, ddgi, dual_core_ep_decompose)
+import dualgi
+from dualgi import (DualMatrix, DualVector, dcepgi, dcepgi_compact, ddgi,
+                    dual_core_ep_decompose)
 from dualgi.cli import (EXIT_HYPOTHESIS, EXIT_NOT_EXIST, EXIT_NUMERICAL,
                         EXIT_OK, EXIT_USAGE, main)
 from dualgi.errors import DimensionError, DualgiError, NumericalError
@@ -76,11 +77,12 @@ class TestIO:
             read_dual_matrix(path)
 
     @pytest.mark.parametrize("rows, cols", [
-        (2.9, True), (2.0, 2), (True, 2), (2, "2")],
-        ids=["float-bool", "float", "bool", "string"])
+        (2.9, True), (2.0, 2), (True, 2), (2, "2"), (-1, -1)],
+        ids=["float-bool", "float", "bool", "string", "negative"])
     def test_non_integer_shape_rejected(self, rows, cols, tmp_path, capsys):
-        # int() would truncate each of these to a shape the arrays have
-        shape = (int(rows), int(cols))
+        # int() would truncate each of these to a shape the arrays have;
+        # a negative one would reach reshape, with NumPy's message
+        shape = (max(int(rows), 0), max(int(cols), 0))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
             "rows": rows, "cols": cols, "standard": np.eye(*shape).tolist(),
@@ -362,9 +364,57 @@ class TestNumericalFailure:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_least_squares_failure_is_typed(self, existing_file, monkeypatch):
-        # the oracle's vectorized system
-        _, ah = existing_file
-        monkeypatch.setattr(np.linalg, "lstsq", self.failing)
-        with pytest.raises(NumericalError):
-            dcepgi_bruteforce_oracle(ah)
+    # a rank cut that underflows to 0 keeps the singular values 1e-320,
+    # whose inverses overflow, while every certificate reads 0
+    TINY = DualMatrix(np.diag([1e-320, 1e-320]), np.eye(2))
+
+    @pytest.mark.parametrize("name", [
+        "dcepgi", "ddgi", "dmpgi", "mpdgi", "dcepgi_compact", "dual_group",
+        "dual_core_inverse", "dual_cn_split"])
+    def test_witness_that_is_not_finite(self, name):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                      match="not finite"):
+            getattr(dualgi, name)(self.TINY)
+
+    def test_solution_that_is_not_finite(self):
+        bh = DualVector(np.ones(2), np.ones(2))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            dualgi.solve_general(self.TINY, bh)
+
+    @pytest.mark.parametrize("argv", [
+        ["inverse", "--kind", kind] for kind in (
+            "cep", "cep-compact", "core", "ddgi", "dmpgi", "group", "mpdgi")]
+        + [["decompose"], ["solve", "--mode", "general"]],
+        ids=lambda argv: "-".join(a for a in argv if a[:2] != "--"))
+    def test_cli_report_that_is_not_finite(self, argv, tmp_path, capsys):
+        # exit 4 with nothing on standard output: JSON has no NaN or
+        # Infinity token
+        path = tmp_path / "tiny.json"
+        write_dual_matrix(path, self.TINY)
+        args = argv + [str(path)]
+        if argv[0] == "solve":
+            rhs = tmp_path / "b.json"
+            write_vector(rhs, DualVector(np.ones(2), np.ones(2)))
+            args.append(str(rhs))
+        with np.errstate(all="ignore"):
+            assert main(args) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerical failure: ")
+
+    @pytest.mark.parametrize("command", ["inverse", "solve"])
+    def test_certificate_that_is_not_finite(self, command, tmp_path, capsys):
+        # the squares of 1e200 overflow, so the residual is inf / inf, NaN:
+        # a "does not exist" report, from ``cmd_inverse`` or from ``main``,
+        # that JSON cannot hold
+        path, out = tmp_path / "huge.json", tmp_path / "report.json"
+        write_dual_matrix(path, DualMatrix(np.diag([1e200, 0.0]),
+                                           np.full((2, 2), 1e200)))
+        rhs = tmp_path / "b.json"
+        write_vector(rhs, DualVector(np.ones(2), np.ones(2)))
+        argv = (["inverse", "--kind", "cep", str(path), "--output", str(out)]
+                if command == "inverse" else ["solve", str(path), str(rhs)])
+        with np.errstate(all="ignore"):
+            assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().out == ""
+        assert not out.exists()

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from dualgi import (DEFAULT_TOL, DualMatrix, DualVector, dcepgi,
-                    dcepgi_bruteforce_oracle, dcepgi_exists, ddgi_exists,
-                    first_order_form_report, order_law_check,
-                    range_null_report, solve_general, solve_unique_in_range)
+                    dcepgi_exists, ddgi_exists, first_order_form_report,
+                    order_law_check, range_null_report, solve_general,
+                    solve_unique_in_range)
 from dualgi.inverses import _Frame, _rel
-from helpers import (Frame, existing_dual, existing_dual_b3, nilpotent_chain,
-                     orthogonal, random_dual, random_dual_vector,
-                     random_frame)
+from helpers import (Frame, dcepgi_bruteforce_oracle, existing_dual,
+                     existing_dual_b3, nilpotent_chain, orthogonal,
+                     random_dual, random_dual_vector, random_frame)
 
 RNG = np.random.default_rng(20261019)
 
