@@ -4,13 +4,15 @@
     dualgi decompose matrix.json
     dualgi solve --mode general matrix.json rhs.json
 
-Reports are emitted as compact one-line JSON on standard output.  Exit
-statuses: 0 success, 1 usage/parse error, 2 proven nonexistence, 3
-theorem hypothesis failure, 4 numerical failure (a factorization did
-not converge, or a value is not finite, which JSON cannot hold, and no
-report is written).  The default tolerance (1e-10) can be overridden,
-by a finite number > 0, with --tol or the DUALGI_TOL environment
-variable.
+Every outcome about a valid input is the command's report, one line of
+compact JSON on standard output (and in the --output file), with exit
+status 0 on success, 2 when the inverse provably does not exist and 3
+when a theorem hypothesis fails.  A failure to produce a report is one
+line on standard error: status 1 for a usage or parse error, 4 for a
+numerical failure (a factorization did not converge, or a value is not
+finite, which JSON cannot hold).  The default tolerance (1e-10) can be
+overridden, by a finite number > 0, with --tol or the DUALGI_TOL
+environment variable.
 """
 
 import argparse
@@ -25,8 +27,7 @@ import numpy as np
 
 from . import decomposition, inverses, io, solver
 from .dual import DualVector
-from .errors import (DimensionError, HypothesisError, InverseNotExistError,
-                     NumericalError)
+from .errors import HypothesisError, InverseNotExistError, NumericalError
 from .realkernel import DEFAULT_TOL
 
 EXIT_OK = 0
@@ -110,78 +111,80 @@ def _emit(report, output):
     print(text)
 
 
+def _report(args, command, paths, compute, **header):
+    """Emit the command's report and return its exit status.  The header
+    comes first, then the keys ``compute(report)`` adds, or ``exists``,
+    ``message`` and ``certificate`` for a missing inverse (exit 2), or
+    ``message`` for a failed hypothesis (exit 3); ``elapsed_seconds``
+    last."""
+    start = time.perf_counter()
+    report = {"command": command,
+              "inputs": {path: _digest(path) for path in paths},
+              "tolerance": args.tol, **header}
+    code = EXIT_OK
+    try:
+        compute(report)
+    except InverseNotExistError as exc:
+        report.update(exists=False, message=str(exc),
+                      certificate=_certificate_dict(exc.certificate))
+        code = EXIT_NOT_EXIST
+    except HypothesisError as exc:
+        report["message"] = str(exc)
+        code = EXIT_HYPOTHESIS
+    report["elapsed_seconds"] = time.perf_counter() - start
+    _emit(report, args.output)
+    return code
+
+
 def cmd_inverse(args):
     name, ah = io.read_dual_matrix(args.input)
-    start = time.perf_counter()
-    report = {
-        "command": f"inverse {args.kind}",
-        "inputs": {args.input: _digest(args.input)},
-        "tolerance": args.tol,
-    }
-    certified = _INVERSE_KINDS[args.kind]
-    try:
+
+    def compute(report):
+        certified = _INVERSE_KINDS[args.kind]
         cert = certified(ah, args.tol) if certified else None
-    except InverseNotExistError as exc:
-        report["exists"] = False
-        report["message"] = str(exc)
-        report["certificate"] = _certificate_dict(exc.certificate)
-        code = EXIT_NOT_EXIST
-    else:
         report["exists"] = True
         report["result"] = io.dual_matrix_to_dict(
             cert.witness if cert else inverses.mpdgi(ah),
             name=f"{name or 'input'}_{args.kind}")
         if cert:
             report["certificate"] = _certificate_dict(cert)
-        code = EXIT_OK
-    report["elapsed_seconds"] = time.perf_counter() - start
-    _emit(report, args.output)
-    return code
+    return _report(args, f"inverse {args.kind}", [args.input], compute)
 
 
 def cmd_decompose(args):
-    name, ah = io.read_dual_matrix(args.input)
-    start = time.perf_counter()
-    d = decomposition.dual_core_ep_decompose(ah, args.tol)
-    recon_res = inverses._rel((d.reconstruct() - ah).norm(), ah.norm())
-    report = {
-        "command": "decompose",
-        "inputs": {args.input: _digest(args.input)},
-        "tolerance": args.tol,
-        "rank_of_power": d.t,
-        "index": d.m,
-        "canonical": d.canonical,
-        "U_hat": io.dual_matrix_to_dict(d.U_hat, name="U_hat"),
-        "T1_hat": io.dual_matrix_to_dict(d.T1_hat, name="T1_hat"),
-        "T2_hat": io.dual_matrix_to_dict(d.T2_hat, name="T2_hat"),
-        "N_hat": io.dual_matrix_to_dict(d.N_hat, name="N_hat"),
-        "U3": d.U3.tolist(),
-        "reconstruction_residual": recon_res,
-    }
-    cert = inverses.dcepgi_exists(ah, args.tol)
-    report["dcepgi_certificate"] = _certificate_dict(cert)
-    if cert.exists:
-        split = decomposition.dual_cn_split(ah, args.tol)
-        report["core_part"] = io.dual_matrix_to_dict(split.core, name="core")
-        report["nilpotent_part"] = io.dual_matrix_to_dict(split.nilpotent,
-                                                          name="nilpotent")
-    report["elapsed_seconds"] = time.perf_counter() - start
-    _emit(report, args.output)
-    return EXIT_OK
+    _, ah = io.read_dual_matrix(args.input)
+
+    def compute(report):
+        d = decomposition.dual_core_ep_decompose(ah, args.tol)
+        report.update(
+            rank_of_power=d.t, index=d.m, canonical=d.canonical,
+            U_hat=io.dual_matrix_to_dict(d.U_hat, name="U_hat"),
+            T1_hat=io.dual_matrix_to_dict(d.T1_hat, name="T1_hat"),
+            T2_hat=io.dual_matrix_to_dict(d.T2_hat, name="T2_hat"),
+            N_hat=io.dual_matrix_to_dict(d.N_hat, name="N_hat"),
+            U3=d.U3.tolist(),
+            reconstruction_residual=inverses._rel(
+                (d.reconstruct() - ah).norm(), ah.norm()))
+        cert = inverses.dcepgi_exists(ah, args.tol)
+        report["dcepgi_certificate"] = _certificate_dict(cert)
+        if cert.exists:
+            split = decomposition.dual_cn_split(ah, args.tol)
+            report["core_part"] = io.dual_matrix_to_dict(split.core,
+                                                         name="core")
+            report["nilpotent_part"] = io.dual_matrix_to_dict(
+                split.nilpotent, name="nilpotent")
+    return _report(args, "decompose", [args.input], compute)
 
 
 def cmd_solve(args):
-    name, ah = io.read_dual_matrix(args.matrix)
+    _, ah = io.read_dual_matrix(args.matrix)
     _, bhat = io.read_dual_vector(args.rhs)
-    start = time.perf_counter()
-    report = {
-        "command": f"solve {args.mode}",
-        "inputs": {args.matrix: _digest(args.matrix),
-                   args.rhs: _digest(args.rhs)},
-        "tolerance": args.tol,
-        "seed": args.seed,
-    }
-    if args.mode == "general":
+
+    def compute(report):
+        if args.mode == "unique-in-range":
+            xhat = solver.solve_unique_in_range(ah, bhat, args.tol)
+            report["solution"] = io.dual_vector_to_dict(xhat, name="solution")
+            return
         sol = solver.solve_general(ah, bhat, args.tol)
         report["particular"] = io.dual_vector_to_dict(sol.particular,
                                                       name="particular")
@@ -195,12 +198,8 @@ def cmd_solve(args):
                    for _ in range(args.spot_checks)]
         report["spot_check_residuals"] = solver._surrogate_residuals(
             ah, bhat, sol.surrogate_rhs, shifted)
-    else:
-        xhat = solver.solve_unique_in_range(ah, bhat, args.tol)
-        report["solution"] = io.dual_vector_to_dict(xhat, name="solution")
-    report["elapsed_seconds"] = time.perf_counter() - start
-    _emit(report, args.output)
-    return EXIT_OK
+    return _report(args, f"solve {args.mode}", [args.matrix, args.rhs],
+                   compute, seed=args.seed)
 
 
 @functools.cache
@@ -252,21 +251,12 @@ def main(argv=None):
     try:
         if args.tol is None:
             args.tol = _default_tol()
-        try:
-            return args.func(args)
-        except InverseNotExistError as exc:
-            _emit({"error": str(exc), "exists": False,
-                   "certificate": _certificate_dict(exc.certificate)}, None)
-            return EXIT_NOT_EXIST
-    except HypothesisError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_HYPOTHESIS
+        return args.func(args)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         # LinAlgError is a ValueError: caught here, before usage errors
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, ValueError, KeyError, DimensionError,
-            json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -26,5 +26,5 @@ class HypothesisError(DualgiError):
 
 
 class NumericalError(DualgiError):
-    """A LAPACK routine failed (``LinAlgError``): a factorization did not
-    converge or a matrix to invert was singular."""
+    """A LAPACK routine failed (``LinAlgError``), or a witness, residual
+    or report came out not finite."""

@@ -27,9 +27,10 @@ A certificate forms its witness on the first read of ``witness``
 (``_certify``), so a caller that reads only the verdict forms no
 inverse.  Until that read, a certificate whose inverse exists keeps the
 frame alive, also once the kept frame has moved on to another input.
-A witness with an entry that is not finite raises NumericalError.
+A witness or residual that is not finite raises NumericalError.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -109,8 +110,12 @@ _NO_DCEPGI = "dual core-EP inverse does not exist"
 
 def _rel(value, scale):
     """The one residual normalization: value / scale, for ``scale`` the
-    size of the identity's terms (``value`` itself when that is 0)."""
-    return float(value) / float(scale) if scale else float(value)
+    size of the identity's terms (``value`` itself when that is 0);
+    NumericalError when not finite, as when a norm's squares overflow."""
+    res = float(value) / float(scale) if scale else float(value)
+    if not math.isfinite(res):
+        raise NumericalError(f"a residual is not finite: {value} / {scale}")
+    return res
 
 
 def _certify(residuals, tol, witness_fn=None):
@@ -496,11 +501,16 @@ def dual_group(ah, tol=DEFAULT_TOL):
     return _dual_group(ah, tol).witness
 
 
-def _dual_group(ah, tol):
+def _needs_index_one(ah, message):
+    """InverseNotExistError, with no certificate, unless index(A) <= 1:
+    the group and core inverses are the DDGI and DCEPGI at index one."""
     m = _Frame.of(ah).blocks.m
     if m > 1:
-        raise DimensionError("dual group inverse needs index(A) <= 1, "
-                             f"got {m}")
+        raise InverseNotExistError(message.format(m=m), None)
+
+
+def _dual_group(ah, tol):
+    _needs_index_one(ah, "dual group inverse needs index(A) <= 1, got {m}")
     return _ddgi(ah, tol)
 
 
@@ -572,9 +582,7 @@ def dual_core_inverse(ah, tol=DEFAULT_TOL):
 
 
 def _dual_core_inverse(ah, tol):
-    if _Frame.of(ah).blocks.m > 1:
-        raise InverseNotExistError(
-            "dual core inverse needs index(A) <= 1; the block form "
-            "[[T1, T2], [O, O]] is not attained", None)
+    _needs_index_one(ah, "dual core inverse needs index(A) <= 1; the block "
+                     "form [[T1, T2], [O, O]] is not attained")
     return _dcepgi(ah, tol, "dual core inverse does not exist "
                    "(block form not attained)")

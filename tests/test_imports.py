@@ -5,7 +5,8 @@ defines is read in it as an attribute: an import, a helper or a cached
 quantity left behind by a deletion fails here (no linter runs on the
 package).  Only ``realkernel`` names a ``numpy.linalg`` routine beyond
 ``matrix_power``, so every factorization, solve and rank decision, and
-with them the one rank rule, stays in one module."""
+with them the one rank rule, stays in one module.  Only ``cli._emit``
+calls ``json.dumps``, so every CLI report has one encoder."""
 
 import ast
 import pathlib
@@ -129,6 +130,15 @@ def test_finds_an_unread_cached_property():
 RANK_ROUTINES = set(np.linalg.__all__) - {"matrix_power", "LinAlgError"}
 
 
+def _owners(tree):
+    """id(node) -> the name of the innermost def enclosing it."""
+    owner = {}
+    for node in ast.walk(tree):  # outer defs first, inner ones overwrite
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(inner), node.name) for inner in ast.walk(node))
+    return owner
+
+
 def _rank_routine_calls(source):
     """(line, function, name) of each ``np.linalg.<name>`` (also through
     ``numpy.linalg`` or a name bound to ``numpy.linalg``) in ``source``
@@ -136,7 +146,7 @@ def _rank_routine_calls(source):
     each such name imported from ``numpy.linalg``; ``function`` is the
     innermost enclosing def, or None."""
     tree = ast.parse(source)
-    linalg, owner = {"linalg"}, {}
+    linalg, owner = {"linalg"}, _owners(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             linalg |= {alias.asname for alias in node.names
@@ -144,8 +154,6 @@ def _rank_routine_calls(source):
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
             linalg |= {alias.asname or alias.name for alias in node.names
                        if alias.name == "linalg"}
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner.update((id(inner), node.name) for inner in ast.walk(node))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in RANK_ROUTINES \
@@ -179,3 +187,32 @@ def test_finds_a_rank_routine_call():
         (2, None, "pinv"), (3, None, "matrix_rank"), (4, None, "qr"),
         (5, None, "svd"), (6, None, "inv"), (6, None, "svd"),
         (10, "g", "lstsq"), (10, "g", "svd")]
+
+
+def _json_dumps_uses(source):
+    """(line, function) of each ``json.dumps`` in ``source``, called or
+    passed on, and of each ``dumps`` imported from ``json``;
+    ``function`` is the innermost enclosing def, or None."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return sorted((node.lineno, owner.get(id(node)))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "dumps"
+                  and getattr(node.value, "id", None) == "json"
+                  or isinstance(node, ast.ImportFrom) and node.module == "json"
+                  and any(alias.name == "dumps" for alias in node.names))
+
+
+def test_reports_have_one_encoder():
+    found = {(path.name, func)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for _, func in _json_dumps_uses(path.read_text())}
+    assert found == {("cli.py", "_emit")}
+
+
+def test_finds_a_json_dumps_use():
+    source = ("import json\ndef _emit(r):\n    return json.dumps(r)\n"
+              "print(json.dumps({}))\nfrom json import dumps, loads\n"
+              "def f(r):\n    g(json.dumps, r)\n    return json.loads(r)\n")
+    assert _json_dumps_uses(source) == [(3, "_emit"), (4, None), (5, None),
+                                        (7, "f")]

@@ -196,9 +196,12 @@ class TestDDGI:
 
 class TestDualGroup:
     def test_requires_index_one(self):
+        # index(A) > 1: the group inverse does not exist, and no
+        # certificate says why, as for the dual core inverse
         f = Frame(RNG, 4, 2, 2)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InverseNotExistError, match="index") as info:
             dual_group(real_dual(f.A))
+        assert info.value.certificate is None
 
     def test_group_identities(self):
         f = Frame(RNG, 4, 2, 1)

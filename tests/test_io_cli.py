@@ -19,10 +19,25 @@ from helpers import (Frame, existing_dual, existing_dual_b3, random_dual,
 
 RNG = np.random.default_rng(20240823)
 
+# the generator of each kind of input: the DCEPGI exists, does not, or
+# exists without its first-order form (the hypothesis of unique-in-range)
+GENERATORS = {"exists": existing_dual, "not-exist": random_dual,
+              "hypothesis-fails": existing_dual_b3}
+
 
 def write_vector(path, vh, name=""):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(dual_vector_to_dict(vh, name), fh)
+
+
+def write_input(tmp_path, kind):
+    """The paths of a 5 x 5 index-2 matrix of ``kind`` (a key of
+    ``GENERATORS``) and a right-hand side, drawn from seed 0."""
+    rng = np.random.default_rng(0)
+    mat, rhs = tmp_path / "m.json", tmp_path / "b.json"
+    write_dual_matrix(mat, GENERATORS[kind](rng, Frame(rng, 5, 2, 2)))
+    write_vector(rhs, random_dual_vector(rng, 5))
+    return str(mat), str(rhs)
 
 
 @pytest.fixture
@@ -137,15 +152,17 @@ class TestCLIExitCodes:
         assert captured.err == f"error: {info.value}\n"
 
     def test_core_inverse_needs_index_one(self, tmp_path, capsys):
-        # an index-2 input has no dual core inverse and no certificate
+        # an index-2 input has no dual core or group inverse and no
+        # certificate: a well-formed input, so not a usage error
         rng = np.random.default_rng(11)
         path = tmp_path / "m.json"
         write_dual_matrix(path, existing_dual(rng, Frame(rng, 5, 2, 2)))
-        assert main(["inverse", "--kind", "core", str(path)]) \
-            == EXIT_NOT_EXIST
-        report = json.loads(capsys.readouterr().out)
-        assert report["exists"] is False
-        assert report["certificate"] is None
+        for kind in ("core", "group"):
+            assert main(["inverse", "--kind", kind, str(path)]) \
+                == EXIT_NOT_EXIST
+            report = json.loads(capsys.readouterr().out)
+            assert report["exists"] is False
+            assert report["certificate"] is None
 
     def test_rhs_needs_one_column(self, tmp_path, capsys):
         mat, rhs = tmp_path / "m.json", tmp_path / "b.json"
@@ -163,19 +180,16 @@ class TestCLIExitCodes:
         assert main(["decompose", "--seed", "1", path]) == EXIT_USAGE
 
     def test_hypothesis_exit(self, tmp_path, capsys):
-        for _ in range(10):
-            ah = existing_dual_b3(RNG, random_frame(RNG))
-            if ah is None:
-                continue
-            mat = tmp_path / "m.json"
-            rhs = tmp_path / "b.json"
-            write_dual_matrix(mat, ah)
-            write_vector(rhs, random_dual_vector(RNG, ah.shape[0]))
-            code = main(["solve", str(mat), str(rhs),
-                         "--mode", "unique-in-range"])
-            if code == EXIT_HYPOTHESIS:
-                return
-        pytest.skip("no hypothesis violation drawn")
+        # the DCEPGI exists, but its first-order form does not hold
+        mat, rhs = write_input(tmp_path, "hypothesis-fails")
+        assert main(["solve", mat, rhs, "--mode", "unique-in-range"]) \
+            == EXIT_HYPOTHESIS
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["command", "inputs", "tolerance", "seed",
+                                "message", "elapsed_seconds"]
+        assert report["command"] == "solve unique-in-range"
+        assert list(report["inputs"]) == [mat, rhs]
+        assert report["message"].startswith("first-order form does not hold")
 
 
 class TestCLICommands:
@@ -288,26 +302,37 @@ class TestCLICommands:
 
 
 class TestCLIReportForm:
-    def test_report_is_one_line(self, existing_file, tmp_path, capsys):
-        path, _ = existing_file
+    @pytest.mark.parametrize("command, kind, code", [
+        ("inverse cep", "exists", EXIT_OK),
+        ("inverse cep", "not-exist", EXIT_NOT_EXIST),
+        ("solve general", "exists", EXIT_OK),
+        ("solve general", "not-exist", EXIT_NOT_EXIST),
+        ("solve unique-in-range", "exists", EXIT_OK),
+        ("solve unique-in-range", "not-exist", EXIT_NOT_EXIST),
+        ("solve unique-in-range", "hypothesis-fails", EXIT_HYPOTHESIS)],
+        ids=lambda v: v.replace(" ", "-") if isinstance(v, str) else None)
+    def test_report_is_one_line(self, command, kind, code, tmp_path,
+                                capsys):
+        # every outcome about a valid input is the command's report, with
+        # its header, on stdout and in the --output file
+        mat, rhs = write_input(tmp_path, kind)
+        verb, option = command.split()
+        paths = [mat, rhs] if verb == "solve" else [mat]
         out = tmp_path / "report.json"
-        assert main(["inverse", "--kind", "cep", path,
-                     "--output", str(out)]) == EXIT_OK
+        argv = [verb, "--kind" if verb == "inverse" else "--mode", option,
+                *paths, "--output", str(out)]
+        assert main(argv) == code
         text = capsys.readouterr().out
         assert text.count("\n") == 1 and text.endswith("\n")
-        assert json.loads(text)["exists"] is True
         assert out.read_text() == text
-
-    def test_error_report_is_one_line(self, nonexisting_file, tmp_path,
-                                      capsys):
-        # the solver's InverseNotExistError is reported by ``main``
-        path, ah = nonexisting_file
-        rhs = tmp_path / "b.json"
-        write_vector(rhs, random_dual_vector(RNG, ah.shape[0]))
-        assert main(["solve", path, str(rhs)]) == EXIT_NOT_EXIST
-        text = capsys.readouterr().out
-        assert text.count("\n") == 1
-        assert json.loads(text)["exists"] is False
+        report = json.loads(text)
+        assert list(report)[:3] == ["command", "inputs", "tolerance"]
+        assert list(report)[-1] == "elapsed_seconds"
+        assert report["command"] == command
+        assert list(report["inputs"]) == paths
+        assert ("message" in report) == (code != EXIT_OK)
+        if verb == "inverse" or code == EXIT_NOT_EXIST:
+            assert report["exists"] is (code == EXIT_OK)
 
 
 class TestNumericalFailure:
@@ -402,14 +427,22 @@ class TestNumericalFailure:
         assert captured.out == ""
         assert captured.err.startswith("error: numerical failure: ")
 
+    # the squares of 1e200 overflow, so a residual is inf / inf, NaN
+    HUGE = DualMatrix(np.diag([1e200, 0.0]), np.full((2, 2), 1e200))
+
+    @pytest.mark.parametrize("name", [
+        "dcepgi_exists", "ddgi_exists", "dmpgi_exists"])
+    def test_residual_that_is_not_finite(self, name):
+        # a NaN residual is no verdict: not "does not exist"
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="residual is not finite"):
+            getattr(dualgi, name)(self.HUGE)
+
     @pytest.mark.parametrize("command", ["inverse", "solve"])
     def test_certificate_that_is_not_finite(self, command, tmp_path, capsys):
-        # the squares of 1e200 overflow, so the residual is inf / inf, NaN:
-        # a "does not exist" report, from ``cmd_inverse`` or from ``main``,
-        # that JSON cannot hold
+        # the certificate's residual is not finite: no report at all
         path, out = tmp_path / "huge.json", tmp_path / "report.json"
-        write_dual_matrix(path, DualMatrix(np.diag([1e200, 0.0]),
-                                           np.full((2, 2), 1e200)))
+        write_dual_matrix(path, self.HUGE)
         rhs = tmp_path / "b.json"
         write_vector(rhs, DualVector(np.ones(2), np.ones(2)))
         argv = (["inverse", "--kind", "cep", str(path), "--output", str(out)]
