@@ -98,8 +98,8 @@ def _trusted(cls, std, inf):
     ``inf``, float arrays of equal shape, built with none of the
     constructor's checks: for ring results of checked values."""
     x = object.__new__(cls)
-    object.__setattr__(x, "std", std)
-    object.__setattr__(x, "inf", inf)
+    state = vars(x)
+    state["std"], state["inf"] = std, inf
     return x
 
 

@@ -14,11 +14,14 @@ Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, so neither factors a
 2n x 2n matrix.  Both inverses are Uhat [[T1hat^-1, Y], [O, O]] Uhat^T,
 Y = O for the DCEPGI and T1hat^-(m+1) Ttilde_hat for the DDGI.
 
-Every public call on one input shares one dual frame (``_Frame.of``),
-which forms S, U^T B U, U3, and Uhat, T1hat, T2hat, Nhat and the
-witnesses as DualMatrix values, at most once: the last frame is kept,
-keyed by the input's bytes, until a call on another input.  The other
-modules share it through ``_Frame.of``.  ``solve_unique_in_range`` and
+Every public call on one input shares one dual frame (``_Frame.of``):
+the last frame is kept, keyed by the input's bytes, until a call on
+another input.  The other modules share it through ``_Frame.of``.  A
+frame forms, when it is built, the parts that every reader needs, in
+one pass: the real frame, then, as read-only arrays, U^T B U, T1^-1,
+U3 and C = B4 - U3 T2.  It forms the rest once, on first read: S with
+the size of its terms, the defect residual, and, as DualMatrix values,
+Uhat, T1hat, T2hat, Nhat and the witnesses.  ``solve_unique_in_range`` and
 ``range_null_report`` read dual-range membership off it as the size of
 Uhat2^T Mhat (``off_range_norm``), ``rank_test`` reads ||U2^T S||, and
 none factors a stacked 2n x 2n matrix.
@@ -31,7 +34,7 @@ A witness or residual that is not finite raises NumericalError.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -61,13 +64,13 @@ __all__ = [
 
 
 class _Witness:
-    """The ``witness`` field of ExistenceCertificate: the value given, or
-    the one ``_certify``'s function forms on the first read, then kept
-    (and the function dropped)."""
+    """The ``witness`` of ExistenceCertificate: the value given, or the
+    one ``_certify``'s function forms on the first read, then kept (and
+    the function dropped)."""
 
     def __get__(self, cert, owner=None):
         if cert is None:
-            return None  # the field's default
+            return self
         state = vars(cert)
         form = state.get("_form_witness")
         if form is not None:
@@ -91,17 +94,24 @@ class ExistenceCertificate:
     reads only the verdict forms no inverse.  Until that read one keeps
     alive what the witness is formed from, the input's dual core-EP
     frame (for the DMPGI, copies of A and B and the SVD of A); a "does
-    not exist" certificate keeps neither.
+    not exist" certificate keeps neither.  ``repr`` and ``==`` read the
+    verdict, not the witness, so neither forms it.
     """
 
     exists: bool
     residuals: dict
     tolerance: float
-    witness: Optional[DualMatrix] = _Witness()
+    witness: Optional[DualMatrix] = field(default=None, repr=False,
+                                          compare=False)
 
     def __getstate__(self):
         witness = self.witness  # formed: a pickle carries no function
         return {**vars(self), "witness": witness}
+
+
+# after the decorator: as the field's default, the descriptor itself would
+# be every certificate's witness
+ExistenceCertificate.witness = _Witness()
 
 
 _NO_DDGI = "dual Drazin inverse does not exist"
@@ -122,10 +132,13 @@ def _certify(residuals, tol, witness_fn=None):
     """The certificate of ``residuals`` at ``tol``; when the inverse
     exists, ``witness_fn()`` forms its witness on the first read."""
     exists = all(r <= tol for r in residuals.values())
-    cert = ExistenceCertificate(exists=exists, residuals=residuals,
-                                tolerance=tol)
+    # the fields set as they are, as ``dual._trusted`` builds a ring result
+    cert = object.__new__(ExistenceCertificate)
+    state = vars(cert)
+    state.update(exists=exists, residuals=residuals, tolerance=tol,
+                 witness=None)
     if exists and witness_fn is not None:
-        vars(cert)["_form_witness"] = witness_fn
+        state["_form_witness"] = witness_fn
     return cert
 
 
@@ -146,8 +159,13 @@ class _Frame:
     of N U3 + B3 - U3 T1 = O.  The DCEPGI and the DDGI exist exactly
     when Nhat^m = O; each witness, and each part of the public
     decomposition, is ``conjugate`` of a block in T1hat, T2hat and
-    Nhat.  Each part is formed once, on first use, by the ring
-    operations of DualMatrix.
+    Nhat.
+
+    Building the frame forms what every reader needs, the verdict
+    first, as read-only arrays: ``w`` = U^T B U, T1^-1, ``u3`` and
+    ``c`` = B4 - U3 T2, the infinitesimal part of Nhat.  Every other
+    part, S and the defect residual too, is formed once, on first read,
+    by the ring operations of DualMatrix.
 
     ``of`` serves every call on one input from one frame, so the parts
     a call hands out (the witnesses, the decomposition's blocks and U3)
@@ -159,7 +177,20 @@ class _Frame:
             raise DimensionError("the dual core-EP decomposition needs a "
                                  f"square dual matrix, got {ah.shape}")
         self.ah = ah
-        self.blocks = core_ep_decompose(ah.std, u=u)
+        self.blocks = f = core_ep_decompose(ah.std, u=u)
+        # w = U^T B U = [[B1, B2], [B3, B4]]; U3 = sum_{i<mp} N^i B3
+        # T1^-(i+1), the unique solution of N U3 + B3 - U3 T1 = O (T1
+        # invertible, N nilpotent), by Horner's rule in N and T1^-1
+        t, t1_inv = f.t, f.t1_inv
+        self.w = w = f.U.T @ ah.inf @ f.U
+        b3 = w[t:, :t]
+        acc = b3
+        for _ in range(f.mp - 1):
+            acc = b3 + f.N @ acc @ t1_inv
+        self.u3 = u3 = acc @ t1_inv
+        self.c = c = w[t:, t:] - u3 @ f.T2
+        for part in (t1_inv, w, u3, c):
+            part.setflags(write=False)
 
     @classmethod
     def of(cls, ah, u=None):
@@ -204,43 +235,21 @@ class _Frame:
                           self.s)
 
     @cached_property
-    def b_blocks(self):
-        """(B1, B2, B3, B4), the blocks of U^T B U conformal with
-        (T1, T2, O, N)."""
-        f = self.blocks
-        w, t = f.U.T @ self.ah.inf @ f.U, f.t
-        return w[:t, :t], w[:t, t:], w[t:, :t], w[t:, t:]
-
-    @cached_property
-    def u3(self):
-        """U3 = sum_{i<mp} N^i B3 T1^-(i+1), the unique solution of
-        N U3 + B3 - U3 T1 = O (T1 invertible, N nilpotent), by Horner's
-        rule in N and T1^-1."""
-        f, b3 = self.blocks, self.b_blocks[2]
-        acc = b3
-        for _ in range(f.mp - 1):
-            acc = b3 + f.N @ acc @ f.t1_inv
-        u3 = acc @ f.t1_inv
-        u3.flags.writeable = False
-        return u3
-
-    @cached_property
     def t1_hat(self):
         """T1hat = T1 + eps (T2 U3 + B1)."""
         f = self.blocks
-        return _readonly(f.T1, f.T2 @ self.u3 + self.b_blocks[0])
+        return _readonly(f.T1, f.T2 @ self.u3 + self.w[:f.t, :f.t])
 
     @cached_property
     def t2_hat(self):
         """T2hat = T2 + eps (B2 + U3^T N - T1 U3^T)."""
         f, u3 = self.blocks, self.u3
-        return _readonly(f.T2, self.b_blocks[1] + u3.T @ f.N - f.T1 @ u3.T)
+        return _readonly(f.T2, self.w[:f.t, f.t:] + u3.T @ f.N - f.T1 @ u3.T)
 
     @cached_property
     def n_hat(self):
-        """Nhat = N + eps (B4 - U3 T2)."""
-        f = self.blocks
-        return _readonly(f.N, self.b_blocks[3] - self.u3 @ f.T2)
+        """Nhat = N + eps C, C = B4 - U3 T2."""
+        return _readonly(self.blocks.N, self.c)
 
     @cached_property
     def defect_residual(self):
@@ -253,11 +262,12 @@ class _Frame:
         A^m) U2 of S, # the core-EP inverse, and so is O exactly when
         S maps N(A^m) into R(A^m).
         """
-        f, c = self.blocks, self.n_hat.inf
-        d, n_pow = c, f.N  # D_k = N D_(k-1) + C N^(k-1), D_1 = C
+        f, c = self.blocks, self.c
+        d, n_pow = c, None  # D_k = N D_(k-1) + C N^(k-1), D_1 = C
         for _ in range(f.mp - 1):
-            d, n_pow = f.N @ d + c @ n_pow, n_pow @ f.N
-        return _rel(_fro(d), self.s_size)
+            n_pow = f.N if n_pow is None else n_pow @ f.N
+            d = f.N @ d + c @ n_pow
+        return _rel(_fro(d), self.s_terms[1])
 
     @cached_property
     def u_hat(self):
@@ -348,7 +358,8 @@ _last_frame = None
 def _readonly(std, inf):
     """The DualMatrix std + eps inf of the frame's, made read-only: the
     frame that hands it out serves later calls too."""
-    std.flags.writeable = inf.flags.writeable = False
+    std.setflags(write=False)
+    inf.setflags(write=False)
     return _trusted(DualMatrix, std, inf)
 
 

@@ -33,7 +33,8 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 #: The rank rule cuts at this times the roundoff scale; README says why.
-_RANK_REL = 100 * np.finfo(float).eps
+#: A Python float, so the cut and its comparisons stay out of NumPy scalars.
+_RANK_REL = 100 * float(np.finfo(float).eps)
 
 
 def _square(a, op):
@@ -66,10 +67,10 @@ def _svd_rank(a, floor=0.0, uv=False):
     """
     a = np.asarray(a, dtype=float)
     svd = _lapack("SVD", np.linalg.svd, a, compute_uv=uv)
-    sv = svd[1] if uv else svd
-    sigma = float(sv[0]) if sv.size else 0.0
+    sv = (svd[1] if uv else svd).tolist()
+    sigma = sv[0] if sv else 0.0
     cut = _RANK_REL * max(max(a.shape) * sigma, floor)
-    return int(np.count_nonzero(sv > cut)), sigma, svd
+    return sum(s > cut for s in sv), sigma, svd
 
 
 def _pinv(rank, svd):
@@ -135,9 +136,9 @@ class CoreEPBlocks:
     reconstructed quantities are.
 
     The real decomposition and its real uses; T1^-1 is computed once,
-    on first use.  The dual frame (``inverses._Frame``) forms U^T B U
-    and U3 on it.  The dual formulas use the effective index
-    mp = max(m, 1).
+    on first use.  The dual frame (``inverses._Frame``) reads T1^-1 and
+    forms U^T B U, U3 and C = B4 - U3 T2 on it when it is built.  The
+    dual formulas use the effective index mp = max(m, 1).
     """
 
     U: np.ndarray
@@ -204,8 +205,14 @@ def core_ep_decompose(a, u=None):
             raise ValueError("leading columns of supplied basis do not "
                              "span range(A^m)")
     w = u.T @ a @ u
-    return CoreEPBlocks(U=u, T1=w[:t, :t].copy(), T2=w[:t, t:].copy(),
+    # the fields set directly, as ``dual._trusted`` builds a ring result:
+    # at n <= 6 the frozen dataclass's __init__ is a cost per frame.  The
+    # blocks stay contiguous copies: at n = 64 the witnesses' products
+    # read them faster than views of w
+    blocks = object.__new__(CoreEPBlocks)
+    vars(blocks).update(U=u, T1=w[:t, :t].copy(), T2=w[:t, t:].copy(),
                         N=w[t:, t:].copy(), t=t, m=m)
+    return blocks
 
 
 def drazin(a, blocks=None):

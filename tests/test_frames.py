@@ -5,11 +5,13 @@ public call is counted on an index-3 input: every certificate, inverse,
 decomposition and solution of one call derives from a single frame.
 The dual half of that frame is counted the same way: the pass that
 forms S (``dual._s_terms``, also inside ``s_matrix`` and
-``dual_power``), the block split of U^T B U and the Sylvester solve
-for U3 each run at most once per call.  Each test starts with no kept
-frame (``conftest.py``), so each count is a cold call's; the tests of
-the kept frame (``_Frame.of``) count a chain of calls on one input, and
-check that the kept frame gives, bit for bit, what a cold call gives:
+``dual_power``) and the frame's one pass through U^T B U, T1^-1, the
+Sylvester solve for U3 and C = B4 - U3 T2 (``_Frame.__init__``) each
+run at most once per call, and a cold verdict forms nothing of the
+witness side.  Each test starts with no kept frame (``conftest.py``),
+so each count is a cold call's; the tests of the kept frame
+(``_Frame.of``) count a chain of calls on one input, and check that
+the kept frame gives, bit for bit, what a cold call gives:
 after the caller changes the input's arrays in place, after it tries
 to change an array a call returned, and over a sweep of inputs.
 The SVDs, least-squares solves, Cholesky and QR factorizations,
@@ -42,7 +44,7 @@ from dualgi import DualMatrix, DualVector, inverses
 from dualgi.dual import _s_terms
 from dualgi.cli import main
 from dualgi.errors import (DimensionError, DualgiError, HypothesisError,
-                           InverseNotExistError)
+                           InverseNotExistError, NumericalError)
 from dualgi.io import dual_vector_to_dict, write_dual_matrix
 from dualgi.realkernel import core_ep_decompose
 from helpers import (Frame, existing_dual, existing_dual_b3, mp_existing_dual,
@@ -69,7 +71,8 @@ def frame_calls(monkeypatch):
 
 @pytest.fixture
 def dual_frame_calls(monkeypatch):
-    """How often S, the block split of U^T B U and U3 are formed."""
+    """How often S and the frame's one pass (U^T B U, T1^-1, U3 and C)
+    are formed."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -83,11 +86,8 @@ def dual_frame_calls(monkeypatch):
         if (name == "dualgi" or name.startswith("dualgi.")) \
                 and getattr(module, "_s_terms", None) is _s_terms:
             monkeypatch.setattr(module, "_s_terms", wrapped)
-    for name in ("b_blocks", "u3"):
-        prop = functools.cached_property(
-            counted(name, getattr(inverses._Frame, name).func))
-        prop.__set_name__(inverses._Frame, name)
-        monkeypatch.setattr(inverses._Frame, name, prop)
+    monkeypatch.setattr(inverses._Frame, "__init__",
+                        counted("pass", inverses._Frame.__init__))
     return calls
 
 
@@ -191,6 +191,28 @@ def test_svd_count(name, count, linalg_calls, index_three):
     n = ah.shape[0]  # only the first SVD is n x n
     assert svds[0] == (n, n), svds
     assert all(max(shape) < n for shape in svds[1:]), svds
+
+
+#: The parts of a frame formed on first read for a witness or a
+#: decomposition, never for a verdict.
+WITNESS_SIDE = ("ahm", "t1_hat", "t2_hat", "n_hat", "u_hat", "u_hat1",
+                "t1_hat_inv", "drazin_top", "power_top", "dcepgi", "ddgi")
+
+
+@pytest.mark.parametrize("name", ["dcepgi_exists", "ddgi_exists"])
+def test_cold_verdict_footprint(name, linalg_calls, index_three):
+    # a cold verdict at index 3 makes the frame's m + 1 SVDs and one
+    # inverse (of T1), and forms nothing on the witness side
+    assert all(isinstance(vars(inverses._Frame)[part],
+                          functools.cached_property) for part in WITNESS_SIDE)
+    ah, _ = index_three
+    cert = getattr(dualgi, name)(ah)
+    kinds = collections.Counter(kind for kind, _ in linalg_calls)
+    assert kinds == {"svd": 3 + 1, "inv": 1}, linalg_calls
+    df = inverses._last_frame[1]
+    assert df.blocks.m == 3 and cert.exists
+    assert "defect_residual" in vars(df)
+    assert not set(WITNESS_SIDE) & set(vars(df)), sorted(vars(df))
 
 
 def test_ddgi_certificate_factors_only_the_frame(linalg_calls, index_three):
@@ -377,13 +399,13 @@ def _cold(names, ah, bh):
 
 
 def test_one_frame_per_input(frame_calls, dual_frame_calls, index_three):
-    # the whole chain on one input: one frame, and S, the block split and
-    # U3 formed once each
+    # the whole chain on one input: one frame, and S and the frame's pass
+    # formed once each
     ah, bh = index_three
     for name in CHAIN:
         _call(name, ah, bh)
     assert len(frame_calls) == 1
-    assert dual_frame_calls == {"s_terms": 1, "b_blocks": 1, "u3": 1}
+    assert dual_frame_calls == {"s_terms": 1, "pass": 1}
 
 
 def test_equal_bytes_share_the_frame(frame_calls, index_three):
@@ -409,9 +431,9 @@ def test_input_changed_in_place(part, frame_calls, index_three):
 
 
 def test_kept_frame_reads_no_caller_array(frame_calls, index_three):
-    # the frame of a call that formed nothing but the real blocks (the
-    # dual core inverse needs index 1) still reads the bytes it was built
-    # from once the caller's arrays change
+    # the frame of a call that formed nothing past the frame's own pass
+    # (the dual core inverse needs index 1) still reads the bytes it was
+    # built from once the caller's arrays change
     ah0, bh = index_three
     ah = DualMatrix(ah0.std.copy(), ah0.inf.copy())
     with pytest.raises(dualgi.InverseNotExistError):
@@ -583,7 +605,9 @@ def test_witness_is_formed_once(name, index_three, mp_input):
     inverses._last_frame = None
     assert _bits(witness) == _bits(getattr(dualgi, name)(ah))
     unread = getattr(dualgi, name + "_exists")(ah)
-    assert _bits(pickle.loads(pickle.dumps(unread))) == _bits(cert)
+    pickled = pickle.loads(pickle.dumps(unread))
+    assert _bits(pickled) == _bits(cert)
+    assert _bits(pickled.witness) == _bits(witness)
 
 
 def test_given_witness_is_kept():
@@ -593,6 +617,30 @@ def test_given_witness_is_kept():
     assert cert.witness is x
     assert x.std.flags.writeable
     assert dualgi.ExistenceCertificate(False, {}, 1e-10).witness is None
+
+
+def test_repr_and_eq_form_no_witness():
+    # repr and == read the verdict, not the witness: on the first input
+    # forming the witness raises (T1^-1 overflows), and on the second
+    # == of two witnesses would compare arrays
+    tiny = dualgi.dcepgi_exists(DualMatrix(np.diag([1e-320, 1e-320]),
+                                           np.eye(2)))
+    assert tiny.exists
+    assert repr(tiny) == ("ExistenceCertificate(exists=True, residuals="
+                          "{'core_ep_projector': 0.0}, tolerance=1e-10)")
+    assert "_form_witness" in vars(tiny)
+    with pytest.raises(NumericalError, match="not finite"):
+        tiny.witness
+    rng = np.random.default_rng(20261023)
+    ah = DualMatrix(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+    first = dualgi.dcepgi_exists(ah)
+    inverses._last_frame = None
+    second = dualgi.dcepgi_exists(ah)
+    assert first.exists and first == second
+    assert first != dualgi.ExistenceCertificate(True, {}, 1e-10)
+    assert "_form_witness" in vars(first) and "_form_witness" in vars(second)
+    assert first.witness is not second.witness  # both formed now
+    assert first == second
 
 
 def test_certificate_keeps_its_frame_until_read(index_three):

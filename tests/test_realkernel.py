@@ -103,7 +103,9 @@ class TestCoreEPDecomposition:
         f = Frame(RNG, 5, 2, 2)
         b = RNG.standard_normal((5, 5))
         df = _Frame(DualMatrix(f.A, b))
-        assert np.allclose(df.blocks.assemble(*df.b_blocks), b)
+        w, t = df.w, df.blocks.t
+        assert np.allclose(df.blocks.assemble(w[:t, :t], w[:t, t:], w[t:, :t],
+                                              w[t:, t:]), b)
 
 
 class TestDrazin:
