@@ -44,11 +44,11 @@ x = dcepgi_from_decomposition(d)
 print("\ninverse from decomposition vs direct dcepgi:",
       (x - dcepgi(ah)).norm())
 
-# Additive core-nilpotent split: core = Ahat X Ahat.
+# Additive core-nilpotent split, the decomposition's block split:
+# core = Uhat [[T1hat, T2hat], [0, 0]] Uhat^T = Ahat X Ahat.
 split = dual_cn_split(ah)
 print("\ncore + nilpotent reconstructs Ahat:",
       (split.core + split.nilpotent - ah).norm())
-print("core equals the decomposition's core part:",
-      (split.core - d.core_part()).norm())
+print("core equals Ahat X Ahat:", (split.core - ah @ x @ ah).norm())
 print("nilpotent part has zero dual power m+1:",
       dual_power(split.nilpotent, d.m + 1).norm())

@@ -156,6 +156,7 @@ def cmd_decompose(args):
 
     def compute(report):
         d = decomposition.dual_core_ep_decompose(ah, args.tol)
+        core, nilpotent = d.core_part(), d.nilpotent_part()  # dual_cn_split
         report.update(
             rank_of_power=d.t, index=d.m, canonical=d.canonical,
             U_hat=io.dual_matrix_to_dict(d.U_hat, name="U_hat"),
@@ -164,15 +165,13 @@ def cmd_decompose(args):
             N_hat=io.dual_matrix_to_dict(d.N_hat, name="N_hat"),
             U3=d.U3.tolist(),
             reconstruction_residual=inverses._rel(
-                (d.reconstruct() - ah).norm(), ah.norm()))
+                (core + nilpotent - ah).norm(), ah.norm()))
         cert = inverses.dcepgi_exists(ah, args.tol)
         report["dcepgi_certificate"] = _certificate_dict(cert)
         if cert.exists:
-            split = decomposition.dual_cn_split(ah, args.tol)
-            report["core_part"] = io.dual_matrix_to_dict(split.core,
-                                                         name="core")
+            report["core_part"] = io.dual_matrix_to_dict(core, name="core")
             report["nilpotent_part"] = io.dual_matrix_to_dict(
-                split.nilpotent, name="nilpotent")
+                nilpotent, name="nilpotent")
     return _report(args, "decompose", [args.input], compute)
 
 

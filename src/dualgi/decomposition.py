@@ -1,22 +1,16 @@
 """Dual core-EP decomposition.
 
-Builds a dual unitary Uhat = U + eps*U0 such that
+Builds a dual orthogonal Uhat = U (I + eps G) such that
 
     Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T
 
 with T1hat's standard part invertible.  U comes from the real core-EP
-decomposition of the standard part; the off-diagonal generator of U0
-is obtained from the Sylvester equation N U3 + B3 - U3 T1 = O, whose
-solution terminates exactly because N is nilpotent and T1 invertible.
-
-The upper-right generator is fixed to U2 = -U3^T, which is what makes
-Uhat genuinely dual unitary (Uhat^T Uhat = I + eps O) while still
-zeroing the lower-left infinitesimal block.  The diagonal blocks are
-unchanged by this choice; only T2hat picks up an extra correction term
-when U3 is nonzero.
+decomposition of the standard part, and G = [[O, -U3^T], [U3, O]] is
+skew, so Uhat^T Uhat = I; U3 solves N U3 + B3 - U3 T1 = O (N
+nilpotent, T1 invertible), which zeroes the lower-left block.
 
 The decomposition is a view of the input's dual frame (``_Frame``): its
-parts and its DCEPGI are the frame's one conjugation by Uhat.
+parts, its DCEPGI and the core-nilpotent split are conjugations by Uhat.
 """
 
 from dataclasses import dataclass, field
@@ -75,8 +69,8 @@ class DualCoreEPDecomposition:
 
 @dataclass(frozen=True)
 class DualCNSplit:
-    """Additive split Ahat = core + nilpotent with core = Ahat X Ahat
-    for X the DCEPGI."""
+    """Additive split Ahat = core + nilpotent, the ``core_part()`` and
+    ``nilpotent_part()`` of the dual core-EP decomposition."""
 
     core: DualMatrix
     nilpotent: DualMatrix
@@ -102,15 +96,14 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
 def dual_cn_split(ah, tol=DEFAULT_TOL):
     """Split Ahat into dual core and dual nilpotent parts.
 
-    core = Ahat Ahat^cep Ahat and nilpotent = Ahat - core; requires the
-    DCEPGI to exist.  The split is unique and agrees with the block
-    split of the dual core-EP decomposition, canonical or not:
-    Ahat Ahat^cep Ahat = Uhat [[T1hat, T2hat], [O, O]] Uhat^T.
+    Requires the DCEPGI to exist.  The split is unique and is the block
+    split of the dual core-EP decomposition, canonical or not, so no
+    DCEPGI is formed: core = Uhat [[T1hat, T2hat], [O, O]] Uhat^T, which
+    is Ahat Ahat^cep Ahat, and nilpotent = Uhat [[O, O], [O, Nhat]] Uhat^T.
     """
-    x = _dcepgi(ah, tol,
-                "dual core-nilpotent split needs the DCEPGI to exist").witness
-    core = ah @ x @ ah
-    return DualCNSplit(core=core, nilpotent=ah - core)
+    _dcepgi(ah, tol, "dual core-nilpotent split needs the DCEPGI to exist")
+    d = dual_core_ep_decompose(ah, tol)
+    return DualCNSplit(core=d.core_part(), nilpotent=d.nilpotent_part())
 
 
 def dcepgi_from_decomposition(d):

@@ -138,7 +138,7 @@ class DualVector:
 
     @classmethod
     def zeros(cls, n):
-        return cls(np.zeros(n), np.zeros(n))
+        return _trusted(cls, np.zeros(n), np.zeros(n))
 
 
 def _check_length(x, y, verb):
@@ -197,12 +197,12 @@ class DualMatrix:
 
     @classmethod
     def eye(cls, n):
-        return cls(np.eye(n), np.zeros((n, n)))
+        return _trusted(cls, np.eye(n), np.zeros((n, n)))
 
     @classmethod
     def zeros(cls, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls(np.zeros((rows, cols)), np.zeros((rows, cols)))
+        return _trusted(cls, np.zeros((rows, cols)), np.zeros((rows, cols)))
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
@@ -265,7 +265,7 @@ def _as_dual_matrix(x):
 
 def dual_power(x, k):
     """Ahat^k with standard part A^k and infinitesimal part
-    sum_{i=1..k} A^(k-i) B A^(i-1)."""
+    sum_{i=1..k} A^(k-i) B A^(i-1), unchecked as ``@``'s result."""
     if not x.is_square:
         raise DimensionError(f"power of non-square dual matrix {x.shape}")
     k = int(k)
@@ -274,7 +274,8 @@ def dual_power(x, k):
     if k == 0:
         return DualMatrix.eye(x.shape[0])
     a, b = x.std, x.inf
-    return DualMatrix(np.linalg.matrix_power(a, k), s_matrix(a, b, k))
+    return _trusted(DualMatrix, np.linalg.matrix_power(a, k),
+                    _s_terms(a, b, k)[0])
 
 
 def s_matrix(a, b, m):

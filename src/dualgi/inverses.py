@@ -42,8 +42,8 @@ import numpy as np
 
 from .dual import DualMatrix, _fro, _s_terms, _trusted, dual_power
 from .errors import DimensionError, InverseNotExistError, NumericalError
-from .realkernel import (DEFAULT_TOL, _pinv, _range_pinv, _svd_rank,
-                         core_ep_decompose, moore_penrose)
+from .realkernel import (DEFAULT_TOL, _horner, _pinv, _range_pinv,
+                         _svd_rank, core_ep_decompose, moore_penrose)
 
 __all__ = [
     "ExistenceCertificate",
@@ -180,14 +180,10 @@ class _Frame:
         self.blocks = f = core_ep_decompose(ah.std, u=u)
         # w = U^T B U = [[B1, B2], [B3, B4]]; U3 = sum_{i<mp} N^i B3
         # T1^-(i+1), the unique solution of N U3 + B3 - U3 T1 = O (T1
-        # invertible, N nilpotent), by Horner's rule in N and T1^-1
+        # invertible, N nilpotent)
         t, t1_inv = f.t, f.t1_inv
         self.w = w = f.U.T @ ah.inf @ f.U
-        b3 = w[t:, :t]
-        acc = b3
-        for _ in range(f.mp - 1):
-            acc = b3 + f.N @ acc @ t1_inv
-        self.u3 = u3 = acc @ t1_inv
+        self.u3 = u3 = _horner(w[t:, :t], f.N, t1_inv, f.mp) @ t1_inv
         self.c = c = w[t:, t:] - u3 @ f.T2
         for part in (t1_inv, w, u3, c):
             part.setflags(write=False)
@@ -230,9 +226,10 @@ class _Frame:
 
     @cached_property
     def ahm(self):
-        """Ahat^m = A^m + eps S, from powers of A as ``dual_power``."""
-        return DualMatrix(np.linalg.matrix_power(self.ah.std, self.blocks.mp),
-                          self.s)
+        """Ahat^m = A^m + eps S, a ring result as ``dual_power``'s, for
+        the compact DCEPGI and ``range_null_report`` (not the solver)."""
+        return _trusted(DualMatrix, np.linalg.matrix_power(
+            self.ah.std, self.blocks.mp), self.s)
 
     @cached_property
     def t1_hat(self):
@@ -320,20 +317,18 @@ class _Frame:
         Nhat^i, for Ttilde_hat = sum_j T1hat^j T2hat Nhat^(m-1-j) the
         upper-right block of the middle factor's m-th power: the
         upper-right block of Uhat^T Ahat^D Uhat."""
-        ti, acc = self.t1_hat_inv, self.t2_hat
-        for _ in range(self.blocks.mp - 1):  # Horner in T1hat^-1, Nhat
-            acc = self.t2_hat + ti @ acc @ self.n_hat
-        return ti @ ti @ acc
+        ti = self.t1_hat_inv
+        return ti @ ti @ _horner(self.t2_hat, ti, self.n_hat, self.blocks.mp)
 
     @cached_property
     def power_top(self):
-        """[T1hat^m, Ttilde_hat], the top block row of Uhat^T Ahat^m Uhat,
-        by R_(k+1) = R_k [[T1hat, T2hat], [O, Nhat]]: its standard part
-        has the norm of A^m."""
+        """(T1hat^m, Ttilde_hat), the blocks of the top block row of
+        Uhat^T Ahat^m Uhat, by R_(k+1) = R_k [[T1hat, T2hat], [O, Nhat]]:
+        the row's standard part has the norm of A^m."""
         p, q = self.t1_hat, self.t2_hat
         for _ in range(self.blocks.mp - 1):
             p, q = p @ self.t1_hat, p @ self.t2_hat + q @ self.n_hat
-        return _row(p, q)
+        return p, q
 
     @cached_property
     def dcepgi(self):
@@ -380,7 +375,7 @@ def _row(left, right):
 
 
 # ---------------------------------------------------------------------------
-# identity residual helpers (used by certificates and tests)
+# identity residuals of a given inverse (no certificate reads them)
 # ---------------------------------------------------------------------------
 
 def penrose_residuals(ah, xh):
@@ -445,7 +440,12 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
     cut that moved with B would move a verdict linear in B.  A power
     is formed here, so its cut takes its roundoff's floor (README).
     """
-    floor = 0.0 if m == 1 else ah.shape[0] * _svd_rank(ah.std)[1] ** m
+    try:  # a float power that overflows raises, a product gives inf
+        floor = 0.0 if m == 1 else ah.shape[0] * _svd_rank(ah.std)[1] ** m
+    except OverflowError:
+        floor = math.inf
+    if floor == math.inf:
+        raise NumericalError(f"the rank floor n sigma_max(A)^{m} overflows")
     ah = ah if m == 1 else dual_power(ah, m)
     r_a, _, svd = _svd_rank(ah.std, floor=floor, uv=True)
     # (I - A A^+) B (I - A^+ A) is U0 U0^T B V0 V0^T, U0 and V0 the null

@@ -215,6 +215,15 @@ def core_ep_decompose(a, u=None):
     return blocks
 
 
+def _horner(x, left, right, k):
+    """sum_{i<k} left^i x right^i, k >= 1, by Horner's rule, for real
+    arrays or DualMatrix values: U3 and the real and dual Drazin blocks."""
+    acc = x
+    for _ in range(k - 1):
+        acc = x + left @ acc @ right
+    return acc
+
+
 def drazin(a, blocks=None):
     """Drazin inverse via the core-EP block form.
 
@@ -223,10 +232,9 @@ def drazin(a, blocks=None):
     """
     if blocks is None:
         blocks = core_ep_decompose(a)
-    ti, acc = blocks.t1_inv, blocks.T2
-    for _ in range(blocks.mp - 1):
-        acc = blocks.T2 + ti @ acc @ blocks.N
-    return blocks.assemble_top(ti, ti @ ti @ acc)
+    ti = blocks.t1_inv
+    return blocks.assemble_top(
+        ti, ti @ ti @ _horner(blocks.T2, ti, blocks.N, blocks.mp))
 
 
 def core_ep_inverse(a, blocks=None):

@@ -65,17 +65,15 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     The particular solution comes from the canonical DCEPGI; the
     projector is Uhat [[O, -(T1hat^-1 T2hat + Y Nhat)], [O, I]] Uhat^T =
     I - Uhat [[I, T1hat^-1 T2hat + Y Nhat], [O, O]] Uhat^T, Y the DDGI's
-    upper-right block; the right-hand side is Uhat1 T1hat^m Uhat1^T bhat.
+    upper-right block; the right-hand side is Uhat1 T1hat^m Uhat1^T bhat,
+    T1hat^m read off ``_Frame.power_top``.
     """
     df = _checked_frame(ah, bhat)
     particular = _dcepgi(ah, tol).witness @ bhat
     z = df.t1_hat_inv @ df.t2_hat + df.drazin_top @ df.n_hat
     ad_a = df.conjugate(_row(DualMatrix.eye(df.blocks.t), z))
     projector = DualMatrix.eye(df.blocks.n) - ad_a
-    y = df.u_hat1.T @ bhat
-    for _ in range(df.blocks.mp):
-        y = df.t1_hat @ y
-    rhs = df.u_hat1 @ y
+    rhs = df.u_hat1 @ (df.power_top[0] @ (df.u_hat1.T @ bhat))
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
                           residual=_surrogate_residuals(
@@ -91,7 +89,7 @@ def _surrogate_residuals(ah, bhat, rhs, solutions):
     T1hat^m alone.  Not over ||xh|| or ||rhs||, both roundoff for bhat
     in N((Ahat^m)^T)."""
     df = _Frame.of(ah)
-    am_size = df.power_top.norm()
+    am_size = _row(*df.power_top).norm()
     a_size = ah.norm() * am_size
     b_size = am_size * bhat.norm() * (1 + ah.norm() * df.dcepgi.norm())
 

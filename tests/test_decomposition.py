@@ -50,6 +50,7 @@ class TestDualDecomposition:
         d = dual_core_ep_decompose(ah, u=f.U)
         assert d.canonical
         assert np.linalg.norm(d.U3) < 1e-12
+        assert d.n == f.n and d.t == f.t
 
     def test_block_split_frame_invariant(self):
         # core and nilpotent parts agree between the supplied frame and

@@ -35,6 +35,14 @@ class TestDualScalar:
         assert (-x).std == -2.0
         assert (x - 1).std == 1.0
 
+    def test_non_numeric_operand_is_refused(self):
+        for op in (lambda p, q: p + q, lambda p, q: p - q):
+            with pytest.raises(TypeError):
+                op(DualScalar(1.0), "x")
+
+    def test_repr(self):
+        assert repr(DualScalar(1.0, 2.0)) == "1.0 + 2.0eps"
+
 
 class TestDualMatrixRing:
     @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
@@ -79,8 +87,9 @@ class TestDualMatrixRing:
     def test_shape_errors(self):
         with pytest.raises(DimensionError):
             rand_dual(2, 3) @ rand_dual(2, 3)
-        with pytest.raises(DimensionError):
-            rand_dual(2) + rand_dual(3)
+        for op in (lambda p, q: p + q, lambda p, q: p - q):
+            with pytest.raises(DimensionError):
+                op(rand_dual(2), rand_dual(3))
         for op in (lambda p, q: p + q, lambda p, q: p - q):
             with pytest.raises(DimensionError):
                 op(DualMatrix.eye(3), DualVector.zeros(3))
@@ -93,8 +102,9 @@ class TestDualMatrixRing:
                                 (1.0, "0-dimensional float")):
                 with pytest.raises(DimensionError, match=f"^a {what} is not"):
                     op(DualMatrix.eye(2), other)
-        with pytest.raises(DimensionError):
-            DualMatrix(np.zeros((2, 2)), np.zeros((2, 3)))
+        for parts in ((np.zeros((2, 2)), np.zeros((2, 3))), (np.ones(3),)):
+            with pytest.raises(DimensionError):
+                DualMatrix(*parts)
         with pytest.raises(ValueError):
             DualMatrix(np.array([[np.nan]]), np.zeros((1, 1)))
 
@@ -112,6 +122,10 @@ class TestDualMatrixRing:
         scaled = np.float64(2.0) * x  # through __rmul__
         assert type(scaled) is DualMatrix
         assert (scaled - 2.0 * x).norm() == 0.0
+
+    def test_infinitesimal_part_defaults_to_zero(self):
+        x = DualMatrix([[1.0, 2.0]])
+        assert x.inf.shape == (1, 2) and not x.inf.any()
 
     def test_appreciable(self):
         assert rand_dual(2).is_appreciable()
@@ -150,7 +164,9 @@ def test_ring_results_are_not_rechecked(monkeypatch):
         raise AssertionError("a ring result was checked again")
     monkeypatch.setattr("dualgi.dual._as_pair", refuse)
     results = [x + y, x - y, -x, x * 2.0, 2.0 * x, eps * x, x * eps,
-               x @ y, x.T, x @ v, v + w, v - w, -v]
+               x @ y, x.T, x @ v, v + w, v - w, -v, dual_power(x, 0),
+               dual_power(x, 3), DualMatrix.eye(2), DualMatrix.zeros(2, 3),
+               DualVector.zeros(2)]
     assert all(type(r) in (DualMatrix, DualVector) for r in results)
 
 
@@ -207,6 +223,15 @@ class TestDualPower:
             by_product = by_product @ x
         direct = dual_power(x, k)
         assert (direct - by_product).norm() < 1e-8 * (1 + by_product.norm())
+
+    def test_power_overflow_holds_inf(self):
+        # a ring result, as x @ x: not the constructor's ValueError
+        x = DualMatrix([[1e160, 0.0], [0.0, 1e150]], [[0.0, 1.0], [0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            power, product = dual_power(x, 2), x @ x
+        assert power.std[0, 0] == np.inf
+        assert np.array_equal(power.std, product.std)
+        assert np.array_equal(power.inf, product.inf)
 
     def test_power_zero_is_identity(self):
         x = rand_dual(3)

@@ -341,8 +341,8 @@ def test_frame_computes_in_unchecked_dual_matrices(monkeypatch, index_three):
     df = inverses._Frame.of(ah)
     parts = [getattr(df, name) for name in (
         "u_hat", "u_hat1", "t1_hat", "t2_hat", "n_hat", "t1_hat_inv",
-        "drazin_top", "power_top", "dcepgi", "ddgi")]
-    parts.append(df.conjugate(df.n_hat, first=df.blocks.t))
+        "drazin_top", "ahm", "dcepgi", "ddgi")]
+    parts += [*df.power_top, df.conjugate(df.n_hat, first=df.blocks.t)]
     assert all(type(part) is DualMatrix for part in parts)
     assert df.defect_residual <= dualgi.DEFAULT_TOL
     assert not df.u3.flags.writeable

@@ -395,11 +395,35 @@ class TestNumericalFailure:
 
     @pytest.mark.parametrize("name", [
         "dcepgi", "ddgi", "dmpgi", "mpdgi", "dcepgi_compact", "dual_group",
-        "dual_core_inverse", "dual_cn_split"])
+        "dual_core_inverse"])
     def test_witness_that_is_not_finite(self, name):
         with np.errstate(all="ignore"), pytest.raises(NumericalError,
                                                       match="not finite"):
             getattr(dualgi, name)(self.TINY)
+
+    def test_split_forms_no_witness(self, tmp_path, capsys):
+        # the core-nilpotent split is the decomposition's block split and
+        # forms no DCEPGI, whose entries overflow here: TINY, of rank 2,
+        # is its own core, in the library and in the decompose report
+        split = dualgi.dual_cn_split(self.TINY)
+        assert (split.core - self.TINY).norm() == 0.0
+        assert split.nilpotent.norm() == 0.0
+        path = tmp_path / "tiny.json"
+        write_dual_matrix(path, self.TINY)
+        assert main(["decompose", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["core_part"]["standard"] == self.TINY.std.tolist()
+        assert report["core_part"]["infinitesimal"] == [[1.0, 0.0],
+                                                        [0.0, 1.0]]
+
+    def test_decomposition_that_is_not_finite(self, tmp_path, capsys):
+        # U3 = B3 T1^-1 overflows, so T2 U3 is 0 inf: exit 4, no report
+        path = tmp_path / "tiny3.json"
+        write_dual_matrix(path, DualMatrix(np.diag([1e-320, 1e-320, 0.0]),
+                                           np.ones((3, 3))))
+        with np.errstate(all="ignore"):
+            assert main(["decompose", str(path)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().out == ""
 
     def test_solution_that_is_not_finite(self):
         bh = DualVector(np.ones(2), np.ones(2))
@@ -409,7 +433,7 @@ class TestNumericalFailure:
     @pytest.mark.parametrize("argv", [
         ["inverse", "--kind", kind] for kind in (
             "cep", "cep-compact", "core", "ddgi", "dmpgi", "group", "mpdgi")]
-        + [["decompose"], ["solve", "--mode", "general"]],
+        + [["solve", "--mode", "general"]],
         ids=lambda argv: "-".join(a for a in argv if a[:2] != "--"))
     def test_cli_report_that_is_not_finite(self, argv, tmp_path, capsys):
         # exit 4 with nothing on standard output: JSON has no NaN or
@@ -437,6 +461,30 @@ class TestNumericalFailure:
         with np.errstate(all="ignore"), pytest.raises(
                 NumericalError, match="residual is not finite"):
             getattr(dualgi, name)(self.HUGE)
+
+    # index 2, A^2 overflows, B = O: every verdict is finite
+    POWER_OVERFLOWS = DualMatrix([[1e160, 0.0, 0.0], [0.0, 0.0, 1e150],
+                                  [0.0, 0.0, 0.0]], np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("name", ["dcepgi_compact", "range_null_report"])
+    def test_power_that_overflows(self, name):
+        # Ahat^m is a ring result that holds inf, not a usage error
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            getattr(dualgi, name)(self.POWER_OVERFLOWS)
+
+    def test_power_floor_that_overflows(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            dualgi.dmpgi_exists(self.POWER_OVERFLOWS, m=2)
+
+    def test_cli_power_that_overflows(self, tmp_path, capsys):
+        path = tmp_path / "power.json"
+        write_dual_matrix(path, self.POWER_OVERFLOWS)
+        with np.errstate(all="ignore"):
+            assert main(["inverse", "--kind", "cep-compact", str(path)]) \
+                == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerical failure: ")
 
     @pytest.mark.parametrize("command", ["inverse", "solve"])
     def test_certificate_that_is_not_finite(self, command, tmp_path, capsys):
