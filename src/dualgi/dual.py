@@ -138,7 +138,7 @@ class DualVector:
 
     @classmethod
     def zeros(cls, n):
-        return _trusted(cls, np.zeros(n), np.zeros(n))
+        return cls(np.zeros(n))
 
 
 def _check_length(x, y, verb):

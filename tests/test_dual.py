@@ -105,6 +105,8 @@ class TestDualMatrixRing:
         for parts in ((np.zeros((2, 2)), np.zeros((2, 3))), (np.ones(3),)):
             with pytest.raises(DimensionError):
                 DualMatrix(*parts)
+        with pytest.raises(DimensionError):
+            DualVector.zeros((2, 3))
         with pytest.raises(ValueError):
             DualMatrix(np.array([[np.nan]]), np.zeros((1, 1)))
 
@@ -165,8 +167,7 @@ def test_ring_results_are_not_rechecked(monkeypatch):
     monkeypatch.setattr("dualgi.dual._as_pair", refuse)
     results = [x + y, x - y, -x, x * 2.0, 2.0 * x, eps * x, x * eps,
                x @ y, x.T, x @ v, v + w, v - w, -v, dual_power(x, 0),
-               dual_power(x, 3), DualMatrix.eye(2), DualMatrix.zeros(2, 3),
-               DualVector.zeros(2)]
+               dual_power(x, 3), DualMatrix.eye(2), DualMatrix.zeros(2, 3)]
     assert all(type(r) in (DualMatrix, DualVector) for r in results)
 
 
