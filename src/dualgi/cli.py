@@ -17,7 +17,6 @@ environment variable.
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -50,11 +49,6 @@ _INVERSE_KINDS = {
     "cep": inverses._dcepgi,
     "cep-compact": inverses._dcepgi_compact,
 }
-
-
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _certificate_dict(cert):
@@ -111,15 +105,15 @@ def _emit(report, output):
     print(text)
 
 
-def _report(args, command, paths, compute, **header):
+def _report(args, command, inputs, compute, **header):
     """Emit the command's report and return its exit status.  The header
-    comes first, then the keys ``compute(report)`` adds, or ``exists``,
-    ``message`` and ``certificate`` for a missing inverse (exit 2), or
-    ``message`` for a failed hypothesis (exit 3); ``elapsed_seconds``
-    last."""
+    (``inputs``: path -> SHA-256 of the bytes parsed) comes first, then
+    the keys ``compute(report)`` adds, or ``exists``, ``message`` and
+    ``certificate`` for a missing inverse (exit 2), or ``message`` for a
+    failed hypothesis (exit 3); ``elapsed_seconds`` last."""
     start = time.perf_counter()
     report = {"command": command,
-              "inputs": {path: _digest(path) for path in paths},
+              "inputs": inputs,
               "tolerance": args.tol, **header}
     code = EXIT_OK
     try:
@@ -137,7 +131,7 @@ def _report(args, command, paths, compute, **header):
 
 
 def cmd_inverse(args):
-    name, ah = io.read_dual_matrix(args.input)
+    name, ah, digest = io._read(args.input)
 
     def compute(report):
         certified = _INVERSE_KINDS[args.kind]
@@ -148,11 +142,12 @@ def cmd_inverse(args):
             name=f"{name or 'input'}_{args.kind}")
         if cert:
             report["certificate"] = _certificate_dict(cert)
-    return _report(args, f"inverse {args.kind}", [args.input], compute)
+    return _report(args, f"inverse {args.kind}", {args.input: digest},
+                   compute)
 
 
 def cmd_decompose(args):
-    _, ah = io.read_dual_matrix(args.input)
+    _, ah, digest = io._read(args.input)
 
     def compute(report):
         d = decomposition.dual_core_ep_decompose(ah, args.tol)
@@ -172,12 +167,12 @@ def cmd_decompose(args):
             report["core_part"] = io.dual_matrix_to_dict(core, name="core")
             report["nilpotent_part"] = io.dual_matrix_to_dict(
                 nilpotent, name="nilpotent")
-    return _report(args, "decompose", [args.input], compute)
+    return _report(args, "decompose", {args.input: digest}, compute)
 
 
 def cmd_solve(args):
-    _, ah = io.read_dual_matrix(args.matrix)
-    _, bhat = io.read_dual_vector(args.rhs)
+    _, ah, matrix_digest = io._read(args.matrix)
+    _, bhat, rhs_digest = io._read(args.rhs, vector=True)
 
     def compute(report):
         if args.mode == "unique-in-range":
@@ -197,8 +192,8 @@ def cmd_solve(args):
                    for _ in range(args.spot_checks)]
         report["spot_check_residuals"] = solver._surrogate_residuals(
             ah, bhat, sol.surrogate_rhs, shifted)
-    return _report(args, f"solve {args.mode}", [args.matrix, args.rhs],
-                   compute, seed=args.seed)
+    inputs = {args.matrix: matrix_digest, args.rhs: rhs_digest}
+    return _report(args, f"solve {args.mode}", inputs, compute, seed=args.seed)
 
 
 @functools.cache

@@ -20,11 +20,11 @@ another input.  The other modules share it through ``_Frame.of``.  A
 frame forms, when it is built, the parts that every reader needs, in
 one pass: the real frame, then, as read-only arrays, U^T B U, T1^-1,
 U3 and C = B4 - U3 T2.  It forms the rest once, on first read: S with
-the size of its terms, the defect residual, and, as DualMatrix values,
-Uhat, T1hat, T2hat, Nhat and the witnesses.  ``solve_unique_in_range`` and
-``range_null_report`` read dual-range membership off it as the size of
-Uhat2^T Mhat (``off_range_norm``), ``rank_test`` reads ||U2^T S||, and
-none factors a stacked 2n x 2n matrix.
+the size of its terms, the defect and first-order residuals, and, as
+DualMatrix values, Uhat, T1hat, T2hat, Nhat and the witnesses.
+``solve_unique_in_range`` and ``range_null_report`` read dual-range
+membership off it as the size of Uhat2^T Mhat (``off_range_norm``),
+``rank_test`` reads ||U2^T S||, and none factors a stacked 2n x 2n matrix.
 
 A certificate forms its witness on the first read of ``witness``
 (``_certify``), so a caller that reads only the verdict forms no
@@ -41,7 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .dual import DualMatrix, _fro, _s_terms, _trusted, dual_power
-from .errors import DimensionError, InverseNotExistError, NumericalError
+from .errors import (DimensionError, HypothesisError, InverseNotExistError,
+                     NumericalError)
 from .realkernel import (DEFAULT_TOL, _horner, _pinv, _range_pinv,
                          _svd_rank, core_ep_decompose, moore_penrose)
 
@@ -285,13 +286,17 @@ class _Frame:
         orthonormal basis of the dual range of Ahat^m."""
         return self._columns(0, self.blocks.t)
 
+    @cached_property
+    def u_hat2(self):
+        """Uhat2 = U2 - eps U1 U3^T, the trailing n - t columns of Uhat."""
+        return self._columns(self.blocks.t)
+
     def off_range_norm(self, x):
         """hypot(||U2^T M||_F, ||U2^T M' - U3 U1^T M||_F), the size of
-        Uhat2^T x for x = M + eps M' (a dual matrix or vector) and
-        Uhat2 = U2 - eps U1 U3^T the trailing n - t columns of Uhat: O
-        exactly when x lies in the dual range of Uhat1, that of Ahat^m
-        when the DCEPGI exists."""
-        y = self._columns(self.blocks.t).T @ x
+        Uhat2^T x for x = M + eps M' (a dual matrix or vector): O exactly
+        when x lies in the dual range of Uhat1, that of Ahat^m when the
+        DCEPGI exists."""
+        y = self.u_hat2.T @ x
         return np.hypot(_fro(y.std), _fro(y.inf))
 
     def conjugate(self, block, first=0):
@@ -310,6 +315,18 @@ class _Frame:
         t1_inv = self.blocks.t1_inv
         return _trusted(DualMatrix, t1_inv,
                         -t1_inv @ self.t1_hat.inf @ t1_inv)
+
+    @cached_property
+    def first_order_residual(self):
+        """||X' + A^cep B A^cep||_F over ||T1^-1||_F^2 ||B||_F, X' the
+        DCEPGI's infinitesimal part: the residual of the first-order form
+        Ahat^cep = A^cep - eps A^cep B A^cep, which is U [[-T1^-1 T2 U3
+        T1^-1, T1^-1 U3^T], [U3 T1^-1, O]] U^T, O exactly when U3 is."""
+        t1_inv, u3 = self.blocks.t1_inv, self.u3
+        v = u3 @ t1_inv
+        diff = math.hypot(_fro(t1_inv @ (self.blocks.T2 @ v)),
+                          _fro(t1_inv @ u3.T), _fro(v))
+        return _rel(diff, _fro(t1_inv) ** 2 * _fro(self.ah.inf))
 
     @cached_property
     def drazin_top(self):
@@ -556,6 +573,16 @@ def _dcepgi(ah, tol, message=_NO_DCEPGI):
     """The DCEPGI certificate; InverseNotExistError with ``message`` when
     the DCEPGI does not exist."""
     return _certified(dcepgi_exists(ah, tol), message)
+
+
+def _first_order_dcepgi(ah, tol):
+    """The DCEPGI of ``ah``; HypothesisError unless its first-order form
+    holds (``_Frame.first_order_residual``)."""
+    x, res = _dcepgi(ah, tol).witness, _Frame.of(ah).first_order_residual
+    if not res <= tol:
+        raise HypothesisError(
+            f"first-order form does not hold (residual {res:.3e})")
+    return x
 
 
 def dcepgi_compact(ah, tol=DEFAULT_TOL):

@@ -15,6 +15,7 @@ Values are written as decimal text with full round-trip precision
 (Python's shortest-repr float formatting, up to 17 significant digits).
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -31,20 +32,27 @@ __all__ = [
 ]
 
 
-def _load(path, cols=None):
-    """(name, standard, infinitesimal) of a document whose 'cols'
-    defaults to ``cols``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _read(path, vector=False):
+    """(name, DualMatrix, SHA-256 hex digest of the bytes parsed) of
+    the document at ``path``; with ``vector``, a DualVector ('cols' 1
+    by default) in place of the DualMatrix."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = json.loads(data.decode("utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     try:
-        rows, cols = _size(doc["rows"]), _size(doc.get("cols", cols))
-        parts = [_parse_part(doc, key, rows, cols)
-                 for key in ("standard", "infinitesimal")]
+        rows = _size(doc["rows"])
+        cols = _size(doc.get("cols", 1 if vector else None))
+        std, inf = [_parse_part(doc, key, rows, cols)
+                    for key in ("standard", "infinitesimal")]
     except TypeError as exc:  # a null or nested entry in an array, ...
         raise ValueError(f"malformed document: {exc}") from None
-    return doc.get("name", ""), *parts
+    if vector and cols != 1:
+        raise DimensionError(f"vector file must have cols = 1, got {cols}")
+    value = (DualVector(std.ravel(), inf.ravel()) if vector
+             else DualMatrix(std, inf))
+    return doc.get("name", ""), value, hashlib.sha256(data).hexdigest()
 
 
 def _size(value):
@@ -69,37 +77,28 @@ def _parse_part(doc, key, rows, cols):
 
 def read_dual_matrix(path):
     """Read a dual matrix document; returns (name, DualMatrix)."""
-    name, std, inf = _load(path)
-    return name, DualMatrix(std, inf)
+    return _read(path)[:2]
 
 
 def read_dual_vector(path):
     """Read a dual vector document (rows x 1, or flat arrays)."""
-    name, std, inf = _load(path, cols=1)
-    if std.shape[1] != 1:
-        raise DimensionError(f"vector file must have cols = 1, "
-                             f"got {std.shape[1]}")
-    return name, DualVector(std.ravel(), inf.ravel())
+    return _read(path, vector=True)[:2]
 
 
 def dual_matrix_to_dict(mh, name=""):
+    """The document of a dual matrix, or of a dual vector as the n x 1
+    case with flat arrays."""
+    rows, cols = mh.std.shape if mh.std.ndim == 2 else (len(mh.std), 1)
     return {
         "name": name,
-        "rows": mh.shape[0],
-        "cols": mh.shape[1],
+        "rows": rows,
+        "cols": cols,
         "standard": mh.std.tolist(),
         "infinitesimal": mh.inf.tolist(),
     }
 
 
-def dual_vector_to_dict(vh, name=""):
-    return {
-        "name": name,
-        "rows": len(vh),
-        "cols": 1,
-        "standard": vh.std.tolist(),
-        "infinitesimal": vh.inf.tolist(),
-    }
+dual_vector_to_dict = dual_matrix_to_dict
 
 
 def write_dual_matrix(path, mh, name=""):

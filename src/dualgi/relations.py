@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import _fro
-from .errors import DimensionError, HypothesisError
-from .inverses import _dcepgi, _Frame, _rel
+from .errors import DimensionError
+from .inverses import _dcepgi, _first_order_dcepgi, _Frame, _rel
 from .realkernel import DEFAULT_TOL
 
 __all__ = [
@@ -44,6 +44,9 @@ class EquivalenceReport:
     ``cep_projector`` by construction: ||U2^T S||_F over the size of
     the terms of S (U1, U2 = U[:, :t], U[:, t:]).  The last two are
     the larger of that and ||S U2||_F over the same size.
+    ``first_order_form`` is ||X' + A^cep B A^cep||_F over ||T1^-1||_F^2
+    ||B||_F, X' the DCEPGI's infinitesimal part, read off the frame's
+    blocks with no witness (``_Frame.first_order_residual``).
     """
 
     conditions: dict
@@ -55,13 +58,13 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     Ahat^cep = A^cep - eps A^cep B A^cep (see EquivalenceReport for
     which of them are mutually equivalent).  The projector conditions
     read ||U2^T S|| and ||S U2||: no power of A, no pseudo-inverse."""
-    x = _dcepgi(ah, tol).witness
+    _dcepgi(ah, tol)  # the verdict: its witness is not formed
     df = _Frame.of(ah)
     left = _power_projector(df)
     u2 = df.blocks.U[:, df.blocks.t:]
     both = max(left, _rel(_fro(df.s @ u2), df.s_size))
     conds = {
-        "first_order_form": _first_order_form_residual(ah, x),
+        "first_order_form": df.first_order_residual,
         "power_projector": left,
         "cep_projector": left,
         "two_sided_projector": both,
@@ -71,32 +74,6 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     verdicts = {holds for holds, _ in conditions.values()}
     return EquivalenceReport(conditions=conditions,
                              all_equivalent_observed=len(verdicts) == 1)
-
-
-def _first_order_form_residual(ah, x):
-    """The residual of Ahat^cep = A^cep - eps A^cep B A^cep for ``x``
-    the DCEPGI of ``ah``, over ``_first_order_size``: not over x.inf
-    and A^cep B A^cep, roundoff where B vanishes on R(A^m)."""
-    a_cep, b = x.std, ah.inf  # a_cep: the real core-EP inverse of A
-    return _rel(_fro(x.inf + a_cep @ b @ a_cep),
-                _first_order_size(x, b))
-
-
-def _first_order_size(x, b):
-    """||A^cep||^2 ||B||, the size of the terms of A^cep B A^cep."""
-    return _fro(x.std) ** 2 * _fro(b)
-
-
-def _first_order_dcepgi(ah, tol):
-    """The DCEPGI X of ``ah``, once the first-order form
-    Ahat^cep = A^cep - eps A^cep B A^cep is checked (HypothesisError
-    otherwise)."""
-    x = _dcepgi(ah, tol).witness
-    res = _first_order_form_residual(ah, x)
-    if not res <= tol:
-        raise HypothesisError(
-            f"first-order form does not hold (residual {res:.3e})")
-    return x
 
 
 def _power_projector(df):

@@ -23,9 +23,8 @@ import numpy as np
 
 from .dual import DualMatrix, DualVector, _fro
 from .errors import DimensionError, HypothesisError
-from .inverses import _dcepgi, _Frame, _rel, _row
+from .inverses import _dcepgi, _first_order_dcepgi, _Frame, _rel, _row
 from .realkernel import DEFAULT_TOL
-from .relations import _first_order_dcepgi, _first_order_size
 
 __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
 
@@ -63,16 +62,15 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     DCEPGI, which exists exactly when the DDGI does.
 
     The particular solution comes from the canonical DCEPGI; the
-    projector is Uhat [[O, -(T1hat^-1 T2hat + Y Nhat)], [O, I]] Uhat^T =
-    I - Uhat [[I, T1hat^-1 T2hat + Y Nhat], [O, O]] Uhat^T, Y the DDGI's
-    upper-right block; the right-hand side is Uhat1 T1hat^m Uhat1^T bhat,
-    T1hat^m read off ``_Frame.power_top``.
+    projector is Uhat [[O, -Z], [O, I]] Uhat^T = (Uhat2 - Uhat1 Z)
+    Uhat2^T, Z = T1hat^-1 T2hat + Y Nhat, Y the DDGI's upper-right
+    block: no identity is formed; the right-hand side is
+    Uhat1 T1hat^m Uhat1^T bhat, T1hat^m read off ``_Frame.power_top``.
     """
     df = _checked_frame(ah, bhat)
     particular = _dcepgi(ah, tol).witness @ bhat
     z = df.t1_hat_inv @ df.t2_hat + df.drazin_top @ df.n_hat
-    ad_a = df.conjugate(_row(DualMatrix.eye(df.blocks.t), z))
-    projector = DualMatrix.eye(df.blocks.n) - ad_a
+    projector = (df.u_hat2 - df.u_hat1 @ z) @ df.u_hat2.T
     rhs = df.u_hat1 @ (df.power_top[0] @ (df.u_hat1.T @ bhat))
     return SolutionReport(particular=particular,
                           homogeneous_projector=projector,
@@ -88,10 +86,10 @@ def _surrogate_residuals(ah, bhat, rhs, solutions):
     first product's roundoff reaches the residual through Ahat^m, not
     T1hat^m alone.  Not over ||xh|| or ||rhs||, both roundoff for bhat
     in N((Ahat^m)^T)."""
-    df = _Frame.of(ah)
+    df, ah_size = _Frame.of(ah), ah.norm()
     am_size = _row(*df.power_top).norm()
-    a_size = ah.norm() * am_size
-    b_size = am_size * bhat.norm() * (1 + ah.norm() * df.dcepgi.norm())
+    a_size = ah_size * am_size
+    b_size = am_size * bhat.norm() * (1 + ah_size * df.dcepgi.norm())
 
     def miss(xh):
         for _ in range(df.blocks.mp + 1):
@@ -104,18 +102,19 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     """Unique solution of Ahat Ahat^cep xhat = Ahat^cep bhat inside the
     dual range of Ahat^m, namely Ahat^cep bhat.
 
-    Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep;
-    membership in the dual range and the equation residual are
-    verified before returning, each over the size of the terms of
-    Ahat^cep, ||A^cep|| and ||A^cep||^2 ||B||, times ||bhat||: the size
-    of xhat's own roundoff (xhat is zero for bhat in N(Ahat^cep), and
-    A^cep B A^cep is zero where B vanishes on R(A^m)).
+    Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep,
+    read off the frame's blocks with no n x n product; membership in
+    the dual range and the equation residual are verified before
+    returning, each over the size of the terms of Ahat^cep, ||A^cep||
+    and ||A^cep||^2 ||B||, times ||bhat||: the size of xhat's own
+    roundoff (xhat is zero for bhat in N(Ahat^cep), and A^cep B A^cep
+    is zero where B vanishes on R(A^m)).
     """
     df = _checked_frame(ah, bhat)
     x_cep = _first_order_dcepgi(ah, tol)
     xhat = x_cep @ bhat
-    scale = np.hypot(_fro(x_cep.std),
-                     _first_order_size(x_cep, ah.inf)) * bhat.norm()
+    cep_size = _fro(x_cep.std)
+    scale = np.hypot(cep_size, cep_size ** 2 * _fro(ah.inf)) * bhat.norm()
     # the size of Uhat2^T xhat: the part of x and of x' - S y along U2 at
     # the preimage y = U1 T1^-m U1^T x, without T1^-m and its roundoff of
     # eps cond(T1)^m, and never laxer than stacked 2n x 2n least squares

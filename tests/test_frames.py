@@ -196,7 +196,8 @@ def test_svd_count(name, count, linalg_calls, index_three):
 #: The parts of a frame formed on first read for a witness or a
 #: decomposition, never for a verdict.
 WITNESS_SIDE = ("ahm", "t1_hat", "t2_hat", "n_hat", "u_hat", "u_hat1",
-                "t1_hat_inv", "drazin_top", "power_top", "dcepgi", "ddgi")
+                "u_hat2", "t1_hat_inv", "first_order_residual", "drazin_top",
+                "power_top", "dcepgi", "ddgi")
 
 
 @pytest.mark.parametrize("name", ["dcepgi_exists", "ddgi_exists"])
@@ -321,6 +322,26 @@ def test_first_order_report_forms_no_power(index_three):
     ah, _ = index_three
     dualgi.first_order_form_report(ah)
     assert "ahm" not in vars(inverses._Frame.of(ah))
+
+
+def test_first_order_report_forms_no_witness(index_three):
+    # the first-order form is read off the frame's blocks: the report
+    # needs the DCEPGI's verdict, not the DCEPGI
+    ah, _ = index_three
+    dualgi.first_order_form_report(ah)
+    df = inverses._Frame.of(ah)
+    assert "first_order_residual" in vars(df)
+    assert "dcepgi" not in vars(df)
+
+
+def test_solve_general_forms_no_identity(monkeypatch, index_three):
+    # the projector is (Uhat2 - Uhat1 Z) Uhat2^T, not I - Ahat^D Ahat
+    def refuse(*args):
+        raise AssertionError("an identity was formed")
+    monkeypatch.setattr(DualMatrix, "eye", refuse)
+    ah, bh = index_three
+    sol = dualgi.solve_general(ah, bh)
+    assert sol.homogeneous_projector.shape == ah.shape
 
 
 def test_solve_general_forms_no_power(index_three):

@@ -1,7 +1,9 @@
 """JSON file format and the command-line front end."""
 
 import argparse
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -333,6 +335,30 @@ class TestCLIReportForm:
         assert ("message" in report) == (code != EXIT_OK)
         if verb == "inverse" or code == EXIT_NOT_EXIST:
             assert report["exists"] is (code == EXIT_OK)
+
+    @pytest.mark.parametrize("argv", [
+        ["inverse", "--kind", "cep"], ["decompose"],
+        ["solve", "--mode", "general"],
+        ["solve", "--mode", "unique-in-range"]],
+        ids=lambda argv: "-".join(argv[::2]))
+    def test_each_input_is_read_once(self, argv, tmp_path, capsys,
+                                     monkeypatch):
+        # the report's digest is that of the bytes the command parsed: a
+        # second read could see a file rewritten in between
+        mat, rhs = write_input(tmp_path, "exists")
+        paths = [mat, rhs] if argv[0] == "solve" else [mat]
+        opened, builtin_open = [], open
+
+        def counted(file, *args, **kwargs):
+            opened.append(str(file))
+            return builtin_open(file, *args, **kwargs)
+        monkeypatch.setattr("builtins.open", counted)
+        assert main(argv + paths) == EXIT_OK
+        assert sorted(p for p in opened if p in paths) == sorted(paths)
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"] == {
+            path: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+            for path in paths}
 
 
 class TestNumericalFailure:
