@@ -10,7 +10,9 @@ skew, so Uhat^T Uhat = I; U3 solves N U3 + B3 - U3 T1 = O (N
 nilpotent, T1 invertible), which zeroes the lower-left block.
 
 The decomposition is a view of the input's dual frame (``_Frame``): its
-parts, its DCEPGI and the core-nilpotent split are conjugations by Uhat.
+DCEPGI and the core-nilpotent split are products of Uhat's leading t
+columns Uhat1 and trailing n - t columns Uhat2, Uhat1 ([T1hat, T2hat]
+Uhat^T) for the core part and Uhat2 (Nhat Uhat2^T) for the nilpotent one.
 """
 
 from dataclasses import dataclass, field
@@ -60,11 +62,12 @@ class DualCoreEPDecomposition:
     def core_part(self):
         """Uhat [[T1hat, T2hat], [O, O]] Uhat^T."""
         df = self._frame
-        return df.conjugate(_row(df.t1_hat, df.t2_hat))
+        return df.u_hat1 @ (_row(df.t1_hat, df.t2_hat) @ df.u_hat.T)
 
     def nilpotent_part(self):
         """Uhat [[O, O], [O, Nhat]] Uhat^T."""
-        return self._frame.conjugate(self._frame.n_hat, first=self.t)
+        df = self._frame
+        return df.u_hat2 @ (df.n_hat @ df.u_hat2.T)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ The DCEPGI and DDGI certificates share one residual, the size of the
 (n-t) x (n-t) defect D = (Nhat^m).inf of the dual core-EP decomposition
 Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, so neither factors a
 2n x 2n matrix.  Both inverses are Uhat [[T1hat^-1, Y], [O, O]] Uhat^T,
-Y = O for the DCEPGI and T1hat^-(m+1) Ttilde_hat for the DDGI.
+Y = O for the DCEPGI and T1hat^-(m+1) Ttilde_hat for the DDGI, formed
+from Uhat's leading t columns Uhat1 as Uhat1 (T1hat^-1 Uhat1^T) and
+Uhat1 ([T1hat^-1, Y] Uhat^T).
 
 Every public call on one input shares one dual frame (``_Frame.of``):
 the last frame is kept, keyed by the input's bytes, until a call on
@@ -133,13 +135,9 @@ def _certify(residuals, tol, witness_fn=None):
     """The certificate of ``residuals`` at ``tol``; when the inverse
     exists, ``witness_fn()`` forms its witness on the first read."""
     exists = all(r <= tol for r in residuals.values())
-    # the fields set as they are, as ``dual._trusted`` builds a ring result
-    cert = object.__new__(ExistenceCertificate)
-    state = vars(cert)
-    state.update(exists=exists, residuals=residuals, tolerance=tol,
-                 witness=None)
+    cert = ExistenceCertificate(exists, residuals, tol)
     if exists and witness_fn is not None:
-        state["_form_witness"] = witness_fn
+        vars(cert)["_form_witness"] = witness_fn
     return cert
 
 
@@ -158,9 +156,10 @@ class _Frame:
     decomposition Ahat = Uhat [[T1hat, T2hat], [O, Nhat]] Uhat^T, with
     Uhat = U (I + eps G), G = [[O, -U3^T], [U3, O]] and U3 the solution
     of N U3 + B3 - U3 T1 = O.  The DCEPGI and the DDGI exist exactly
-    when Nhat^m = O; each witness, and each part of the public
-    decomposition, is ``conjugate`` of a block in T1hat, T2hat and
-    Nhat.
+    when Nhat^m = O.  Each witness, and each part of the public
+    decomposition, is Uhat M Uhat^T for a block matrix M in T1hat,
+    T2hat and Nhat, formed from Uhat's column blocks ``u_hat1`` and
+    ``u_hat2`` with no product by a zero block of M.
 
     Building the frame forms what every reader needs, the verdict
     first, as read-only arrays: ``w`` = U^T B U, T1^-1, ``u3`` and
@@ -274,22 +273,18 @@ class _Frame:
         u1, u2 = f.U[:, :f.t], f.U[:, f.t:]
         return _readonly(f.U, np.hstack([u2 @ u3, -(u1 @ u3.T)]))
 
-    def _columns(self, start, stop=None):
-        """The columns of Uhat from ``start`` up to ``stop`` (to the last
-        one when ``stop`` is None)."""
-        u, cols = self.u_hat, slice(start, stop)
-        return _trusted(DualMatrix, u.std[:, cols], u.inf[:, cols])
-
     @cached_property
     def u_hat1(self):
         """Uhat1 = U1 + eps U2 U3, the leading t columns of Uhat: a dual
         orthonormal basis of the dual range of Ahat^m."""
-        return self._columns(0, self.blocks.t)
+        u, t = self.u_hat, self.blocks.t
+        return _trusted(DualMatrix, u.std[:, :t], u.inf[:, :t])
 
     @cached_property
     def u_hat2(self):
         """Uhat2 = U2 - eps U1 U3^T, the trailing n - t columns of Uhat."""
-        return self._columns(self.blocks.t)
+        u, t = self.u_hat, self.blocks.t
+        return _trusted(DualMatrix, u.std[:, t:], u.inf[:, t:])
 
     def off_range_norm(self, x):
         """hypot(||U2^T M||_F, ||U2^T M' - U3 U1^T M||_F), the size of
@@ -298,16 +293,6 @@ class _Frame:
         DCEPGI exists."""
         y = self.u_hat2.T @ x
         return np.hypot(_fro(y.std), _fro(y.inf))
-
-    def conjugate(self, block, first=0):
-        """Uhat M Uhat^T = U (M + eps (M' + G M - M G)) U^T for the dual
-        M + eps M' in frame coordinates that is O but for ``block``, an
-        r x k dual matrix whose leading entry sits at (first, first):
-        Uhatr block Uhatk^T, for Uhatr and Uhatk the r and k columns of
-        Uhat from column ``first`` on."""
-        r, k = block.shape
-        rows = self._columns(first, first + r)
-        return rows @ (block @ self._columns(first, first + k).T)
 
     @cached_property
     def t1_hat_inv(self):
@@ -352,14 +337,15 @@ class _Frame:
         """The canonical DCEPGI, Uhat [[T1hat^-1, O], [O, O]] Uhat^T:
         U [[T1^-1, O], [O, O]] U^T + eps U [[-T1^-1 (B1 + T2 U3) T1^-1,
         T1^-1 U3^T], [U3 T1^-1, O]] U^T."""
-        dcepgi = self.conjugate(self.t1_hat_inv)
+        dcepgi = self.u_hat1 @ (self.t1_hat_inv @ self.u_hat1.T)
         return _finite(_readonly(dcepgi.std, dcepgi.inf))
 
     @cached_property
     def ddgi(self):
         """The DDGI, Uhat [[T1hat^-1, Y], [O, O]] Uhat^T with Y =
         ``drazin_top``."""
-        ddgi = self.conjugate(_row(self.t1_hat_inv, self.drazin_top))
+        top = _row(self.t1_hat_inv, self.drazin_top)
+        ddgi = self.u_hat1 @ (top @ self.u_hat.T)
         return _finite(_readonly(ddgi.std, ddgi.inf))
 
 

@@ -42,7 +42,7 @@ def _read(path, vector=False):
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     try:
-        rows = _size(doc["rows"])
+        rows = _size(doc.get("rows"))
         cols = _size(doc.get("cols", 1 if vector else None))
         std, inf = [_parse_part(doc, key, rows, cols)
                     for key in ("standard", "infinitesimal")]
@@ -67,7 +67,7 @@ def _parse_part(doc, key, rows, cols):
     if key not in doc:
         raise ValueError(f"missing '{key}' array")
     arr = np.asarray(doc[key], dtype=float)
-    if arr.ndim == 1:
+    if arr.ndim == 1 and arr.size == rows * cols:
         arr = arr.reshape(rows, cols)
     if arr.shape != (rows, cols):
         raise DimensionError(f"'{key}' has shape {arr.shape}, declared "

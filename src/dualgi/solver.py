@@ -48,6 +48,9 @@ class SolutionReport:
 
 def _checked_frame(ah, bhat):
     """The dual frame of ``ah``, once the right-hand side fits."""
+    if not isinstance(bhat, DualVector):
+        raise DimensionError("the right-hand side must be a DualVector, "
+                             f"got {type(bhat).__name__}")
     if len(bhat) != ah.shape[0]:
         raise DimensionError(f"right-hand side length {len(bhat)} does not "
                              f"match matrix size {ah.shape[0]}")

@@ -352,8 +352,9 @@ def test_solve_general_forms_no_power(index_three):
 
 
 def test_frame_computes_in_unchecked_dual_matrices(monkeypatch, index_three):
-    # the blocks, witnesses and conjugations of a cold frame are ring
-    # results of checked values, and none passes the constructor's check
+    # the blocks, witnesses and decomposition parts of a cold frame are
+    # ring results of checked values, and none passes the constructor's
+    # check
     ah, _ = index_three
 
     def refuse(*args, **kwargs):
@@ -361,9 +362,10 @@ def test_frame_computes_in_unchecked_dual_matrices(monkeypatch, index_three):
     monkeypatch.setattr("dualgi.dual._as_pair", refuse)
     df = inverses._Frame.of(ah)
     parts = [getattr(df, name) for name in (
-        "u_hat", "u_hat1", "t1_hat", "t2_hat", "n_hat", "t1_hat_inv",
-        "drazin_top", "ahm", "dcepgi", "ddgi")]
-    parts += [*df.power_top, df.conjugate(df.n_hat, first=df.blocks.t)]
+        "u_hat", "u_hat1", "u_hat2", "t1_hat", "t2_hat", "n_hat",
+        "t1_hat_inv", "drazin_top", "ahm", "dcepgi", "ddgi")]
+    d = dualgi.dual_core_ep_decompose(ah)
+    parts += [*df.power_top, d.core_part(), d.nilpotent_part()]
     assert all(type(part) is DualMatrix for part in parts)
     assert df.defect_residual <= dualgi.DEFAULT_TOL
     assert not df.u3.flags.writeable

@@ -93,6 +93,34 @@ class TestIO:
         with pytest.raises(DimensionError):
             read_dual_matrix(path)
 
+    def test_missing_rows_rejected(self, tmp_path, capsys):
+        # named as a missing 'cols' is, not a bare KeyError
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"cols": 2, "standard": [1, 0, 0, 1],
+                                    "infinitesimal": [0, 0, 0, 0]}))
+        with pytest.raises(ValueError) as info:
+            read_dual_matrix(path)
+        assert str(info.value) == ("'rows' and 'cols' must be integers "
+                                   ">= 0, got None")
+        assert main(["inverse", "--kind", "cep", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("key", ["standard", "infinitesimal"])
+    def test_flat_part_of_wrong_length_rejected(self, key, tmp_path,
+                                                capsys):
+        # as a 2-D part of the wrong shape is, not by NumPy's reshape
+        doc = {"rows": 2, "cols": 2, "standard": [1, 0, 0, 1],
+               "infinitesimal": [0, 0, 0, 0]}
+        doc[key] = [1, 2, 3]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        message = f"'{key}' has shape (3,), declared (2, 2)"
+        with pytest.raises(DimensionError) as info:
+            read_dual_matrix(path)
+        assert str(info.value) == message
+        assert main(["inverse", "--kind", "cep", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("rows, cols", [
         (2.9, True), (2.0, 2), (True, 2), (2, "2"), (-1, -1)],
         ids=["float-bool", "float", "bool", "string", "negative"])

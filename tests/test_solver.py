@@ -27,6 +27,26 @@ def surrogate_rhs(ah, bhat):
     return dual_power(ah, 2 * m) @ (dmpgi(ahm) @ bhat)
 
 
+@pytest.mark.parametrize("solve", [solve_general, solve_unique_in_range])
+@pytest.mark.parametrize("kind", ["DualMatrix", "ndarray", "list"])
+def test_rhs_must_be_a_dual_vector(solve, kind, monkeypatch):
+    # a right-hand side of another type is refused by name, before the
+    # input's frame is looked up; a generator of its own leaves the
+    # module RNG's draws for the later tests as they were
+    rng = np.random.default_rng(27)
+    f = random_frame(rng)
+    ah = existing_dual(rng, f)
+    b = rng.standard_normal(f.n)
+    bhat = {"DualMatrix": DualMatrix(b[:, None], b[:, None]),
+            "ndarray": b, "list": b.tolist()}[kind]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame was looked up")
+    monkeypatch.setattr(_Frame, "of", staticmethod(refuse))
+    with pytest.raises(DimensionError, match=f"DualVector, got {kind}$"):
+        solve(ah, bhat)
+
+
 class TestSolveGeneral:
     def test_particular_solution(self):
         for _ in range(20):
