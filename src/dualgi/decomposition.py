@@ -88,8 +88,8 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     df = _Frame.of(ah, u)
     t2, u3 = df.blocks.T2, df.u3
     b_norm = _fro(df.ah.inf)
-    canonical = bool(_rel(_fro(t2 @ u3), b_norm) <= tol
-                     and _rel(_fro(u3 @ t2), b_norm) <= tol)
+    canonical = bool(_rel(_fro(t2.dot(u3)), b_norm) <= tol
+                     and _rel(_fro(u3.dot(t2)), b_norm) <= tol)
     return DualCoreEPDecomposition(
         U_hat=df.u_hat, T1_hat=df.t1_hat, T2_hat=df.t2_hat,
         N_hat=df.n_hat, U3=u3, canonical=canonical, t=df.blocks.t,

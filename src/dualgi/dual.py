@@ -70,10 +70,8 @@ def _as_dual_scalar(x):
 
 
 def _as_pair(std, inf, ndim):
-    std = np.asarray(std, dtype=float)
-    if inf is None:
-        inf = np.zeros_like(std)
-    inf = np.asarray(inf, dtype=float)
+    std = _real(std)
+    inf = np.zeros_like(std) if inf is None else _real(inf)
     if std.ndim != ndim or inf.ndim != ndim:
         raise DimensionError(f"expected {ndim}-dimensional parts, got "
                              f"{std.ndim} and {inf.ndim}")
@@ -83,6 +81,17 @@ def _as_pair(std, inf, ndim):
     if not (np.isfinite(std).all() and np.isfinite(inf).all()):
         raise ValueError("entries must be finite")
     return std, inf
+
+
+def _real(x):
+    """``x`` as a float array; TypeError unless its dtype is boolean,
+    integer or real floating point (not complex: NumPy would drop the
+    imaginary part with only a warning; not strings, which it parses)."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise TypeError(f"dual parts must be real numbers, got dtype "
+                        f"{x.dtype}")
+    return x.astype(float, copy=False)
 
 
 def _refuse_radd(self, other):
@@ -192,8 +201,7 @@ class DualMatrix:
 
     @classmethod
     def from_real(cls, a):
-        a = np.asarray(a, dtype=float)
-        return cls(a, np.zeros_like(a))
+        return cls(a)
 
     @classmethod
     def eye(cls, n):
@@ -238,13 +246,16 @@ class DualMatrix:
             if self.std.shape[1] != len(other):
                 raise DimensionError(f"cannot multiply {self.shape} by "
                                      f"vector of length {len(other)}")
-            return _trusted(DualVector, self.std @ other.std,
-                            self.std @ other.inf + self.inf @ other.std)
-        other = _as_dual_matrix(other)
-        if self.std.shape[1] != other.std.shape[0]:
-            raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        return _trusted(DualMatrix, self.std @ other.std,
-                        self.std @ other.inf + self.inf @ other.std)
+            cls = DualVector
+        else:
+            other = _as_dual_matrix(other)
+            if self.std.shape[1] != other.std.shape[0]:
+                raise DimensionError(f"cannot multiply {self.shape} by "
+                                     f"{other.shape}")
+            cls = DualMatrix
+        a = self.std  # ndarray.dot: see the realkernel module docstring
+        return _trusted(cls, a.dot(other.std),
+                        a.dot(other.inf) + self.inf.dot(other.std))
 
     def power(self, k):
         """k-th dual power via Ahat^k = A^k + eps * sum A^(k-i) B A^(i-1)."""
@@ -298,12 +309,12 @@ def _s_terms(a, b, m):
     n = a.shape[0]
     powers = [None, a]  # A^k for k >= 1; A^0 = I multiplies by nothing
     for _ in range(m - 2):
-        powers.append(powers[-1] @ a)
+        powers.append(powers[-1].dot(a))
     s, size = np.zeros((n, n)), 0.0
     for i in range(1, m + 1):
-        term = powers[m - i] @ b if m > i else b
+        term = powers[m - i].dot(b) if m > i else b
         if i > 1:
-            term = term @ powers[i - 1]
+            term = term.dot(powers[i - 1])
         s += term
         size += _fro(term)
     return s, size

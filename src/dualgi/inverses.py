@@ -182,9 +182,9 @@ class _Frame:
         # T1^-(i+1), the unique solution of N U3 + B3 - U3 T1 = O (T1
         # invertible, N nilpotent)
         t, t1_inv = f.t, f.t1_inv
-        self.w = w = f.U.T @ ah.inf @ f.U
-        self.u3 = u3 = _horner(w[t:, :t], f.N, t1_inv, f.mp) @ t1_inv
-        self.c = c = w[t:, t:] - u3 @ f.T2
+        self.w = w = f.U.T.dot(ah.inf).dot(f.U)
+        self.u3 = u3 = _horner(w[t:, :t], f.N, t1_inv, f.mp).dot(t1_inv)
+        self.c = c = w[t:, t:] - u3.dot(f.T2)
         for part in (t1_inv, w, u3, c):
             part.setflags(write=False)
 
@@ -235,13 +235,14 @@ class _Frame:
     def t1_hat(self):
         """T1hat = T1 + eps (T2 U3 + B1)."""
         f = self.blocks
-        return _readonly(f.T1, f.T2 @ self.u3 + self.w[:f.t, :f.t])
+        return _readonly(f.T1, f.T2.dot(self.u3) + self.w[:f.t, :f.t])
 
     @cached_property
     def t2_hat(self):
         """T2hat = T2 + eps (B2 + U3^T N - T1 U3^T)."""
         f, u3 = self.blocks, self.u3
-        return _readonly(f.T2, self.w[:f.t, f.t:] + u3.T @ f.N - f.T1 @ u3.T)
+        return _readonly(f.T2,
+                         self.w[:f.t, f.t:] + u3.T.dot(f.N) - f.T1.dot(u3.T))
 
     @cached_property
     def n_hat(self):
@@ -262,8 +263,8 @@ class _Frame:
         f, c = self.blocks, self.c
         d, n_pow = c, None  # D_k = N D_(k-1) + C N^(k-1), D_1 = C
         for _ in range(f.mp - 1):
-            n_pow = f.N if n_pow is None else n_pow @ f.N
-            d = f.N @ d + c @ n_pow
+            n_pow = f.N if n_pow is None else n_pow.dot(f.N)
+            d = f.N.dot(d) + c.dot(n_pow)
         return _rel(_fro(d), self.s_terms[1])
 
     @cached_property
@@ -271,7 +272,8 @@ class _Frame:
         """Uhat = U + eps U G, dual orthogonal (Uhat^T Uhat = I)."""
         f, u3 = self.blocks, self.u3
         u1, u2 = f.U[:, :f.t], f.U[:, f.t:]
-        return _readonly(f.U, np.hstack([u2 @ u3, -(u1 @ u3.T)]))
+        return _readonly(f.U, np.concatenate([u2.dot(u3), -u1.dot(u3.T)],
+                                             axis=1))
 
     @cached_property
     def u_hat1(self):
@@ -299,7 +301,7 @@ class _Frame:
         """T1hat^-1 = T1^-1 - eps T1^-1 T1hat' T1^-1."""
         t1_inv = self.blocks.t1_inv
         return _trusted(DualMatrix, t1_inv,
-                        -t1_inv @ self.t1_hat.inf @ t1_inv)
+                        -t1_inv.dot(self.t1_hat.inf).dot(t1_inv))
 
     @cached_property
     def first_order_residual(self):
@@ -308,9 +310,9 @@ class _Frame:
         Ahat^cep = A^cep - eps A^cep B A^cep, which is U [[-T1^-1 T2 U3
         T1^-1, T1^-1 U3^T], [U3 T1^-1, O]] U^T, O exactly when U3 is."""
         t1_inv, u3 = self.blocks.t1_inv, self.u3
-        v = u3 @ t1_inv
-        diff = math.hypot(_fro(t1_inv @ (self.blocks.T2 @ v)),
-                          _fro(t1_inv @ u3.T), _fro(v))
+        v = u3.dot(t1_inv)
+        diff = math.hypot(_fro(t1_inv.dot(self.blocks.T2.dot(v))),
+                          _fro(t1_inv.dot(u3.T)), _fro(v))
         return _rel(diff, _fro(t1_inv) ** 2 * _fro(self.ah.inf))
 
     @cached_property
@@ -373,8 +375,8 @@ def _finite(xh):
 
 def _row(left, right):
     """The dual block row [left, right] of two dual matrices."""
-    return _trusted(DualMatrix, np.hstack([left.std, right.std]),
-                    np.hstack([left.inf, right.inf]))
+    return _trusted(DualMatrix, np.concatenate([left.std, right.std], axis=1),
+                    np.concatenate([left.inf, right.inf], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +433,7 @@ def mpdgi(ah):
     Not in general the dual Moore-Penrose inverse; see ``dmpgi``.
     """
     ap = moore_penrose(ah.std)
-    return _finite(_trusted(DualMatrix, ap, -ap @ ah.inf @ ap))
+    return _finite(_trusted(DualMatrix, ap, -ap.dot(ah.inf).dot(ap)))
 
 
 def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
@@ -455,7 +457,8 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
     # bases past rank(A) in the SVD: ||U0^T B V0|| over ||B||, free of the
     # roundoff of A A^+
     u, _, vt = svd
-    residual = _rel(_fro(u[:, r_a:].T @ ah.inf @ vt[r_a:].T), _fro(ah.inf))
+    residual = _rel(_fro(u[:, r_a:].T.dot(ah.inf).dot(vt[r_a:].T)),
+                    _fro(ah.inf))
     # the witness is formed later, from copies: the caller's arrays may
     # change in place before it is read
     copy = _trusted(DualMatrix, ah.std.copy(), ah.inf.copy())
@@ -468,9 +471,10 @@ def _dmpgi_formula(ah, ap):
     B^T (A A^T)^+), with (A^T A)^+ = A^+ (A^+)^T and (A A^T)^+ =
     (A^+)^T A^+, for A^+ = ``ap``, read-only."""
     a, b = ah.std, ah.inf
-    w = b.T @ (ap.T @ ap)
-    return _readonly(ap, -ap @ b @ ap + ap @ (ap.T @ (b.T - b.T @ (a @ ap)))
-                     + w - ap @ (a @ w))
+    w = b.T.dot(ap.T.dot(ap))
+    return _readonly(ap, -ap.dot(b).dot(ap)
+                     + ap.dot(ap.T.dot(b.T - b.T.dot(a.dot(ap))))
+                     + w - ap.dot(a.dot(w)))
 
 
 def dmpgi(ah, tol=DEFAULT_TOL):

@@ -16,6 +16,7 @@ Values are written as decimal text with full round-trip precision
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -41,18 +42,18 @@ def _read(path, vector=False):
     doc = json.loads(data.decode("utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    try:
-        rows = _size(doc.get("rows"))
-        cols = _size(doc.get("cols", 1 if vector else None))
-        std, inf = [_parse_part(doc, key, rows, cols)
-                    for key in ("standard", "infinitesimal")]
-    except TypeError as exc:  # a null or nested entry in an array, ...
-        raise ValueError(f"malformed document: {exc}") from None
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"'name' must be a string, got {name!r}")
+    rows = _size(doc.get("rows"))
+    cols = _size(doc.get("cols", 1 if vector else None))
+    std, inf = [_parse_part(doc, key, rows, cols)
+                for key in ("standard", "infinitesimal")]
     if vector and cols != 1:
         raise DimensionError(f"vector file must have cols = 1, got {cols}")
     value = (DualVector(std.ravel(), inf.ravel()) if vector
              else DualMatrix(std, inf))
-    return doc.get("name", ""), value, hashlib.sha256(data).hexdigest()
+    return name, value, hashlib.sha256(data).hexdigest()
 
 
 def _size(value):
@@ -63,10 +64,31 @@ def _size(value):
     return value
 
 
+#: The JSON names of the Python types ``json`` parses a value into.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               type(None): "null"}
+
+
 def _parse_part(doc, key, rows, cols):
+    """The array under ``key``, flat or one list per row, as floats:
+    every entry a JSON number.  NumPy alone would parse a string or a
+    boolean as a number."""
     if key not in doc:
         raise ValueError(f"missing '{key}' array")
-    arr = np.asarray(doc[key], dtype=float)
+    part = doc[key]
+    entries = part if isinstance(part, list) else [part]
+    if all(type(row) is list for row in entries):
+        entries = itertools.chain.from_iterable(entries)
+    kinds = set(map(type, entries)) - {int, float}
+    if kinds:
+        names = sorted(_JSON_TYPES[kind] for kind in kinds)
+        raise ValueError(f"'{key}' has entries that are not numbers: "
+                         f"{', '.join(names)}")
+    try:
+        arr = np.asarray(part, dtype=float)
+    except OverflowError:
+        raise ValueError(f"'{key}' has an integer too large for a "
+                         "float") from None
     if arr.ndim == 1 and arr.size == rows * cols:
         arr = arr.reshape(rows, cols)
     if arr.shape != (rows, cols):

@@ -62,7 +62,7 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     df = _Frame.of(ah)
     left = _power_projector(df)
     u2 = df.blocks.U[:, df.blocks.t:]
-    both = max(left, _rel(_fro(df.s @ u2), df.s_size))
+    both = max(left, _rel(_fro(df.s.dot(u2)), df.s_size))
     conds = {
         "first_order_form": df.first_order_residual,
         "power_projector": left,
@@ -81,7 +81,7 @@ def _power_projector(df):
     (U2 = U[:, t:]), O exactly when S maps into R(A^m) = R(U1), that is
     rank([A^m  S]) = rank(A^m)."""
     u2 = df.blocks.U[:, df.blocks.t:]
-    return _rel(_fro(u2.T @ df.s), df.s_size)
+    return _rel(_fro(u2.T.dot(df.s)), df.s_size)
 
 
 def rank_test(ah, tol=DEFAULT_TOL):
@@ -141,7 +141,7 @@ def range_null_report(ah, tol=DEFAULT_TOL):
     null_res = max(_rel(df.off_range_norm(x.T), x_size), ahm_res)
     n, t = df.blocks.n, df.blocks.t
     u = df.blocks.U  # Uhat^T Uhat = I exactly when U^T U = I
-    orthogonal = _rel(_fro(u.T @ u - np.eye(n)), n) <= tol
+    orthogonal = _rel(_fro(u.T.dot(u) - np.eye(n)), n) <= tol
     return RangeNullReport(range_equal_residual=range_res,
                            null_equal_residual=null_res,
                            intersection_dimension=0 if orthogonal
@@ -210,7 +210,7 @@ def order_law_check(ah, bh, tol=DEFAULT_TOL):
                        ("std_inf_commute_right", b_cep, a0),
                        ("std_inf_commute_left", a_cep, b0)):
         # x y - y x over the size of its terms
-        res = _rel(_fro(x @ y - y @ x), _fro(x) * _fro(y))
+        res = _rel(_fro(x.dot(y) - y.dot(x)), _fro(x) * _fro(y))
         conditions[name] = (res <= tol, res)
     return OrderLawReport(reverse_residual=reverse, forward_residual=forward,
                           sufficient_conditions=conditions, tolerance=tol)

@@ -213,6 +213,127 @@ class TestDualVector:
             DualVector(np.zeros(2), np.array([0.0, np.inf]))
 
 
+def _layout(rng, shape, layout):
+    """A standard normal array of ``shape`` in ``layout``: a C-contiguous
+    array, a strided slice of a larger one, or the transpose of one (a
+    1-D array: a column of a C-contiguous matrix)."""
+    if layout == "contiguous":
+        return rng.standard_normal(shape)
+    if layout == "sliced":
+        big = rng.standard_normal(tuple(2 * s + 1 for s in shape))
+        return big[tuple(slice(1, None, 2) for _ in shape)]
+    if len(shape) == 1:
+        return rng.standard_normal((shape[0], 3))[:, 1]
+    return rng.standard_normal(shape[::-1]).T
+
+
+LAYOUTS = ("contiguous", "sliced", "transposed")
+
+
+class TestProductConvention:
+    """``DualMatrix @`` multiplies its parts with ``ndarray.dot``, not
+    NumPy's ``matmul`` (realkernel module docstring).  The reference
+    is the ring law through ``@``: equal bit for bit when both operands
+    are C-contiguous, and otherwise within 4 k eps ||X||_F ||Y||_F for
+    each product X Y of inner dimension k, a bound fixed from the dtype
+    (each side is within k eps ||X||_F ||Y||_F of the exact product)."""
+
+    EPS = np.finfo(float).eps
+
+    def _check(self, x, y, got):
+        std = x.std @ y.std
+        inf = x.std @ y.inf + x.inf @ y.std
+        contiguous = all(part.flags.c_contiguous
+                         for part in (x.std, x.inf, y.std, y.inf))
+        if contiguous:
+            assert got.std.tobytes() == std.tobytes()
+            assert got.inf.tobytes() == inf.tobytes()
+        k = x.shape[1]
+        bound = 4 * k * self.EPS
+
+        def size(p, q):
+            return np.linalg.norm(p) * np.linalg.norm(q)
+        assert np.linalg.norm(got.std - std) <= bound * size(x.std, y.std)
+        assert np.linalg.norm(got.inf - inf) <= bound * (
+            size(x.std, y.inf) + size(x.inf, y.std))
+        return contiguous
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matrix_products(self, seed):
+        rng = np.random.default_rng([28, seed])
+        exact = 0
+        for _ in range(150):
+            r, k, c = (int(s) for s in rng.integers(1, 71, 3))
+            lx, ly = rng.choice(LAYOUTS, 2)
+            x = DualMatrix(_layout(rng, (r, k), lx), _layout(rng, (r, k), lx))
+            y = DualMatrix(_layout(rng, (k, c), ly), _layout(rng, (k, c), ly))
+            exact += self._check(x, y, x @ y)
+        assert exact  # the bitwise branch ran
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matrix_vector_products(self, seed):
+        rng = np.random.default_rng([28, 100 + seed])
+        exact = 0
+        for _ in range(150):
+            r, k = (int(s) for s in rng.integers(1, 71, 2))
+            lx, lv = rng.choice(LAYOUTS, 2)
+            x = DualMatrix(_layout(rng, (r, k), lx), _layout(rng, (r, k), lx))
+            v = DualVector(_layout(rng, (k,), lv), _layout(rng, (k,), lv))
+            exact += self._check(x, v, x @ v)
+        assert exact
+
+    def test_layouts_are_kept(self):
+        # the constructor takes float arrays as they are, so the layouts
+        # above reach the product
+        rng = np.random.default_rng(0)
+        for layout in LAYOUTS:
+            part = _layout(rng, (4, 5), layout)
+            x = DualMatrix(part, part)
+            assert x.std is part
+            assert x.std.flags.c_contiguous == (layout == "contiguous")
+
+
+class TestRealParts:
+    """Parts of boolean, integer or float dtype are taken as floats; a
+    complex, string or object array is refused by its dtype."""
+
+    @pytest.mark.parametrize("part, dtype", [
+        (np.array([[1 + 2j, 0], [0, 1]]), "complex128"),
+        (np.array([["1", "0"], ["0", "1"]]), "<U1"),
+        (np.array([[1, None], [0, 1]], dtype=object), "object")])
+    def test_matrix_part_refused(self, part, dtype):
+        message = f"^dual parts must be real numbers, got dtype {dtype}$"
+        for args in ((part,), (np.eye(2), part), (part, np.eye(2))):
+            with pytest.raises(TypeError, match=message):
+                DualMatrix(*args)
+        with pytest.raises(TypeError, match=message):
+            DualMatrix.from_real(part)
+        with pytest.raises(TypeError, match=message):
+            DualMatrix.eye(2) @ part
+
+    @pytest.mark.parametrize("part, dtype", [
+        (np.array(["1", "2"]), "<U1"),
+        (np.array([1j, 2]), "complex128")])
+    def test_vector_part_refused(self, part, dtype):
+        message = f"^dual parts must be real numbers, got dtype {dtype}$"
+        for args in ((part,), (np.ones(2), part)):
+            with pytest.raises(TypeError, match=message):
+                DualVector(*args)
+
+    @pytest.mark.parametrize("part", [
+        np.array([[True, False], [False, True]]),
+        np.array([[1, 0], [0, 1]], dtype=np.int32),
+        np.array([[1, 0], [0, 1]], dtype=np.uint8),
+        np.array([[1, 0], [0, 1]], dtype=np.float32),
+        [[1, 0], [0, 1.0]]])
+    def test_real_part_kept(self, part):
+        x = DualMatrix(part, part)
+        assert x.std.dtype == x.inf.dtype == np.float64
+        assert np.array_equal(x.std, np.eye(2))
+        v = DualVector(np.asarray(part)[0])
+        assert v.std.dtype == np.float64 and not v.inf.any()
+
+
 class TestDualPower:
     @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)

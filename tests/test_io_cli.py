@@ -137,6 +137,78 @@ class TestIO:
         assert main(["inverse", "--kind", "mpdgi", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("doc, message", [
+        # NumPy's float conversion would read these as [[1, 0], [1, 2]]
+        ({"rows": 2, "cols": 2, "standard": [["1", "0"], [True, "2e0"]],
+          "infinitesimal": [[0, 0], [0, False]]},
+         "'standard' has entries that are not numbers: boolean, string"),
+        ({"rows": 2, "cols": 2, "standard": [[1, 0], [0, 1]],
+          "infinitesimal": [[0, 0], [0, False]]},
+         "'infinitesimal' has entries that are not numbers: boolean"),
+        # not NaN, "entries must be finite"
+        ({"rows": 2, "cols": 2, "standard": [1, None, 0, 1],
+          "infinitesimal": [0, 0, 0, 0]},
+         "'standard' has entries that are not numbers: null"),
+        ({"rows": 2, "cols": 2, "standard": [[1, 0], [0, 1]],
+          "infinitesimal": [[0, [0]], [0, 0]]},
+         "'infinitesimal' has entries that are not numbers: array"),
+        ({"rows": 1, "cols": 1, "standard": "1", "infinitesimal": [0]},
+         "'standard' has entries that are not numbers: string"),
+        # not the name of a report such as "5_cep"
+        ({"name": 5, "rows": 1, "cols": 1, "standard": [[1]],
+          "infinitesimal": [[0]]},
+         "'name' must be a string, got 5"),
+        ({"name": None, "rows": 1, "cols": 1, "standard": [[1]],
+          "infinitesimal": [[0]]},
+         "'name' must be a string, got None")],
+        ids=["string-bool", "bool", "null", "nested", "string-part",
+             "int-name", "null-name"])
+    def test_entry_or_name_of_wrong_type_rejected(self, doc, message,
+                                                   tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            read_dual_matrix(path)
+        assert str(info.value) == message
+        assert main(["inverse", "--kind", "cep", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_vector_entry_of_wrong_type_rejected(self, tmp_path, capsys):
+        mat, rhs = tmp_path / "m.json", tmp_path / "b.json"
+        write_dual_matrix(mat, DualMatrix.eye(2))
+        rhs.write_text(json.dumps({"rows": 2, "cols": 1,
+                                   "standard": ["1", 2],
+                                   "infinitesimal": [0, 0]}))
+        message = "'standard' has entries that are not numbers: string"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_dual_vector(rhs)
+        assert main(["solve", "--mode", "general", str(mat),
+                     str(rhs)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, capsys):
+        # a ValueError, not the OverflowError of NumPy's conversion
+        path = tmp_path / "big.json"
+        path.write_text('{"rows": 1, "cols": 1, "standard": [[1' + "0" * 400
+                        + ']], "infinitesimal": [[0]]}')
+        message = "'standard' has an integer too large for a float"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_dual_matrix(path)
+        assert main(["inverse", "--kind", "cep", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integer_and_float_entries_read(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"name": "m", "rows": 2, "cols": 2,
+                                    "standard": [[1, 0.5], [-2, 1e300]],
+                                    "infinitesimal": [0, 0, 3, 0.0]}))
+        name, ah = read_dual_matrix(path)
+        assert name == "m"
+        assert ah.std.tolist() == [[1.0, 0.5], [-2.0, 1e300]]
+        assert ah.inf.tolist() == [[0.0, 0.0], [3.0, 0.0]]
+
 
 class TestCLIExitCodes:
     def test_inverse_exists(self, existing_file, capsys):
@@ -168,7 +240,7 @@ class TestCLIExitCodes:
         [1, 2],
         {"rows": None, "cols": 2, "standard": [[1, 0], [0, 1]],
          "infinitesimal": [[0, 0], [0, 0]]},
-        # an object entry; a null one reads as NaN ("must be finite")
+        # an object entry
         {"rows": 2, "cols": 2, "standard": [[1, {}], [0, 1]],
          "infinitesimal": [[0, 0], [0, 0]]}])
     def test_usage_error_on_malformed_json(self, doc, tmp_path, capsys):
