@@ -27,7 +27,7 @@ import numpy as np
 from . import decomposition, inverses, io, solver
 from .dual import DualVector
 from .errors import HypothesisError, InverseNotExistError, NumericalError
-from .realkernel import DEFAULT_TOL
+from .realkernel import DEFAULT_TOL, _count, _tolerance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,33 +61,22 @@ def _certificate_dict(cert):
     }
 
 
-def _tolerance(text):
-    """A residual tolerance, finite and > 0: a nan, zero or negative one
-    would reject every input, an infinite one accept every input."""
-    tol = float(text)
-    if not 0 < tol < np.inf:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite number > 0, got {text!r}")
-    return tol
-
-
-def _count(text):
-    """A number of spot checks, an integer >= 0: a negative one would
-    report checks that never ran."""
-    count = int(text)
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"count must be an integer >= 0, got {text!r}")
-    return count
+def _option(rule, parse, name):
+    """The argparse type of an option that ``parse`` reads and ``rule``
+    checks as ``name``: a ValueError is a usage error naming the option."""
+    def check(text):
+        try:
+            return rule(parse(text), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return check
 
 
 def _default_tol():
     env = os.environ.get(TOL_ENV_VAR)
-    if env is None:
-        return DEFAULT_TOL
     try:
-        return _tolerance(env)
-    except (ValueError, argparse.ArgumentTypeError):  # a usage error
+        return DEFAULT_TOL if env is None else _tolerance(float(env))
+    except ValueError:  # a usage error
         raise ValueError(f"invalid {TOL_ENV_VAR} value: {env!r}") from None
 
 
@@ -205,9 +194,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=_tolerance, default=None,
-                       help="residual tolerance (default 1e-10, or "
-                            f"{TOL_ENV_VAR})")
+        p.add_argument("--tol", type=_option(_tolerance, float, "tolerance"),
+                       default=None, help="residual tolerance (default "
+                       f"1e-10, or {TOL_ENV_VAR})")
         p.add_argument("--output", default=None,
                        help="also write the report to this path")
 
@@ -227,10 +216,10 @@ def build_parser():
     p_sol.add_argument("rhs", help="dual vector JSON file")
     p_sol.add_argument("--mode", choices=["general", "unique-in-range"],
                        default="general")
-    p_sol.add_argument("--spot-checks", type=_count, default=5,
-                       help="random homogeneous solutions to check "
-                            "(default 5)")
-    p_sol.add_argument("--seed", type=int, default=0,
+    p_sol.add_argument("--spot-checks", type=_option(_count, int, "count"),
+                       default=5, help="random homogeneous solutions to "
+                       "check (default 5)")
+    p_sol.add_argument("--seed", type=_option(_count, int, "seed"), default=0,
                        help="seed for randomized spot checks")
     add_common(p_sol)
     p_sol.set_defaults(func=cmd_solve)

@@ -21,8 +21,9 @@ import numpy as np
 
 from .dual import DualMatrix, _fro
 from .errors import InverseNotExistError
-from .inverses import _dcepgi, _Frame, _rel, _row
-from .realkernel import DEFAULT_TOL
+from .inverses import (_NO_DCEPGI, _cep_certificate, _certified, _dcepgi,
+                       _Frame, _rel, _row)
+from .realkernel import DEFAULT_TOL, _tolerance
 
 __all__ = [
     "DualCoreEPDecomposition",
@@ -51,6 +52,7 @@ class DualCoreEPDecomposition:
     t: int
     m: int
     _frame: _Frame = field(repr=False, compare=False)
+    _tol: float = field(repr=False, compare=False)  # the tol of canonical
 
     @property
     def n(self):
@@ -93,7 +95,7 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     return DualCoreEPDecomposition(
         U_hat=df.u_hat, T1_hat=df.t1_hat, T2_hat=df.t2_hat,
         N_hat=df.n_hat, U3=u3, canonical=canonical, t=df.blocks.t,
-        m=df.blocks.m, _frame=df)
+        m=df.blocks.m, _frame=df, _tol=_tolerance(tol))
 
 
 def dual_cn_split(ah, tol=DEFAULT_TOL):
@@ -110,9 +112,9 @@ def dual_cn_split(ah, tol=DEFAULT_TOL):
 
 
 def dcepgi_from_decomposition(d):
-    """The DCEPGI of a canonical dual core-EP decomposition, read-only:
-    Uhat [[T1hat^-1, O], [O, O]] Uhat^T, the frame's ``dcepgi``."""
+    """The DCEPGI Uhat [[T1hat^-1, O], [O, O]] Uhat^T, read-only, of a
+    canonical ``d``, where it exists at the tolerance ``d`` was built at."""
     if not d.canonical:
         raise InverseNotExistError(
             "decomposition is not canonical (T2 U3 or U3 T2 nonzero)", None)
-    return d._frame.dcepgi
+    return _certified(_cep_certificate(d._frame, d._tol), _NO_DCEPGI).witness

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .realkernel import _count, _real
 
 __all__ = [
     "DualScalar",
@@ -70,28 +71,12 @@ def _as_dual_scalar(x):
 
 
 def _as_pair(std, inf, ndim):
-    std = _real(std)
-    inf = np.zeros_like(std) if inf is None else _real(inf)
-    if std.ndim != ndim or inf.ndim != ndim:
-        raise DimensionError(f"expected {ndim}-dimensional parts, got "
-                             f"{std.ndim} and {inf.ndim}")
+    std = _real(std, "dual parts", ndim)
+    inf = np.zeros_like(std) if inf is None else _real(inf, "dual parts", ndim)
     if std.shape != inf.shape:
         raise DimensionError(f"standard part {std.shape} and infinitesimal "
                              f"part {inf.shape} differ in shape")
-    if not (np.isfinite(std).all() and np.isfinite(inf).all()):
-        raise ValueError("entries must be finite")
     return std, inf
-
-
-def _real(x):
-    """``x`` as a float array; TypeError unless its dtype is boolean,
-    integer or real floating point (not complex: NumPy would drop the
-    imaginary part with only a warning; not strings, which it parses)."""
-    x = np.asarray(x)
-    if x.dtype.kind not in "biuf":
-        raise TypeError(f"dual parts must be real numbers, got dtype "
-                        f"{x.dtype}")
-    return x.astype(float, copy=False)
 
 
 def _refuse_radd(self, other):
@@ -279,9 +264,7 @@ def dual_power(x, k):
     sum_{i=1..k} A^(k-i) B A^(i-1), unchecked as ``@``'s result."""
     if not x.is_square:
         raise DimensionError(f"power of non-square dual matrix {x.shape}")
-    k = int(k)
-    if k < 0:
-        raise ValueError("negative dual power is not defined here")
+    k = _count(k, "'k'")
     if k == 0:
         return DualMatrix.eye(x.shape[0])
     a, b = x.std, x.inf
@@ -292,15 +275,11 @@ def dual_power(x, k):
 def s_matrix(a, b, m):
     """S = sum_{i=1..m} A^(m-i) B A^(i-1), the infinitesimal part of
     (A + eps B)^m."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a, b = _real(a, "'a'"), _real(b, "'b'")
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DimensionError(f"s_matrix needs equal square shapes, got "
                              f"{a.shape} and {b.shape}")
-    m = int(m)
-    if m < 1:
-        raise ValueError("s_matrix needs m >= 1")
-    return _s_terms(a, b, m)[0]
+    return _s_terms(a, b, _count(m, "'m'", 1))[0]
 
 
 def _s_terms(a, b, m):

@@ -45,8 +45,9 @@ import numpy as np
 from .dual import DualMatrix, _fro, _s_terms, _trusted, dual_power
 from .errors import (DimensionError, HypothesisError, InverseNotExistError,
                      NumericalError)
-from .realkernel import (DEFAULT_TOL, _horner, _pinv, _range_pinv,
-                         _svd_rank, core_ep_decompose, moore_penrose)
+from .realkernel import (DEFAULT_TOL, _count, _horner, _pinv, _range_pinv,
+                         _svd_rank, _tolerance, core_ep_decompose,
+                         moore_penrose)
 
 __all__ = [
     "ExistenceCertificate",
@@ -132,10 +133,10 @@ def _rel(value, scale):
 
 
 def _certify(residuals, tol, witness_fn=None):
-    """The certificate of ``residuals`` at ``tol``; when the inverse
-    exists, ``witness_fn()`` forms its witness on the first read."""
+    """The certificate of ``residuals`` at ``tol``, checked; when the
+    inverse exists, ``witness_fn()`` forms its witness on the first read."""
     exists = all(r <= tol for r in residuals.values())
-    cert = ExistenceCertificate(exists, residuals, tol)
+    cert = ExistenceCertificate(exists, residuals, _tolerance(tol))
     if exists and witness_fn is not None:
         vars(cert)["_form_witness"] = witness_fn
     return cert
@@ -397,7 +398,7 @@ def penrose_residuals(ah, xh):
 
 def _power_identity(ah, xh, m):
     """||X Ahat^(m+1) - Ahat^m||, with Ahat^(m+1) as Ahat^m Ahat."""
-    ahm = dual_power(ah, m)
+    ahm = dual_power(ah, _count(m, "'m'"))
     return (xh @ (ahm @ ah) - ahm).norm()
 
 
@@ -445,6 +446,7 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
     cut that moved with B would move a verdict linear in B.  A power
     is formed here, so its cut takes its roundoff's floor (README).
     """
+    m = _count(m, "'m'", 1)
     try:  # a float power that overflows raises, a product gives inf
         floor = 0.0 if m == 1 else ah.shape[0] * _svd_rank(ah.std)[1] ** m
     except OverflowError:
@@ -545,9 +547,13 @@ def dcepgi_exists(ah, tol=DEFAULT_TOL):
     (I - A^m (A^m)#) S (I - (A^m)# A^m) = U [[O, O], [O, D]] U^T,
     # the core-EP inverse.
     """
-    df = _Frame.of(ah)
+    return _cep_certificate(_Frame.of(ah), tol)
+
+
+def _cep_certificate(df, tol, witness_fn=None):
+    """The DCEPGI certificate of ``df``; witness ``df.dcepgi`` by default."""
     return _certify({"core_ep_projector": df.defect_residual}, tol,
-                    lambda: df.dcepgi)
+                    witness_fn or (lambda: df.dcepgi))
 
 
 def dcepgi(ah, tol=DEFAULT_TOL):
@@ -595,8 +601,7 @@ def _dcepgi_compact(ah, tol):
         am_pinv = _range_pinv(df.ahm.std, df.blocks.U[:, :df.blocks.t])
         x = df.ddgi @ df.ahm @ _dmpgi_formula(df.ahm, am_pinv)
         return _finite(_readonly(x.std, x.inf))
-    return _certified(_certify({"core_ep_projector": df.defect_residual},
-                               tol, product), _NO_DCEPGI)
+    return _certified(_cep_certificate(df, tol, product), _NO_DCEPGI)
 
 
 def dual_core_inverse(ah, tol=DEFAULT_TOL):

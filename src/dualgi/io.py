@@ -23,6 +23,7 @@ import numpy as np
 
 from .dual import DualMatrix, DualVector
 from .errors import DimensionError
+from .realkernel import _count, _real
 
 __all__ = [
     "read_dual_matrix",
@@ -45,8 +46,8 @@ def _read(path, vector=False):
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ValueError(f"'name' must be a string, got {name!r}")
-    rows = _size(doc.get("rows"))
-    cols = _size(doc.get("cols", 1 if vector else None))
+    rows = _count(doc.get("rows"), "'rows'")
+    cols = _count(doc.get("cols", 1 if vector else None), "'cols'")
     std, inf = [_parse_part(doc, key, rows, cols)
                 for key in ("standard", "infinitesimal")]
     if vector and cols != 1:
@@ -56,14 +57,6 @@ def _read(path, vector=False):
     return name, value, hashlib.sha256(data).hexdigest()
 
 
-def _size(value):
-    """A declared 'rows' or 'cols': a JSON integer >= 0, not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"'rows' and 'cols' must be integers >= 0, "
-                         f"got {value!r}")
-    return value
-
-
 #: The JSON names of the Python types ``json`` parses a value into.
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
                type(None): "null"}
@@ -71,8 +64,8 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
 
 def _parse_part(doc, key, rows, cols):
     """The array under ``key``, flat or one list per row, as floats:
-    every entry a JSON number.  NumPy alone would parse a string or a
-    boolean as a number."""
+    every entry a JSON number (NumPy alone would parse a string or a
+    boolean as a number), then the array rule, which names ``key``."""
     if key not in doc:
         raise ValueError(f"missing '{key}' array")
     part = doc[key]
@@ -89,12 +82,14 @@ def _parse_part(doc, key, rows, cols):
     except OverflowError:
         raise ValueError(f"'{key}' has an integer too large for a "
                          "float") from None
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise ValueError(f"'{key}' has rows of unequal length") from None
     if arr.ndim == 1 and arr.size == rows * cols:
         arr = arr.reshape(rows, cols)
     if arr.shape != (rows, cols):
         raise DimensionError(f"'{key}' has shape {arr.shape}, declared "
                              f"({rows}, {cols})")
-    return arr
+    return _real(arr, f"'{key}'")  # a literal such as 1e400 reads as inf
 
 
 def read_dual_matrix(path):

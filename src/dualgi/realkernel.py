@@ -8,7 +8,9 @@ with U orthogonal, T1 invertible (t x t, t = rank(A^m), m = Ind(A))
 and N nilpotent.  One factorization feeds the Drazin inverse, the
 core-EP inverse and the dual core-EP frame (``inverses._Frame``).
 Every factorization and solve of the package runs in this module,
-through ``_lapack``, and every rank it cuts follows ``_svd_rank``.
+through ``_lapack``, every rank it cuts follows ``_svd_rank``, and
+every value a caller passes meets ``_real`` (arrays), ``_count`` (counts)
+or ``_tolerance`` (tolerances): README, "What a call accepts".
 
 Every product of two real arrays in the package is ``a.dot(b)``, not
 ``a @ b``, and every row of two blocks is ``np.concatenate(..., axis=1)``,
@@ -51,20 +53,43 @@ DEFAULT_TOL = 1e-10
 _RANK_REL = 100 * float(np.finfo(float).eps)
 
 
-def _square(a, op):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{op} needs a square matrix, got {a.shape}")
-    return a
+def _real(x, name, ndim=2, finite=True):
+    """The array rule: ``x`` as a float array (no copy of one) of a real
+    dtype with ``ndim`` dimensions and, if ``finite``, finite entries."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":  # NumPy drops 1j, parses strings
+        raise TypeError(f"{name} must be real numbers, got dtype {x.dtype}")
+    if x.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {x.shape}")
+    x = x.astype(float, copy=False)
+    if finite and not np.isfinite(x).all():
+        raise ValueError(f"{name} must have finite entries")
+    return x
+
+
+def _count(value, name, low=0):
+    """The count rule: ``value`` as an int, for an integer >= ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _tolerance(tol, name="'tol'"):
+    """The tolerance rule: ``tol``, a finite number > 0 (README says why)."""
+    if not 0 < tol < np.inf:  # a TypeError for a value not a number
+        raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
+    return tol
 
 
 def _lapack(what, fn, a, *args, **kwargs):
     """``fn(a, *args, **kwargs)`` for a LAPACK routine ``fn`` (``what``
-    names it): a LinAlgError, a factorization that does not converge or
-    a singular matrix, becomes NumericalError."""
+    names it): a LinAlgError (no convergence, a singular matrix) becomes
+    NumericalError, or ``_real``'s ValueError for an ``a`` not finite."""
     try:
         return fn(a, *args, **kwargs)
     except np.linalg.LinAlgError as exc:
+        _real(a, "'a'")
         raise NumericalError(f"{what} of a {a.shape[0]}x{a.shape[1]} matrix "
                              f"failed: {exc}") from exc
 
@@ -77,12 +102,15 @@ def _svd_rank(a, floor=0.0, uv=False):
     built from (n sigma_max(A) for a staircase block of A).  Returns
     (rank, sigma_max(a), svd), svd being the singular values, or
     (U, sv, Vt) with ``uv``, so that a basis or pseudo-inverse from
-    these factors has that rank.
+    these factors has that rank.  The entries of ``a``, a float array,
+    are read only where the SVD fails or overflows (``_real``).
     """
-    a = np.asarray(a, dtype=float)
     svd = _lapack("SVD", np.linalg.svd, a, compute_uv=uv)
     sv = (svd[1] if uv else svd).tolist()
     sigma = sv[0] if sv else 0.0
+    if not sigma < np.inf:  # inf or nan
+        _real(a, "'a'")
+        raise NumericalError(f"the SVD overflowed: sigma_max {sigma}")
     cut = _RANK_REL * max(max(a.shape) * sigma, floor)
     return sum(s > cut for s in sv), sigma, svd
 
@@ -104,7 +132,7 @@ def _range_pinv(a, u1):
 
 def numerical_rank(a):
     """Rank via singular values, cut at 100 max(rows, cols) eps sigma_max."""
-    return _svd_rank(a)[0]
+    return _svd_rank(_real(a, "'a'", finite=False))[0]
 
 
 def _staircase(a):
@@ -116,6 +144,8 @@ def _staircase(a):
     complement of R(A^m), so U^T A U is block upper triangular.
     """
     n = a.shape[0]
+    if a.shape[1] != n:
+        raise DimensionError(f"'a' must be square, got shape {a.shape}")
     u, blk, t, m, sigma = np.eye(n), a.T, n, 0, 0.0
     while t:
         r, sig, (_, _, vt) = _svd_rank(blk, floor=n * sigma, uv=True)
@@ -132,12 +162,12 @@ def index(a):
     deflating staircase steps.  For A == O this is 1 (rank(A^0) = n >
     0 = rank(A)), which is also what the downstream dual formulas need.
     """
-    return _staircase(_square(a, "index"))[2]
+    return _staircase(_real(a, "'a'", finite=False))[2]
 
 
 def moore_penrose(a):
     """Moore-Penrose inverse, at the rank ``numerical_rank`` decides."""
-    rank, _, svd = _svd_rank(a, uv=True)
+    rank, _, svd = _svd_rank(_real(a, "'a'", finite=False), uv=True)
     return _pinv(rank, svd)
 
 
@@ -205,22 +235,22 @@ def core_ep_decompose(a, u=None):
     orthogonal ``u`` whose leading t columns span range(A^m) is
     accepted instead, which pins down a particular block frame.
     """
-    a = _square(a, "core_ep_decompose")
+    a = _real(a, "'a'", finite=False)
     n = a.shape[0]
     u_stair, t, m = _staircase(a)
     if u is None:
         u = u_stair
     else:
-        u = np.array(u, dtype=float)  # a copy, not the caller's array
+        u = _real(u, "'u'").copy()  # not the caller's array
         if u.shape != (n, n):
-            raise DimensionError(f"basis must be {n}x{n}, got {u.shape}")
+            raise DimensionError(f"'u' must be {n}x{n}, got {u.shape}")
         if not np.allclose(u.T.dot(u), np.eye(n), rtol=0, atol=1e-10):
-            raise ValueError("supplied basis is not orthogonal")
+            raise ValueError("'u' is not orthogonal")
         lead, basis = u[:, :t], u_stair[:, :t]
         if not np.allclose(basis.dot(basis.T.dot(lead)), lead, rtol=0,
                            atol=1e-8):
-            raise ValueError("leading columns of supplied basis do not "
-                             "span range(A^m)")
+            raise ValueError("leading columns of 'u' do not span "
+                             "range(A^m)")
     w = u.T.dot(a).dot(u)
     # the fields set directly, as ``dual._trusted`` builds a ring result:
     # at n <= 6 the frozen dataclass's __init__ is a cost per frame.  The

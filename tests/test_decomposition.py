@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dualgi import (DualMatrix, dcepgi, dcepgi_exists,
+from dualgi import (DualMatrix, core_ep_residuals, dcepgi, dcepgi_exists,
                     dcepgi_from_decomposition, dual_cn_split,
                     dual_core_ep_decompose, dual_power)
 from dualgi.errors import DimensionError, InverseNotExistError
@@ -99,16 +99,50 @@ class TestDcepgiFromDecomposition:
         with pytest.raises(ValueError, match="read-only"):
             x.inf[0, 0] = 1.0
 
+    def test_canonical_without_inverse_rejected(self):
+        # canonical (T2 = O) but Nhat^m != O: the DCEPGI does not exist,
+        # and the frame's block formula misses cep_power by 0.85
+        ah = DualMatrix(np.diag([1.0, 0.0, 0.0]),
+                        np.arange(1.0, 10.0).reshape(3, 3))
+        d = dual_core_ep_decompose(ah)
+        assert d.canonical
+        with pytest.raises(InverseNotExistError) as info:
+            dcepgi_from_decomposition(d)
+        cert = info.value.certificate
+        assert cert == dcepgi_exists(ah) and not cert.exists
+        assert cert.residuals["core_ep_projector"] == pytest.approx(
+            0.85018, abs=1e-5)
+
+    def test_certified_at_the_decomposition_tolerance(self):
+        # the tolerance d was built with decides, as for canonical
+        ah = DualMatrix(np.diag([1.0, 0.0, 0.0]),
+                        np.arange(1.0, 10.0).reshape(3, 3))
+        d = dual_core_ep_decompose(ah, tol=1.0)
+        assert dcepgi_from_decomposition(d) is dcepgi(ah, tol=1.0)
+
     def test_nilpotent_standard_part(self):
-        # t = 0: T1hat is empty and the DCEPGI is the zero dual matrix
+        # t = 0: T1hat is empty, so the decomposition is canonical, and
+        # the DCEPGI, when it exists, is the zero dual matrix.  It exists
+        # exactly when Nhat^m = O: here (A + eps B)^4 = O for a strictly
+        # upper triangular B, not for a full one
         a = np.triu(np.arange(1.0, 17.0).reshape(4, 4), 1)
-        ah = DualMatrix(a, np.arange(16.0).reshape(4, 4) - 7.5)
+        full = np.arange(16.0).reshape(4, 4) - 7.5
+        ah = DualMatrix(a, full)
+        d = dual_core_ep_decompose(ah)
+        assert (d.t, d.canonical) == (0, True)
+        assert (d.nilpotent_part() - ah).norm() < 1e-12 * ah.norm()
+        with pytest.raises(InverseNotExistError) as info:
+            dcepgi_from_decomposition(d)
+        assert info.value.certificate == dcepgi_exists(ah)
+        assert info.value.certificate.residuals["core_ep_projector"] > 0.5
+
+        ah = DualMatrix(a, np.triu(full, 1))
         d = dual_core_ep_decompose(ah)
         assert (d.t, d.canonical) == (0, True)
         x = dcepgi_from_decomposition(d)
         assert x.shape == (4, 4)
         assert not x.std.any() and not x.inf.any()
-        assert (d.nilpotent_part() - ah).norm() < 1e-12 * ah.norm()
+        assert max(core_ep_residuals(ah, x, 4).values()) <= 1e-12
 
     def test_non_canonical_rejected(self):
         f = Frame(RNG, 4, 2, 2)

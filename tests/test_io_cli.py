@@ -100,8 +100,7 @@ class TestIO:
                                     "infinitesimal": [0, 0, 0, 0]}))
         with pytest.raises(ValueError) as info:
             read_dual_matrix(path)
-        assert str(info.value) == ("'rows' and 'cols' must be integers "
-                                   ">= 0, got None")
+        assert str(info.value) == "'rows' must be an integer >= 0, got None"
         assert main(["inverse", "--kind", "cep", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {info.value}\n"
 
@@ -132,7 +131,8 @@ class TestIO:
         path.write_text(json.dumps({
             "rows": rows, "cols": cols, "standard": np.eye(*shape).tolist(),
             "infinitesimal": np.zeros(shape).tolist()}))
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError,
+                           match="^'(rows|cols)' must be an integer >= 0"):
             read_dual_matrix(path)
         assert main(["inverse", "--kind", "mpdgi", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
@@ -198,6 +198,34 @@ class TestIO:
             read_dual_matrix(path)
         assert main(["inverse", "--kind", "cep", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["standard", "infinitesimal"])
+    @pytest.mark.parametrize("part, message", [
+        ("[[1, 2], [3]]", "has rows of unequal length"),
+        # json reads an overflowing literal as inf, and NaN as nan
+        ("[[1e400, 0], [0, 1]]", "must have finite entries"),
+        ("[[-1e400, 0], [0, 1]]", "must have finite entries"),
+        ("[[NaN, 0], [0, 1]]", "must have finite entries")],
+        ids=["ragged", "overflow", "negative-overflow", "nan"])
+    def test_malformed_part_named(self, key, part, message, tmp_path,
+                                  capsys):
+        # the array's key is named, not NumPy's "inhomogeneous shape" or
+        # the constructor's "dual parts"
+        doc = {"standard": "[[1, 0], [0, 1]]",
+               "infinitesimal": "[[0, 0], [0, 0]]", key: part}
+        path = tmp_path / "bad.json"
+        path.write_text('{"rows": 2, "cols": 2, "standard": '
+                        f'{doc["standard"]}, "infinitesimal": '
+                        f'{doc["infinitesimal"]}}}')
+        message = f"'{key}' {message}"
+        with pytest.raises(ValueError) as info:
+            read_dual_matrix(path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+        assert main(["inverse", "--kind", "cep", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_integer_and_float_entries_read(self, tmp_path):
         path = tmp_path / "m.json"
@@ -388,6 +416,18 @@ class TestCLICommands:
             code = main(["inverse", "--kind", kind, path])
             capsys.readouterr()
             assert code in (EXIT_OK, EXIT_NOT_EXIST)
+
+    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        # a usage error that names the option, before any solve: it ran
+        # the solve, then failed in NumPy's default_rng with a message
+        # that did not name --seed
+        mat, rhs = write_input(tmp_path, "exists")
+        monkeypatch.setattr(dualgi.solver, "solve_general", None)
+        assert main(["solve", mat, rhs, "--seed", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --seed: seed must be "
+                                     "an integer >= 0, got -1\n")
 
     def test_negative_spot_checks_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
