@@ -87,7 +87,7 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     Pass ``u`` to pin the real orthogonal frame (useful for matching a
     hand-picked basis); otherwise it comes from the staircase.
     """
-    df = _Frame.of(ah, u)
+    df, tol = _Frame.of(ah, u), _tolerance(tol)
     t2, u3 = df.blocks.T2, df.u3
     b_norm = _fro(df.ah.inf)
     canonical = bool(_rel(_fro(t2.dot(u3)), b_norm) <= tol
@@ -95,7 +95,7 @@ def dual_core_ep_decompose(ah, tol=DEFAULT_TOL, u=None):
     return DualCoreEPDecomposition(
         U_hat=df.u_hat, T1_hat=df.t1_hat, T2_hat=df.t2_hat,
         N_hat=df.n_hat, U3=u3, canonical=canonical, t=df.blocks.t,
-        m=df.blocks.m, _frame=df, _tol=_tolerance(tol))
+        m=df.blocks.m, _frame=df, _tol=tol)
 
 
 def dual_cn_split(ah, tol=DEFAULT_TOL):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .realkernel import _count, _real
+from .realkernel import _count, _real, _tolerance
 
 __all__ = [
     "DualScalar",
@@ -132,7 +132,10 @@ class DualVector:
 
     @classmethod
     def zeros(cls, n):
-        return cls(np.zeros(n))
+        if np.ndim(n):  # a shape: a dual vector has one size
+            raise DimensionError(f"'n' must be a size, not a shape: {n!r}")
+        n = _count(n, "'n'")
+        return _trusted(cls, np.zeros(n), np.zeros(n))
 
 
 def _check_length(x, y, verb):
@@ -172,8 +175,8 @@ class DualMatrix:
         return self.std.shape[0] == self.std.shape[1]
 
     def is_appreciable(self, tol=0.0):
-        """True when the standard part is nonzero."""
-        return _fro(self.std) > tol
+        """True when ||A||_F > ``tol``, a finite number >= 0."""
+        return _fro(self.std) > _tolerance(tol, low=">=")
 
     @property
     def T(self):
@@ -190,12 +193,14 @@ class DualMatrix:
 
     @classmethod
     def eye(cls, n):
+        n = _count(n, "'n'")
         return _trusted(cls, np.eye(n), np.zeros((n, n)))
 
     @classmethod
     def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return _trusted(cls, np.zeros((rows, cols)), np.zeros((rows, cols)))
+        shape = _count(rows, "'rows'"), _count(
+            rows if cols is None else cols, "'cols'")
+        return _trusted(cls, np.zeros(shape), np.zeros(shape))
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):

@@ -45,7 +45,7 @@ import numpy as np
 from .dual import DualMatrix, _fro, _s_terms, _trusted, dual_power
 from .errors import (DimensionError, HypothesisError, InverseNotExistError,
                      NumericalError)
-from .realkernel import (DEFAULT_TOL, _count, _horner, _pinv, _range_pinv,
+from .realkernel import (DEFAULT_TOL, _count, _horner, _range_factor,
                          _svd_rank, _tolerance, core_ep_decompose,
                          moore_penrose)
 
@@ -97,9 +97,9 @@ class ExistenceCertificate:
     form it, read-only, on the first read of ``witness``: a caller that
     reads only the verdict forms no inverse.  Until that read one keeps
     alive what the witness is formed from, the input's dual core-EP
-    frame (for the DMPGI, copies of A and B and the SVD of A); a "does
-    not exist" certificate keeps neither.  ``repr`` and ``==`` read the
-    verdict, not the witness, so neither forms it.
+    frame (for the DMPGI, the SVD of A and W = U^T B V, no array of the
+    caller's); a "does not exist" certificate keeps neither.  ``repr``
+    and ``==`` read the verdict, not the witness, so neither forms it.
     """
 
     exists: bool
@@ -135,8 +135,9 @@ def _rel(value, scale):
 def _certify(residuals, tol, witness_fn=None):
     """The certificate of ``residuals`` at ``tol``, checked; when the
     inverse exists, ``witness_fn()`` forms its witness on the first read."""
+    tol = _tolerance(tol)
     exists = all(r <= tol for r in residuals.values())
-    cert = ExistenceCertificate(exists, residuals, _tolerance(tol))
+    cert = ExistenceCertificate(exists, residuals, tol)
     if exists and witness_fn is not None:
         vars(cert)["_form_witness"] = witness_fn
     return cert
@@ -431,7 +432,8 @@ def core_ep_residuals(ah, xh, m):
 def mpdgi(ah):
     """Always-defined formula A^dagger - eps A^dagger B A^dagger.
 
-    Not in general the dual Moore-Penrose inverse; see ``dmpgi``.
+    The DMPGI's block form (``_dmpgi_blocks``) with its two off-diagonal
+    blocks dropped, so not in general the DMPGI; see ``dmpgi``.
     """
     ap = moore_penrose(ah.std)
     return _finite(_trusted(DualMatrix, ap, -ap.dot(ah.inf).dot(ap)))
@@ -440,11 +442,12 @@ def mpdgi(ah):
 def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
     """Existence certificate for the dual Moore-Penrose inverse of Ahat^m.
 
-    Verdict from the projector condition (I - A A^+) B (I - A^+ A) = O,
-    as U0^T B V0 = O, for A + eps B = Ahat^m, with rank(A) (and A^+)
-    from the one rank rule: ``tol`` compares the residual only, and a
-    cut that moved with B would move a verdict linear in B.  A power
-    is formed here, so its cut takes its roundoff's floor (README).
+    Verdict ||W22|| / ||B|| for A + eps B = Ahat^m, W = U^T B V in the
+    SVD of A at rank(A) from the one rank rule: (I - A A^+) B (I - A^+ A)
+    free of the roundoff of A A^+.  The witness is read off the same W
+    (``_dmpgi_blocks``).  ``tol`` compares the residual only: a cut that
+    moved with B would move a verdict linear in B.  A power is formed
+    here, so its cut takes its roundoff's floor (README).
     """
     m = _count(m, "'m'", 1)
     try:  # a float power that overflows raises, a product gives inf
@@ -454,29 +457,31 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
     if floor == math.inf:
         raise NumericalError(f"the rank floor n sigma_max(A)^{m} overflows")
     ah = ah if m == 1 else dual_power(ah, m)
-    r_a, _, svd = _svd_rank(ah.std, floor=floor, uv=True)
-    # (I - A A^+) B (I - A^+ A) is U0 U0^T B V0 V0^T, U0 and V0 the null
-    # bases past rank(A) in the SVD: ||U0^T B V0|| over ||B||, free of the
-    # roundoff of A A^+
-    u, _, vt = svd
-    residual = _rel(_fro(u[:, r_a:].T.dot(ah.inf).dot(vt[r_a:].T)),
-                    _fro(ah.inf))
-    # the witness is formed later, from copies: the caller's arrays may
-    # change in place before it is read
-    copy = _trusted(DualMatrix, ah.std.copy(), ah.inf.copy())
+    r_a, _, (u, sv, vt) = _svd_rank(ah.std, floor=floor, uv=True)
+    w = u.T.dot(ah.inf).dot(vt.T)
+    residual = _rel(_fro(w[r_a:, r_a:]), _fro(ah.inf))
     return _certify({"penrose_projector": residual}, tol,
-                    lambda: _finite(_dmpgi_formula(copy, _pinv(r_a, svd))))
+                    lambda: _dmpgi_blocks(u, np.diag(1 / sv[:r_a]), vt.T, w))
 
 
-def _dmpgi_formula(ah, ap):
-    """A^+ + eps (-A^+ B A^+ + (A^T A)^+ B^T (I - A A^+) + (I - A^+ A)
-    B^T (A A^T)^+), with (A^T A)^+ = A^+ (A^+)^T and (A A^T)^+ =
-    (A^+)^T A^+, for A^+ = ``ap``, read-only."""
-    a, b = ah.std, ah.inf
-    w = b.T.dot(ap.T.dot(ap))
-    return _readonly(ap, -ap.dot(b).dot(ap)
-                     + ap.dot(ap.T.dot(b.T - b.T.dot(a.dot(ap))))
-                     + w - ap.dot(a.dot(w)))
+def _dmpgi_blocks(p, k_inv, q, w):
+    """The DMPGI of A + eps B, read-only, for A = P [[K, O], [O, O]] Q^T
+    (P, Q orthogonal, K r x r, ``k_inv`` = K^-1) and ``w`` = P^T B Q =
+    [[W11, W12], [W21, W22]]: Q [[K^-1 - eps K^-1 W11 K^-1, eps K^-1
+    K^-T W21^T], [eps W12^T K^-T K^-1, O]] P^T (Pennestri, Valentini and
+    de Falco 2018; Wang 2021).  It is the closed form A^+ + eps (-A^+ B
+    A^+ + (A^T A)^+ B^T (I - A A^+) + (I - A^+ A) B^T (A A^T)^+) on these
+    blocks, with A^+ = Q [[K^-1, O], [O, O]] P^T, (A^T A)^+ = Q [[K^-1
+    K^-T, O], [O, O]] Q^T, I - A A^+ = P [[O, O], [O, I]] P^T, and so on:
+    no Gram product A^+ (A^+)^T meets the roundoff of I - A A^+, which
+    squared cond(A), and W22 enters nowhere."""
+    r = k_inv.shape[0]
+    q1, p1 = q[:, :r], p[:, :r]
+    top = np.concatenate([-k_inv.dot(w[:r, :r]).dot(k_inv),
+                          k_inv.dot(k_inv.T).dot(w[r:, :r].T)], axis=1)
+    left = q[:, r:].dot(w[:r, r:].T).dot(k_inv.T).dot(k_inv)
+    return _finite(_readonly(q1.dot(k_inv).dot(p1.T),
+                             q1.dot(top).dot(p.T) + left.dot(p1.T)))
 
 
 def dmpgi(ah, tol=DEFAULT_TOL):
@@ -594,12 +599,13 @@ def dcepgi_compact(ah, tol=DEFAULT_TOL):
 
 def _dcepgi_compact(ah, tol):
     """The DCEPGI certificate with the compact product as its only
-    witness, (A^m)^+ at the frame's rank t (``_range_pinv``)."""
+    witness, (Ahat^m)^+ at the frame's U and rank t (``_range_factor``)."""
     df = _Frame.of(ah)
 
     def product():
-        am_pinv = _range_pinv(df.ahm.std, df.blocks.U[:, :df.blocks.t])
-        x = df.ddgi @ df.ahm @ _dmpgi_formula(df.ahm, am_pinv)
+        u, ahm = df.blocks.U, df.ahm
+        q, k_inv = _range_factor(ahm.std, u[:, :df.blocks.t])
+        x = df.ddgi @ ahm @ _dmpgi_blocks(u, k_inv, q, u.T.dot(ahm.inf).dot(q))
         return _finite(_readonly(x.std, x.inf))
     return _certified(_cep_certificate(df, tol, product), _NO_DCEPGI)
 

@@ -75,11 +75,16 @@ def _count(value, name, low=0):
     return int(value)
 
 
-def _tolerance(tol, name="'tol'"):
-    """The tolerance rule: ``tol``, a finite number > 0 (README says why)."""
-    if not 0 < tol < np.inf:  # a TypeError for a value not a number
-        raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
-    return tol
+def _tolerance(tol, name="'tol'", low=">"):
+    """The tolerance rule: ``tol`` as a Python float, for a real scalar
+    (not a bool, a string or an array), finite and > 0, or >= 0 for
+    ``low`` ">=" (README says why)."""
+    if isinstance(tol, bool) or not isinstance(
+            tol, (int, float, np.integer, np.floating)) or not (
+            0 < tol < np.inf or low == ">=" and tol == 0):
+        raise ValueError(f"{name} must be a finite number {low} 0, "
+                         f"got {tol!r}")
+    return float(tol)
 
 
 def _lapack(what, fn, a, *args, **kwargs):
@@ -115,19 +120,14 @@ def _svd_rank(a, floor=0.0, uv=False):
     return sum(s > cut for s in sv), sigma, svd
 
 
-def _pinv(rank, svd):
-    """The pseudo-inverse at ``rank`` from the factors (U, sv, Vt)."""
-    u, sv, vt = svd
-    return (vt[:rank].T / sv[:rank]).dot(u[:, :rank].T)
-
-
-def _range_pinv(a, u1):
-    """The pseudo-inverse of ``a`` at rank t, for ``u1`` t orthonormal
-    columns that span R(a) (U1 of the core-EP frame for a = A^m): M^+
-    U1^T for M = U1^T a, M^+ = Q R^-T from a^T U1 = Q R.  The rank is
-    the frame's t; no singular value is cut here."""
-    q, r = _lapack("QR", np.linalg.qr, a.T.dot(u1))
-    return _lapack("solve", np.linalg.solve, r, q.T).T.dot(u1.T)
+def _range_factor(a, u1):
+    """(Q, K^-1) with a = U1 [K, O] Q^T, for ``u1`` t orthonormal columns
+    that span R(a) (U1 of the core-EP frame for a = A^m): K = R^T from
+    the complete QR a^T U1 = Q [[R], [O]], inverted by a solve.  The rank
+    is the frame's t; no singular value is cut here."""
+    q, r = _lapack("QR", np.linalg.qr, a.T.dot(u1), mode="complete")
+    t = u1.shape[1]
+    return q, _lapack("solve", np.linalg.solve, r[:t], np.eye(t)).T
 
 
 def numerical_rank(a):
@@ -167,8 +167,8 @@ def index(a):
 
 def moore_penrose(a):
     """Moore-Penrose inverse, at the rank ``numerical_rank`` decides."""
-    rank, _, svd = _svd_rank(_real(a, "'a'", finite=False), uv=True)
-    return _pinv(rank, svd)
+    rank, _, (u, sv, vt) = _svd_rank(_real(a, "'a'", finite=False), uv=True)
+    return (vt[:rank].T / sv[:rank]).dot(u[:, :rank].T)
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def test_one_dual_frame(name, dual_frame_calls, index_three):
 def test_ddgi_builds_no_power_pinv(name, monkeypatch, index_three, index_one):
     # the DDGI certificate and witness need no (Ahat^m)^+
     calls = []
-    monkeypatch.setattr(dualgi.inverses, "_dmpgi_formula",
+    monkeypatch.setattr(dualgi.inverses, "_dmpgi_blocks",
                         lambda *args: calls.append(args))
     ah = index_one if name == "dual_group" else index_three[0]
     assert getattr(dualgi, name)(ah) is not None

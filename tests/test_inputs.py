@@ -69,7 +69,8 @@ def test_bad_array_refused(call, kind):
 # value -> its bad class, for counts and for tolerances
 COUNTS = {"float": 2.9, "bool": True, "string": "2", "negative": -1}
 TOLERANCES = {"zero": 0, "negative": -1, "nan": float("nan"),
-              "inf": float("inf")}
+              "inf": float("inf"), "bool": True, "string": "1e-10",
+              "array": np.array([1e-10])}
 
 X = dualgi.dcepgi(AH)
 COUNT_CALLS = {
@@ -81,6 +82,10 @@ COUNT_CALLS = {
                          lambda m: dualgi.drazin_residuals(AH, X, m)),
     "core_ep_residuals": ("'m'",
                           lambda m: dualgi.core_ep_residuals(AH, X, m)),
+    "DualMatrix.eye": ("'n'", DualMatrix.eye),
+    "DualMatrix.zeros-rows": ("'rows'", DualMatrix.zeros),
+    "DualMatrix.zeros-cols": ("'cols'", lambda n: DualMatrix.zeros(2, n)),
+    "DualVector.zeros": ("'n'", DualVector.zeros),
 }
 
 
@@ -129,6 +134,28 @@ def test_good_tolerance_taken(call):
     # an int and a NumPy float are tolerances too
     for tol in (1, np.float64(1e-8)):
         TOL_CALLS[call](tol)
+
+
+@pytest.mark.parametrize("tol", [1, np.float32(1e-3), np.int64(1)])
+def test_tolerance_kept_as_float(tol):
+    cert = dualgi.dcepgi_exists(AH, tol)
+    assert type(cert.tolerance) is float and cert.tolerance == float(tol)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, "0",
+                                   True, np.array([0.5])])
+def test_bad_appreciable_threshold_refused(value):
+    # a nan threshold called the identity not appreciable
+    with pytest.raises(ValueError) as info:
+        DualMatrix.eye(2).is_appreciable(value)
+    assert str(info.value) == (f"'tol' must be a finite number >= 0, got "
+                               f"{value!r}")
+
+
+def test_appreciable_threshold_taken():
+    assert DualMatrix.eye(2).is_appreciable()
+    assert not DualMatrix.eye(2).is_appreciable(np.int64(2))
+    assert not DualMatrix.zeros(2).is_appreciable(0)
 
 
 def test_infinite_tolerance_certified_no_non_inverse():

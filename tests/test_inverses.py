@@ -89,6 +89,36 @@ class TestDMPGI:
         assert ddgi_exists(ah).exists
         assert dmpgi_exists(dual_power(ah, 4)).exists
 
+    @pytest.mark.parametrize("cond", [1e4, 1e6])
+    def test_penrose_residuals_at_ill_conditioned_a(self, cond):
+        # the closed form's Gram products A^+ (A^+)^T squared cond(A):
+        # its witness read Penrose residuals up to 7.2e-7 at cond 1e4
+        # and 0.25 at cond 1e6, the block form's 3.6e-13 and 3.1e-11
+        for n, s in itertools.product((6, 20, 50), range(5)):
+            rng = np.random.default_rng([s, n, int(cond), 7])
+            ah = mp_existing_dual(rng, Frame(rng, n, n // 2, 2, cond))
+            res = penrose_residuals(ah, dmpgi(ah))
+            assert max(res.values()) <= 1e-9, (n, s, res)
+
+    @pytest.mark.parametrize("build", [existing_dual, existing_dual_b3,
+                                       reducing_dual])
+    def test_power_witness_at_ill_conditioned_t1(self, build):
+        # the DMPGI of Ahat^m on the sweep's inputs (its generator
+        # index g), index 2-4, cond(T1) = 1e3: the closed form's witness
+        # read Penrose residuals up to 1.3e6, the block form's 3.4e-8
+        g = (existing_dual, existing_dual_b3, reducing_dual).index(build)
+        for n, m, s in itertools.product((6, 20, 50), (2, 3, 4), range(3)):
+            if m > n - n // 2:
+                continue
+            rng = np.random.default_rng([s, n, m, 1000, g])
+            ah = build(rng, Frame(rng, n, n // 2, m, cond=1e3))
+            if ah is None:  # existing_dual_b3 found no B4
+                continue
+            cert = dmpgi_exists(ah, m=index(ah.std))
+            assert cert.exists, (n, m, s)
+            res = penrose_residuals(dual_power(ah, m), cert.witness)
+            assert max(res.values()) <= 1e-6, (n, m, s, res)
+
     def test_nonexistence_raises_with_certificate(self):
         a = np.diag([1.0, 0.0])
         b = np.full((2, 2), 1.0)
@@ -260,6 +290,16 @@ class TestCompactFormula:
         f = random_frame(RNG)
         with pytest.raises(InverseNotExistError):
             dcepgi_compact(random_dual(RNG, f))
+
+    def test_agrees_with_canonical_at_cond_1e2(self):
+        # index 3: the closed form of (Ahat^m)^+ drifted by up to 5.8e-5
+        # here, the block form by 7.7e-11; the drift grows with
+        # cond(T1)^m (README, "Numerical conventions")
+        for s in range(20):
+            rng = np.random.default_rng([s, 6, 3, 100, 0])
+            ah = existing_dual(rng, Frame(rng, 6, 3, 3, cond=100))
+            x = dcepgi(ah)
+            assert (dcepgi_compact(ah) - x).norm() <= 1e-9 * x.norm(), s
 
 
 class TestBruteForceOracle:

@@ -10,7 +10,7 @@ import dualgi
 from dualgi import (DualMatrix, DualVector, dcepgi, dmpgi, dual_power,
                     solve_general, solve_unique_in_range)
 from dualgi.errors import DimensionError, HypothesisError, InverseNotExistError
-from dualgi.inverses import _dmpgi_formula, _Frame, _rel
+from dualgi.inverses import _dmpgi_blocks, _Frame, _rel
 from dualgi.realkernel import DEFAULT_TOL
 from dualgi.solver import _surrogate_residuals
 from helpers import (Frame, column_membership_residual, existing_dual,
@@ -113,8 +113,8 @@ class TestSolveGeneral:
             cases.append((ah, bhat, surrogate_rhs(ah, bhat)))
         for name, module in list(sys.modules.items()):
             if (name == "dualgi" or name.startswith("dualgi.")) and \
-                    getattr(module, "_dmpgi_formula", None) is _dmpgi_formula:
-                monkeypatch.setattr(module, "_dmpgi_formula", refuse)
+                    getattr(module, "_dmpgi_blocks", None) is _dmpgi_blocks:
+                monkeypatch.setattr(module, "_dmpgi_blocks", refuse)
         for ah, bhat, want in cases:
             got = solve_general(ah, bhat).surrogate_rhs
             assert (got - want).norm() <= 1e-12 * want.norm()
