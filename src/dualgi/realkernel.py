@@ -142,18 +142,44 @@ def _staircase(a):
     V_0 behind the rest V_r and goes on with V_r^T blk V_r, until a block
     is nonsingular.  The m steps' deflated columns span N((A^T)^m), the
     complement of R(A^m), so U^T A U is block upper triangular.
+
+    The last block's SVD is skipped where the step before proves that
+    block nonsingular.  A step that deflates blk = P Sigma Q^T at rank
+    r, Q = [Q_r, Q_0], leaves Q_r^T blk Q_r = (Q_r^T P_r) Sigma_r, and
+    as [Q_r, Q_0]^T P_r has orthonormal columns, sigma_min(Q_r^T P_r)^2
+    = 1 - ||Q_0^T P_r||_2^2 >= gap = 1 - ||Q_0^T P_r||_F^2 (a cosine of
+    the principal angles between R(P_r) and R(Q_r); Bjorck and Golub
+    1973).  So that block's sigma_min is at least sigma_r sqrt(gap),
+    while the rank rule's cut for it is 100 eps n sigma_max(A): its
+    floor dominates, as r < n and its sigma_max is at most
+    sigma_max(A).  The steps stop when sigma_r sqrt(gap) is above twice
+    that cut.  The factors are backward stable to O(eps sigma_max(A)),
+    far inside the cut, so that SVD would find full rank, and nothing
+    else of it is read.  ``gap`` must also be above 100 n eps, clear of
+    the cancellation in 1 - ||x||^2: for a singular block it is
+    roundoff of about eps, whose square root, about 1e-8, would pass
+    the first test.  Where either test fails the block's SVD decides,
+    so (U, t, m) is bit for bit that of the staircase that takes every
+    block's SVD (``tests/helpers.py``, ``reference_staircase``).
     """
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionError(f"'a' must be square, got shape {a.shape}")
     u, blk, t, m, sigma = np.eye(n), a.T, n, 0, 0.0
     while t:
-        r, sig, (_, _, vt) = _svd_rank(blk, floor=n * sigma, uv=True)
+        r, sig, (p, sv, vt) = _svd_rank(blk, floor=n * sigma, uv=True)
         sigma = max(sigma, sig)
         if r == t:
             break
         u[:, :t] = u[:, :t].dot(vt.T)
-        blk, t, m = vt[:r].dot(blk).dot(vt[:r].T), r, m + 1
+        t, m = r, m + 1
+        if r:
+            x = vt[r:].dot(p[:, :r]).ravel()  # Q_0^T P_r
+            gap = 1.0 - float(x.dot(x))
+            if gap > _RANK_REL * n and (
+                    sv[r - 1] * gap ** 0.5 > 2 * _RANK_REL * n * sigma):
+                break
+        blk = vt[:r].dot(blk).dot(vt[:r].T)
     return u, t, m
 
 

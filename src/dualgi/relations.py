@@ -13,7 +13,7 @@ import numpy as np
 from .dual import _fro
 from .errors import DimensionError
 from .inverses import _dcepgi, _first_order_dcepgi, _Frame, _rel
-from .realkernel import DEFAULT_TOL
+from .realkernel import DEFAULT_TOL, _tolerance
 
 __all__ = [
     "EquivalenceReport",
@@ -58,6 +58,7 @@ def first_order_form_report(ah, tol=DEFAULT_TOL):
     Ahat^cep = A^cep - eps A^cep B A^cep (see EquivalenceReport for
     which of them are mutually equivalent).  The projector conditions
     read ||U2^T S|| and ||S U2||: no power of A, no pseudo-inverse."""
+    tol = _tolerance(tol)
     _dcepgi(ah, tol)  # the verdict: its witness is not formed
     df = _Frame.of(ah)
     left = _power_projector(df)
@@ -88,6 +89,7 @@ def rank_test(ah, tol=DEFAULT_TOL):
     """rank([A^m  S]) == rank(A^m); equivalent to the first-order form.
     R(A^m) = R(U1) in the core-EP frame, so this is the report's
     ``power_projector`` at or below ``tol``: no SVD, no rank cut."""
+    tol = _tolerance(tol)
     _dcepgi(ah, tol, "rank test needs the DCEPGI to exist")
     return _power_projector(_Frame.of(ah)) <= tol
 
@@ -133,6 +135,7 @@ def range_null_report(ah, tol=DEFAULT_TOL):
     Requires the first-order form Ahat^cep = A^cep - eps A^cep B A^cep
     to hold; raises HypothesisError otherwise.
     """
+    tol = _tolerance(tol)
     x, df = _first_order_dcepgi(ah, tol), _Frame.of(ah)
     ahm, x_size = df.ahm, x.norm()
     ahm_res = _rel(df.off_range_norm(ahm),
@@ -188,6 +191,7 @@ def order_law_check(ah, bh, tol=DEFAULT_TOL):
     laws hold.  The transposed variant A^T B = B A^T is reported
     alongside for reference.
     """
+    tol = _tolerance(tol)
     if ah.shape != bh.shape or not ah.is_square:
         raise DimensionError("order_law_check needs equal square shapes, "
                              f"got {ah.shape} and {bh.shape}")

@@ -24,7 +24,7 @@ import numpy as np
 from .dual import DualMatrix, DualVector, _fro
 from .errors import DimensionError, HypothesisError
 from .inverses import _dcepgi, _first_order_dcepgi, _Frame, _rel, _row
-from .realkernel import DEFAULT_TOL
+from .realkernel import DEFAULT_TOL, _tolerance
 
 __all__ = ["SolutionReport", "solve_general", "solve_unique_in_range"]
 
@@ -70,6 +70,7 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     block: no identity is formed; the right-hand side is
     Uhat1 T1hat^m Uhat1^T bhat, T1hat^m read off ``_Frame.power_top``.
     """
+    tol = _tolerance(tol)
     df = _checked_frame(ah, bhat)
     particular = _dcepgi(ah, tol).witness @ bhat
     z = df.t1_hat_inv @ df.t2_hat + df.drazin_top @ df.n_hat

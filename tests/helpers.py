@@ -39,6 +39,7 @@ import numpy as np
 
 from dualgi import (DEFAULT_TOL, DualMatrix, DualVector, core_ep_inverse,
                     dcepgi_exists, dual_power, index, s_matrix)
+from dualgi.realkernel import _svd_rank
 
 
 def orthogonal(rng, n):
@@ -145,6 +146,24 @@ REDUCING_CUTOFF_CASES = ((30, (5, 2, 3)), (525, (6, 1, 2)), (120, (6, 3, 3)))
 def seeded_reducing_dual(seed, shape):
     rng = np.random.default_rng(seed)
     return reducing_dual(rng, Frame(rng, *shape))
+
+
+def reference_staircase(a):
+    """(U, t, m) of ``realkernel._staircase`` with no early stop: every
+    block's SVD is taken, the last, full-rank one included, and the
+    steps stop on that SVD alone.  The reference that the staircase's
+    shortcut, which skips that last SVD where the step before proves
+    the block nonsingular, must match bit for bit."""
+    n = a.shape[0]
+    u, blk, t, m, sigma = np.eye(n), a.T, n, 0, 0.0
+    while t:
+        r, sig, (_, _, vt) = _svd_rank(blk, floor=n * sigma, uv=True)
+        sigma = max(sigma, sig)
+        if r == t:
+            break
+        u[:, :t] = u[:, :t].dot(vt.T)
+        blk, t, m = vt[:r].dot(blk).dot(vt[:r].T), r, m + 1
+    return u, t, m
 
 
 def stacked_rank_gap(ah, t, m, tol=DEFAULT_TOL):

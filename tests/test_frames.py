@@ -176,13 +176,14 @@ def test_mp_inverses_build_no_frame(frame_calls, index_three):
 
 
 @pytest.mark.parametrize("name, count", [
-    # the staircase's m + 1 steps: A^T, then ever smaller trailing blocks,
-    # the first of which gives sigma_max(A)
-    ("dcepgi_exists", 3 + 1),
+    # the staircase's m deflating steps: A^T, then ever smaller trailing
+    # blocks, the first of which gives sigma_max(A); the last step's
+    # factors prove the final block, T1^T, nonsingular, so it takes no SVD
+    ("dcepgi_exists", 3),
     # A, which gives rank(A) and A^+
     ("dmpgi_exists", 1),
-    # the frame's m + 1 only: the DCEPGI's residual decides the DDGI
-    ("ddgi_exists", 3 + 1)])
+    # the frame's m only: the DCEPGI's residual decides the DDGI
+    ("ddgi_exists", 3)])
 def test_svd_count(name, count, linalg_calls, index_three):
     ah, _ = index_three
     getattr(dualgi, name)(ah)
@@ -191,6 +192,16 @@ def test_svd_count(name, count, linalg_calls, index_three):
     n = ah.shape[0]  # only the first SVD is n x n
     assert svds[0] == (n, n), svds
     assert all(max(shape) < n for shape in svds[1:]), svds
+
+
+def test_svd_count_where_the_bound_fails(linalg_calls):
+    # index 1, A = [[I, 2 I], [O, O]]: the step that deflates A^T leaves
+    # ||Q_0^T P_r||_F^2 = 8/5 > 1, which bounds nothing, so the final
+    # block's SVD decides: m + 1 SVDs
+    a = np.block([[np.eye(2), 2 * np.eye(2)], [np.zeros((2, 4))]])
+    dualgi.dcepgi_exists(DualMatrix(a, np.arange(16.0).reshape(4, 4)))
+    svds = [shape for kind, shape in linalg_calls if kind == "svd"]
+    assert svds == [(4, 4), (2, 2)], linalg_calls
 
 
 #: The parts of a frame formed on first read for a witness or a
@@ -202,14 +213,14 @@ WITNESS_SIDE = ("ahm", "t1_hat", "t2_hat", "n_hat", "u_hat", "u_hat1",
 
 @pytest.mark.parametrize("name", ["dcepgi_exists", "ddgi_exists"])
 def test_cold_verdict_footprint(name, linalg_calls, index_three):
-    # a cold verdict at index 3 makes the frame's m + 1 SVDs and one
+    # a cold verdict at index 3 makes the frame's m SVDs and one
     # inverse (of T1), and forms nothing on the witness side
     assert all(isinstance(vars(inverses._Frame)[part],
                           functools.cached_property) for part in WITNESS_SIDE)
     ah, _ = index_three
     cert = getattr(dualgi, name)(ah)
     kinds = collections.Counter(kind for kind, _ in linalg_calls)
-    assert kinds == {"svd": 3 + 1, "inv": 1}, linalg_calls
+    assert kinds == {"svd": 3, "inv": 1}, linalg_calls
     df = inverses._last_frame[1]
     assert df.blocks.m == 3 and cert.exists
     assert "defect_residual" in vars(df)
@@ -218,7 +229,7 @@ def test_cold_verdict_footprint(name, linalg_calls, index_three):
 
 def test_ddgi_certificate_factors_only_the_frame(linalg_calls, index_three):
     # the DDGI reads the DCEPGI's one residual, so it makes the same
-    # calls: the frame's m + 1 SVDs and the inverse of T1, no Cholesky
+    # calls: the frame's m SVDs and the inverse of T1, no Cholesky
     # (the kept frame is emptied between them, or the second would reuse it)
     ah, _ = index_three
     dualgi.dcepgi_exists(ah)
@@ -235,12 +246,12 @@ def test_ddgi_certificate_factors_only_the_frame(linalg_calls, index_three):
 def test_witnesses_factor_only_the_frame(name, linalg_calls, index_three):
     # the DDGI, the projector I - Ahat^D Ahat, Ahat^m (Ahat^m)^+ bhat and
     # the range check all read the blocks of the dual core-EP
-    # decomposition: the frame's m + 1 SVDs and the inverse of T1, no
+    # decomposition: the frame's m SVDs and the inverse of T1, no
     # (A^m)^+ by QR and solve, no lstsq, no pinv
     ah, bh = index_three
     _call(name, ah, bh)
     kinds = collections.Counter(kind for kind, _ in linalg_calls)
-    assert kinds == {"svd": 3 + 1, "inv": 1}, linalg_calls
+    assert kinds == {"svd": 3, "inv": 1}, linalg_calls
 
 
 @pytest.mark.parametrize("name", [

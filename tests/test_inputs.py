@@ -183,3 +183,28 @@ def test_svd_overflow_is_numerical(fn):
     # the ValueError of an entry that is not finite
     with pytest.raises(NumericalError, match="overflowed"):
         fn(np.full((2, 2), 1e308))
+
+
+#: The verdicts each report holds, which must be Python bools, and the
+#: tolerance it keeps (None where it keeps none).
+REPORT_VERDICTS = {
+    "first_order_form_report": lambda r: (
+        [holds for holds, _ in r.conditions.values()]
+        + [r.all_equivalent_observed], None),
+    "rank_test": lambda r: ([r], None),
+    "range_null_report": lambda r: ([r.all_hold], r.tolerance),
+    "order_law_check": lambda r: (
+        [holds for holds, _ in r.sufficient_conditions.values()]
+        + [r.reverse_holds, r.forward_holds], r.tolerance),
+    "solve_general": lambda r: ([], r.tolerance)}
+
+
+@pytest.mark.parametrize("tol", [np.float32(1e-3), np.int64(1)])
+@pytest.mark.parametrize("call", REPORT_VERDICTS)
+def test_report_tolerance_kept_as_float(call, tol):
+    # the reports compared with and kept the caller's tol itself: with
+    # np.float32(1e-3), numpy.bool verdicts and a np.float32 tolerance,
+    # while the certificates of the same call kept a float
+    verdicts, kept = REPORT_VERDICTS[call](TOL_CALLS[call](tol))
+    assert all(type(v) is bool for v in verdicts), verdicts
+    assert kept is None or (type(kept) is float and kept == float(tol))

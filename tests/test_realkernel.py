@@ -1,6 +1,10 @@
 """Real kernel: rank, index, Moore-Penrose, Drazin, core-EP."""
 
+import collections
+import itertools
+
 import numpy as np
+import numpy.linalg._linalg as linalg_impl
 import pytest
 
 from dualgi import (DualMatrix, core_ep_decompose, core_ep_inverse, drazin,
@@ -8,7 +12,10 @@ from dualgi import (DualMatrix, core_ep_decompose, core_ep_inverse, drazin,
                     numerical_rank)
 from dualgi.errors import DimensionError
 from dualgi.inverses import _Frame
-from helpers import Frame, orthogonal, random_frame
+from dualgi.realkernel import _staircase
+from helpers import (Frame, existing_dual, existing_dual_b3, orthogonal,
+                     random_dual, random_frame, reducing_dual,
+                     reference_staircase, seeded_reducing_dual)
 
 RNG = np.random.default_rng(20240818)
 
@@ -167,3 +174,100 @@ class TestCoreEP:
         assert np.allclose(core_ep_inverse(f.A),
                            core_ep_inverse(f.A, blocks=core_ep_decompose(f.A, u=f.U)),
                            atol=1e-9)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The input shape of every SVD."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(linalg_impl, "svd", counted)
+    return calls
+
+
+def _svds_saved(a, svd_calls):
+    """The SVDs the staircase saves on ``a`` against the reference, which
+    takes every block's SVD: 1 where the last deflating step proved the
+    next block nonsingular, else 0.  Asserts (U, t, m) bit for bit."""
+    svd_calls.clear()
+    u, t, m = _staircase(a)
+    took = len(svd_calls)
+    svd_calls.clear()
+    u_ref, t_ref, m_ref = reference_staircase(a)
+    assert (u.tobytes(), t, m) == (u_ref.tobytes(), t_ref, m_ref)
+    saved = len(svd_calls) - took
+    assert saved in (0, 1)
+    return saved
+
+
+def _sweep_standard_parts():
+    """A of each input of ``tests/sweep_digest.py`` at c = 1, and of the
+    ``existing_dual_b3`` draws it skips (``reducing_dual`` drops T2; the
+    other generators keep the frame's A)."""
+    for n, cond, g in itertools.product((6, 20, 50), (None, 1e3, 1e4),
+                                        range(4)):
+        t = n // 2
+        for m, s in itertools.product(range(1, min(4, n - t) + 1), range(3)):
+            rng = np.random.default_rng([s, n, m, int(cond or 1), g])
+            f = Frame(rng, n, t, m, cond=cond)
+            yield reducing_dual(rng, f).std if g == 2 else f.A
+
+
+class TestStaircaseShortcut:
+    """The staircase skips the last block's SVD where the step before
+    bounds its sigma_min away from the rank cut, and gives bit for bit
+    the (U, t, m) of the reference staircase, which takes that SVD."""
+
+    def test_criterion_4_draws(self, svd_calls):
+        # the draws of test_acceptance's criterion 4; case 25 deflates
+        # to an exactly singular block, whose gap 1 - ||Q_0^T P_r||_F^2
+        # is roundoff: only the guard on gap keeps it from a false stop
+        rng = np.random.default_rng(4)
+        saved = collections.Counter()
+        for k in range(500):
+            f = random_frame(rng, n_max=6, m_max=3)
+            if k % 3 == 0:
+                random_dual(rng, f)
+            elif k % 3 == 1:
+                existing_dual(rng, f)
+            else:
+                existing_dual_b3(rng, f) or existing_dual(rng, f)
+            saved[_svds_saved(f.A, svd_calls)] += 1
+        assert set(saved) == {0, 1}, saved
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_sweep(self, c, svd_calls):
+        saved = collections.Counter(_svds_saved(c * a, svd_calls)
+                                    for a in _sweep_standard_parts())
+        assert set(saved) == {0, 1}, saved
+
+    @pytest.mark.parametrize("a, svds, saved", [
+        # rank 0 at the first SVD: no block is left to prove nonsingular
+        (np.zeros((4, 4)), 1, 0),
+        # full rank at the first SVD: nothing deflates
+        (np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1), 1, 0),
+        # index 2 with T2 = O: R(A^T) and N(A^T) are orthogonal, gap = 1
+        (seeded_reducing_dual(11, (6, 3, 2)).std, 2, 1),
+        # index 1 with T1 = I, T2 = 2 I: Q_0^T P_r = 2 I / sqrt(5), so
+        # gap = 1 - 8/5 < 0 although the block, T1^T = I, is far from
+        # singular; its SVD decides
+        (np.block([[np.eye(2), 2 * np.eye(2)], [np.zeros((2, 4))]]), 2, 0),
+        # A^T = P diag(1, 1e-13, 0) with P a rotation by 60 degrees in
+        # (e2, e3): rank 2 at the first SVD, gap = cos^2 = 1/4, and the
+        # next block diag(1, 5e-14) is below the cut 300 eps = 6.7e-14;
+        # sigma_2 sqrt(gap) is not above twice the cut, so its SVD runs
+        # and deflates once more (index 2)
+        (np.array([[1, 0, 0], [0, 0.5e-13, 0.75 ** 0.5 * 1e-13], [0, 0, 0]]),
+         2, 1),
+    ], ids=["zero", "invertible", "reducing", "bound-fails", "sigma-near-cut"])
+    def test_svds(self, a, svds, saved, svd_calls):
+        assert _svds_saved(a, svd_calls) == saved
+        svd_calls.clear()
+        _staircase(a)
+        assert len(svd_calls) == svds
