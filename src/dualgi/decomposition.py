@@ -114,6 +114,8 @@ def dual_cn_split(ah, tol=DEFAULT_TOL):
 def dcepgi_from_decomposition(d):
     """The DCEPGI Uhat [[T1hat^-1, O], [O, O]] Uhat^T, read-only, of a
     canonical ``d``, where it exists at the tolerance ``d`` was built at."""
+    if not isinstance(d, DualCoreEPDecomposition):
+        raise TypeError(f"not a DualCoreEPDecomposition: {type(d).__name__}")
     if not d.canonical:
         raise InverseNotExistError(
             "decomposition is not canonical (T2 U3 or U3 T2 nonzero)", None)

@@ -27,16 +27,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualScalar:
-    """Scalar dual number std + eps*inf."""
+    """Scalar dual number std + eps*inf, its parts Python floats."""
 
     std: float
     inf: float = 0.0
+
+    def __post_init__(self):
+        for part in ("std", "inf"):
+            object.__setattr__(self, part, float(
+                _real(getattr(self, part), "dual parts", ndim=0)))
 
     def __add__(self, other):
         other = _as_dual_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        return DualScalar(self.std + other.std, self.inf + other.inf)
+        return _trusted(DualScalar, self.std + other.std, self.inf + other.inf)
 
     __radd__ = __add__
 
@@ -44,17 +49,17 @@ class DualScalar:
         other = _as_dual_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        return DualScalar(self.std - other.std, self.inf - other.inf)
+        return _trusted(DualScalar, self.std - other.std, self.inf - other.inf)
 
     def __neg__(self):
-        return DualScalar(-self.std, -self.inf)
+        return _trusted(DualScalar, -self.std, -self.inf)
 
     def __mul__(self, other):
         other = _as_dual_scalar(other)
         if other is NotImplemented:
             return NotImplemented  # defer to matrix/vector __rmul__
-        return DualScalar(self.std * other.std,
-                          self.std * other.inf + self.inf * other.std)
+        return _trusted(DualScalar, self.std * other.std,
+                        self.std * other.inf + self.inf * other.std)
 
     __rmul__ = __mul__
 
@@ -66,7 +71,7 @@ def _as_dual_scalar(x):
     if isinstance(x, DualScalar):
         return x
     if isinstance(x, (int, float, np.integer, np.floating)):
-        return DualScalar(float(x))
+        return DualScalar(x)
     return NotImplemented
 
 
@@ -88,8 +93,8 @@ def _refuse_radd(self, other):
 
 
 def _trusted(cls, std, inf):
-    """The ``cls`` (DualMatrix or DualVector) with parts ``std`` and
-    ``inf``, float arrays of equal shape, built with none of the
+    """The ``cls`` with parts ``std`` and ``inf``, float arrays of equal
+    shape (Python floats for a DualScalar), built with none of the
     constructor's checks: for ring results of checked values."""
     x = object.__new__(cls)
     state = vars(x)
@@ -224,8 +229,6 @@ class DualMatrix:
         s = _as_dual_scalar(scalar)
         if s is NotImplemented:
             return NotImplemented
-        if not (math.isfinite(s.std) and math.isfinite(s.inf)):
-            raise ValueError("entries must be finite")
         return _trusted(DualMatrix, s.std * self.std,
                         s.std * self.inf + s.inf * self.std)
 
@@ -253,6 +256,7 @@ class DualMatrix:
 
 
 def _as_dual_matrix(x):
+    """The operand rule, of every dual-matrix argument (README)."""
     if isinstance(x, DualMatrix):
         return x
     if isinstance(x, (DualVector, DualScalar)):
@@ -267,6 +271,7 @@ def _as_dual_matrix(x):
 def dual_power(x, k):
     """Ahat^k with standard part A^k and infinitesimal part
     sum_{i=1..k} A^(k-i) B A^(i-1), unchecked as ``@``'s result."""
+    x = _as_dual_matrix(x)
     if not x.is_square:
         raise DimensionError(f"power of non-square dual matrix {x.shape}")
     k = _count(k, "'k'")

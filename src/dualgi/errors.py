@@ -26,5 +26,5 @@ class HypothesisError(DualgiError):
 
 
 class NumericalError(DualgiError):
-    """A LAPACK routine failed (``LinAlgError``), or a witness, residual
-    or report came out not finite."""
+    """A LAPACK routine failed (``LinAlgError``), a witness, residual or
+    report came out not finite, or the compact DCEPGI missed ``dcepgi``."""

@@ -42,7 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import DualMatrix, _fro, _s_terms, _trusted, dual_power
+from .dual import (DualMatrix, _as_dual_matrix, _fro, _s_terms, _trusted,
+                   dual_power)
 from .errors import (DimensionError, HypothesisError, InverseNotExistError,
                      NumericalError)
 from .realkernel import (DEFAULT_TOL, _count, _horner, _range_factor,
@@ -192,7 +193,7 @@ class _Frame:
 
     @classmethod
     def of(cls, ah, u=None):
-        """The dual frame of ``ah``.
+        """The dual frame of ``ah``, by the operand rule (a real A: A + eps O).
 
         The last frame built without ``u`` is kept, keyed by the shape
         and bytes of ``ah``'s parts, and serves, with every part it has
@@ -203,6 +204,7 @@ class _Frame:
         for its call alone.
         """
         global _last_frame
+        ah = _as_dual_matrix(ah)
         if u is not None:
             return cls(ah, u)
         key = (ah.std.shape, ah.std.tobytes(), ah.inf.tobytes())
@@ -387,6 +389,7 @@ def _row(left, right):
 
 def penrose_residuals(ah, xh):
     """Relative residuals of the four dual Penrose equations."""
+    ah, xh = _as_dual_matrix(ah), _as_dual_matrix(xh)
     scale = max(ah.norm(), xh.norm())
     ax, xa = ah @ xh, xh @ ah
     return {
@@ -405,6 +408,7 @@ def _power_identity(ah, xh, m):
 
 def drazin_residuals(ah, xh, m):
     """Relative residuals of the dual {1^m, 2, 5} identities."""
+    ah, xh = _as_dual_matrix(ah), _as_dual_matrix(xh)
     scale = max(ah.norm(), xh.norm())
     return {
         "drazin_1m": _rel(_power_identity(ah, xh, m), scale),
@@ -416,6 +420,7 @@ def drazin_residuals(ah, xh, m):
 def core_ep_residuals(ah, xh, m):
     """Relative residuals of the three dual core-EP conditions
     (AX)^T = AX, AX^2 = X, XA^(m+1) = A^m."""
+    ah, xh = _as_dual_matrix(ah), _as_dual_matrix(xh)
     scale = max(ah.norm(), xh.norm())
     ax = ah @ xh
     return {
@@ -435,6 +440,7 @@ def mpdgi(ah):
     The DMPGI's block form (``_dmpgi_blocks``) with its two off-diagonal
     blocks dropped, so not in general the DMPGI; see ``dmpgi``.
     """
+    ah = _as_dual_matrix(ah)
     ap = moore_penrose(ah.std)
     return _finite(_trusted(DualMatrix, ap, -ap.dot(ah.inf).dot(ap)))
 
@@ -449,7 +455,7 @@ def dmpgi_exists(ah, tol=DEFAULT_TOL, m=1):
     moved with B would move a verdict linear in B.  A power is formed
     here, so its cut takes its roundoff's floor (README).
     """
-    m = _count(m, "'m'", 1)
+    ah, m = _as_dual_matrix(ah), _count(m, "'m'", 1)
     try:  # a float power that overflows raises, a product gives inf
         floor = 0.0 if m == 1 else ah.shape[0] * _svd_rank(ah.std)[1] ** m
     except OverflowError:
@@ -590,23 +596,29 @@ def dcepgi_compact(ah, tol=DEFAULT_TOL):
     """Compact product formula Ahat^D Ahat^m (Ahat^m)^dagger.
 
     Needs the DDGI and (Ahat^m)^dagger, which exist exactly when the
-    DCEPGI does; agrees with ``dcepgi`` then, in exact arithmetic.  The
-    certificate certifies existence, not the product's accuracy, which
-    falls with cond(T1)^m (README, "Numerical conventions").
+    DCEPGI does; agrees with ``dcepgi`` then, in exact arithmetic.  Its
+    accuracy falls with cond(T1)^m: NumericalError where its gap to the
+    (unique) ``dcepgi`` is above ``tol`` (README, "Numerical conventions").
     """
     return _dcepgi_compact(ah, tol).witness
 
 
 def _dcepgi_compact(ah, tol):
     """The DCEPGI certificate with the compact product as its only
-    witness, (Ahat^m)^+ at the frame's U and rank t (``_range_factor``)."""
-    df = _Frame.of(ah)
+    witness, (Ahat^m)^+ at the frame's U and rank t (``_range_factor``),
+    checked against the frame's canonical DCEPGI."""
+    df, tol = _Frame.of(ah), _tolerance(tol)
 
     def product():
         u, ahm = df.blocks.U, df.ahm
         q, k_inv = _range_factor(ahm.std, u[:, :df.blocks.t])
         x = df.ddgi @ ahm @ _dmpgi_blocks(u, k_inv, q, u.T.dot(ahm.inf).dot(q))
-        return _finite(_readonly(x.std, x.inf))
+        x = _finite(_readonly(x.std, x.inf))
+        gap = _rel((x - df.dcepgi).norm(), df.dcepgi.norm())
+        if gap > tol:
+            raise NumericalError(f"the compact product misses the DCEPGI "
+                                 f"by {gap:.3e}")
+        return x
     return _certified(_cep_certificate(df, tol, product), _NO_DCEPGI)
 
 

@@ -297,26 +297,24 @@ def _horner(x, left, right, k):
     return acc
 
 
-def drazin(a, blocks=None):
-    """Drazin inverse via the core-EP block form.
+def drazin(a):
+    """Drazin inverse via the core-EP block form of ``a``.
 
     A^D = U [[T1^-1, Y], [O, O]] U^T, Y = T1^-(m+1) Ttilde by Horner's
     rule in T1^-1 and N, as the DDGI's standard part is formed.
     """
-    if blocks is None:
-        blocks = core_ep_decompose(a)
+    blocks = core_ep_decompose(a)
     ti = blocks.t1_inv
     return blocks.assemble_top(
         ti, ti.dot(ti).dot(_horner(blocks.T2, ti, blocks.N, blocks.mp)))
 
 
-def core_ep_inverse(a, blocks=None):
-    """Core-EP inverse A = U [[T1^-1, O], [O, O]] U^T.
+def core_ep_inverse(a):
+    """Core-EP inverse U [[T1^-1, O], [O, O]] U^T of ``a``.
 
     Coincides with A^D A^m (A^m)^dagger (tested, not used as the
     computation route).
     """
-    if blocks is None:
-        blocks = core_ep_decompose(a)
+    blocks = core_ep_decompose(a)
     return blocks.assemble_top(blocks.t1_inv,
                                np.zeros((blocks.t, blocks.n - blocks.t)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualMatrix, DualVector, _fro
+from .dual import DualMatrix, DualVector, _as_dual_matrix, _fro
 from .errors import DimensionError, HypothesisError
 from .inverses import _dcepgi, _first_order_dcepgi, _Frame, _rel, _row
 from .realkernel import DEFAULT_TOL, _tolerance
@@ -47,14 +47,15 @@ class SolutionReport:
 
 
 def _checked_frame(ah, bhat):
-    """The dual frame of ``ah``, once the right-hand side fits."""
+    """``ah`` by the operand rule, and its frame, once ``bhat`` fits."""
+    ah = _as_dual_matrix(ah)
     if not isinstance(bhat, DualVector):
         raise DimensionError("the right-hand side must be a DualVector, "
                              f"got {type(bhat).__name__}")
     if len(bhat) != ah.shape[0]:
         raise DimensionError(f"right-hand side length {len(bhat)} does not "
                              f"match matrix size {ah.shape[0]}")
-    return _Frame.of(ah)
+    return ah, _Frame.of(ah)
 
 
 def solve_general(ah, bhat, tol=DEFAULT_TOL):
@@ -71,7 +72,7 @@ def solve_general(ah, bhat, tol=DEFAULT_TOL):
     Uhat1 T1hat^m Uhat1^T bhat, T1hat^m read off ``_Frame.power_top``.
     """
     tol = _tolerance(tol)
-    df = _checked_frame(ah, bhat)
+    ah, df = _checked_frame(ah, bhat)
     particular = _dcepgi(ah, tol).witness @ bhat
     z = df.t1_hat_inv @ df.t2_hat + df.drazin_top @ df.n_hat
     projector = (df.u_hat2 - df.u_hat1 @ z) @ df.u_hat2.T
@@ -114,7 +115,7 @@ def solve_unique_in_range(ah, bhat, tol=DEFAULT_TOL):
     roundoff (xhat is zero for bhat in N(Ahat^cep), and A^cep B A^cep
     is zero where B vanishes on R(A^m)).
     """
-    df = _checked_frame(ah, bhat)
+    ah, df = _checked_frame(ah, bhat)
     x_cep = _first_order_dcepgi(ah, tol)
     xhat = x_cep @ bhat
     cep_size = _fro(x_cep.std)

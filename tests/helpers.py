@@ -32,6 +32,7 @@ identities over ``fractions.Fraction`` (object arrays), so small
 integer instances can be checked without any tolerance.
 """
 
+import dataclasses
 from fractions import Fraction
 from functools import reduce
 
@@ -341,3 +342,21 @@ def exact_core_ep_residuals(ah, xh, m):
         "cep_power": diff(exact_mul(xh, exact_power(ah, m + 1)),
                           exact_power(ah, m)),
     }
+
+
+def bits(x):
+    """``x`` as nested tuples, arrays and floats as their bytes, so that
+    == is bitwise equality; a dataclass by the fields its == compares."""
+    if isinstance(x, np.ndarray):
+        return x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            bits(getattr(x, f.name)) for f in dataclasses.fields(x)
+            if f.compare)
+    if isinstance(x, dict):
+        return tuple((key, bits(value)) for key, value in x.items())
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(value) for value in x)
+    if isinstance(x, float):
+        return x.hex()
+    return repr(x)

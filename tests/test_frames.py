@@ -26,7 +26,6 @@ witness reads no array of the caller's.
 """
 
 import collections
-import dataclasses
 import functools
 import gc
 import json
@@ -47,8 +46,9 @@ from dualgi.errors import (DimensionError, DualgiError, HypothesisError,
                            InverseNotExistError, NumericalError)
 from dualgi.io import dual_vector_to_dict, write_dual_matrix
 from dualgi.realkernel import core_ep_decompose
-from helpers import (Frame, existing_dual, existing_dual_b3, mp_existing_dual,
-                     random_dual, random_dual_vector, reducing_dual)
+from helpers import (Frame, bits, existing_dual, existing_dual_b3,
+                     mp_existing_dual, random_dual, random_dual_vector,
+                     reducing_dual)
 
 RNG = np.random.default_rng(20260301)
 
@@ -319,13 +319,23 @@ def test_cli_general_forms_the_dcepgi_once(monkeypatch, index_three,
     assert "ahm" not in vars(forms[0])
 
 
-def test_compact_forms_no_canonical_dcepgi(index_three):
-    # the compact certificate's only witness is the compact product, so a
-    # cold call forms no canonical DCEPGI
+def test_compact_checked_against_canonical_dcepgi(index_three, monkeypatch):
+    # the DCEPGI is unique, so the compact product is checked against the
+    # frame's canonical one, which a cold call therefore forms; a product
+    # that misses it raises NumericalError
     ah, _ = index_three
     x = dualgi.dcepgi_compact(ah)
-    assert "dcepgi" not in vars(inverses._last_frame[1])
-    assert (x - dualgi.dcepgi(ah)).norm() < 1e-9
+    df = inverses._last_frame[1]
+    assert "dcepgi" in vars(df)
+    assert (x - df.dcepgi).norm() <= 1e-10 * df.dcepgi.norm()
+    range_factor = inverses._range_factor
+
+    def doubled(a, u1):  # 2 (Ahat^m)^+: a product twice the DCEPGI
+        q, k_inv = range_factor(a, u1)
+        return q, 2 * k_inv
+    monkeypatch.setattr(inverses, "_range_factor", doubled)
+    with pytest.raises(NumericalError, match="compact product misses"):
+        dualgi.dcepgi_compact(ah)
 
 
 def test_first_order_report_forms_no_power(index_three):
@@ -386,31 +396,13 @@ def test_frame_computes_in_unchecked_dual_matrices(monkeypatch, index_three):
 # the kept frame: one per input, across calls
 # ---------------------------------------------------------------------------
 
-def _bits(x):
-    """``x`` as nested tuples, arrays and floats as their bytes, so that
-    == is bitwise equality; a dataclass by the fields its == compares."""
-    if isinstance(x, np.ndarray):
-        return x.shape, x.tobytes()
-    if dataclasses.is_dataclass(x):
-        return (type(x).__name__,) + tuple(
-            _bits(getattr(x, f.name)) for f in dataclasses.fields(x)
-            if f.compare)
-    if isinstance(x, dict):
-        return tuple((key, _bits(value)) for key, value in x.items())
-    if isinstance(x, (tuple, list)):
-        return tuple(_bits(value) for value in x)
-    if isinstance(x, float):
-        return x.hex()
-    return repr(x)
-
-
 def _outcome(name, ah, bh):
     """The bits of a call's result, or of the library error it raised."""
     try:
-        return _bits(_call(name, ah, bh))
+        return bits(_call(name, ah, bh))
     except DualgiError as exc:
         return (type(exc).__name__, str(exc),
-                _bits(getattr(exc, "certificate", None)))
+                bits(getattr(exc, "certificate", None)))
 
 
 CHAIN = ONE_FRAME + ("ddgi_exists",)
@@ -637,11 +629,11 @@ def test_witness_is_formed_once(name, index_three, mp_input):
     assert cert.witness is witness
     assert not (witness.std.flags.writeable or witness.inf.flags.writeable)
     inverses._last_frame = None
-    assert _bits(witness) == _bits(getattr(dualgi, name)(ah))
+    assert bits(witness) == bits(getattr(dualgi, name)(ah))
     unread = getattr(dualgi, name + "_exists")(ah)
     pickled = pickle.loads(pickle.dumps(unread))
-    assert _bits(pickled) == _bits(cert)
-    assert _bits(pickled.witness) == _bits(witness)
+    assert bits(pickled) == bits(cert)
+    assert bits(pickled.witness) == bits(witness)
 
 
 def test_given_witness_is_kept():
@@ -702,4 +694,4 @@ def test_dmpgi_witness_reads_no_caller_array(part, mp_input):
     ah = DualMatrix(mp_input.std.copy(), mp_input.inf.copy())
     cert = dualgi.dmpgi_exists(ah)
     getattr(ah, part)[...] *= 2.0
-    assert _bits(cert.witness) == _bits(dualgi.dmpgi(mp_input))
+    assert bits(cert.witness) == bits(dualgi.dmpgi(mp_input))

@@ -3,14 +3,16 @@ or a tolerance refuses each bad class of value with one error type, and
 its message names the argument (and, for a count or a tolerance, the
 value).  The three rules are ``realkernel._real``, ``_count`` and
 ``_tolerance``; the ``dualgi`` CLI and the JSON reader apply the same
-rules (``test_io_cli.py``)."""
+rules (``test_io_cli.py``).  Every dual-matrix argument meets a fourth,
+the operators' operand rule ``dual._as_dual_matrix``."""
 
 import numpy as np
 import pytest
 
 import dualgi
-from dualgi import DualMatrix, DualVector
+from dualgi import DualMatrix, DualScalar, DualVector, inverses
 from dualgi.errors import DimensionError, NumericalError
+from helpers import bits
 
 # an invertible input: every inverse exists and every hypothesis holds,
 # so only the value under test can be refused
@@ -208,3 +210,114 @@ def test_report_tolerance_kept_as_float(call, tol):
     verdicts, kept = REPORT_VERDICTS[call](TOL_CALLS[call](tol))
     assert all(type(v) is bool for v in verdicts), verdicts
     assert kept is None or (type(kept) is float and kept == float(tol))
+
+
+# every public call that takes a dual matrix -> a call on the operand x;
+# a second dual operand gets its own entry ("-xh", "-bh")
+DUAL_CALLS = {
+    name: lambda x, fn=getattr(dualgi, name): fn(x)
+    for name in ("ddgi_exists", "ddgi", "dual_group", "dcepgi_exists",
+                 "dcepgi", "dcepgi_compact", "dual_core_inverse",
+                 "dual_core_ep_decompose", "dual_cn_split",
+                 "first_order_form_report", "rank_test",
+                 "range_null_report", "mpdgi", "dmpgi_exists", "dmpgi")}
+DUAL_CALLS.update({
+    "penrose_residuals": lambda x: dualgi.penrose_residuals(x, X),
+    "penrose_residuals-xh": lambda x: dualgi.penrose_residuals(AH, x),
+    "drazin_residuals": lambda x: dualgi.drazin_residuals(x, X, 1),
+    "drazin_residuals-xh": lambda x: dualgi.drazin_residuals(AH, x, 1),
+    "core_ep_residuals": lambda x: dualgi.core_ep_residuals(x, X, 1),
+    "core_ep_residuals-xh": lambda x: dualgi.core_ep_residuals(AH, x, 1),
+    "order_law_check": lambda x: dualgi.order_law_check(x, AH),
+    "order_law_check-bh": lambda x: dualgi.order_law_check(AH, x),
+    "dual_power": lambda x: dualgi.dual_power(x, 2),
+    "solve_general": lambda x: dualgi.solve_general(x, BH),
+    "solve_unique_in_range": lambda x: dualgi.solve_unique_in_range(x, BH)})
+#: the calls a rectangular dual matrix is due to
+RECTANGULAR = ("mpdgi", "dmpgi_exists", "dmpgi")
+
+
+def _result(call, x):
+    """The bits of ``call`` on ``x`` from a cold frame, a certificate's
+    witness with them."""
+    inverses._last_frame = None
+    r = DUAL_CALLS[call](x)
+    return bits(r), bits(getattr(r, "witness", None))
+
+
+@pytest.mark.parametrize("call", DUAL_CALLS)
+def test_real_operand_is_a_dual_matrix(call):
+    # A + eps O, as for the operators: a real array and a nested list give
+    # the result of DualMatrix(a), bit for bit
+    a = AH.std
+    expected = _result(call, DualMatrix(a))
+    assert _result(call, a) == expected
+    assert _result(call, a.tolist()) == expected
+
+
+@pytest.mark.parametrize("operand", [
+    DualVector(np.ones(2)), DualScalar(1.0), None, "a", np.ones(2)],
+    ids=["DualVector", "DualScalar", "None", "string", "1-D"])
+@pytest.mark.parametrize("call", DUAL_CALLS)
+def test_non_matrix_operand_refused(call, operand):
+    # was an AttributeError (.std, .shape, .norm) or a TypeError of dtype
+    # object, as the operand reached the first attribute read
+    with pytest.raises(DimensionError, match="not a dual matrix operand"):
+        DUAL_CALLS[call](operand)
+
+
+@pytest.mark.parametrize("call", DUAL_CALLS)
+def test_rectangular_operand(call):
+    # the DMPGI and the MPDGI of a 2 x 3 matrix exist; every other call
+    # needs a square one
+    a = np.arange(6.0).reshape(2, 3)
+    if call in RECTANGULAR:
+        DUAL_CALLS[call](a)
+    else:
+        with pytest.raises(DimensionError):
+            DUAL_CALLS[call](a)
+
+
+def test_decomposition_operand_refused():
+    with pytest.raises(TypeError, match="DualCoreEPDecomposition"):
+        dualgi.dcepgi_from_decomposition(DualMatrix.eye(2))
+
+
+@pytest.mark.parametrize("fn", [dualgi.drazin, dualgi.core_ep_inverse])
+def test_no_blocks_argument(fn):
+    # a frame of another matrix gave that matrix's inverse
+    with pytest.raises(TypeError, match="blocks"):
+        fn(np.eye(3), blocks=dualgi.core_ep_decompose(np.eye(2)))
+
+
+@pytest.mark.parametrize("parts, error", [
+    (("1",), TypeError), ((float("nan"),), ValueError),
+    ((np.ones(2),), DimensionError), ((1, "x"), TypeError),
+    ((1, float("inf")), ValueError), ((1j,), TypeError)])
+def test_bad_scalar_part_refused(parts, error):
+    # each constructed, and DualScalar(1, "x") * X raised only later
+    with pytest.raises(error) as info:
+        DualScalar(*parts)
+    assert type(info.value) is error
+    assert str(info.value).startswith("dual parts must ")
+
+
+def test_scalar_parts_kept_as_floats():
+    for x in (DualScalar(1, True), DualScalar(np.float32(0.5), np.int64(2)),
+              DualScalar(np.array(3.0)), 2 * DualScalar(1.0)):
+        assert type(x.std) is float and type(x.inf) is float
+    assert DualScalar(np.float32(0.5), np.int64(2)) == DualScalar(0.5, 2.0)
+
+
+def test_scalar_ring_results_are_not_rechecked(monkeypatch):
+    # as DualMatrix: the caller's values are checked, ring results are not,
+    # so one that overflows holds inf
+    x, y = DualScalar(1e200, 1.0), DualScalar(1e200, -1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ring result was checked again")
+    monkeypatch.setattr("dualgi.dual._real", refuse)
+    assert (x * y).std == np.inf
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product rule
+        assert (DualMatrix.eye(1) * (x * y)).std[0, 0] == np.inf
+    assert (x + y).inf == 0.0 and (x - y).std == 0.0 and (-x).inf == -1.0

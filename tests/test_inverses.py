@@ -10,7 +10,8 @@ from dualgi import (DualMatrix, core_ep_inverse, core_ep_residuals, dcepgi,
                     dmpgi_exists, drazin, drazin_residuals, dual_core_inverse,
                     dual_group, dual_power, index, moore_penrose, mpdgi,
                     penrose_residuals, solve_general)
-from dualgi.errors import DimensionError, InverseNotExistError
+from dualgi.errors import (DimensionError, InverseNotExistError,
+                           NumericalError)
 from helpers import (REDUCING_CUTOFF_CASES, Frame, dcepgi_bruteforce_oracle,
                      existing_dual, existing_dual_b3, mp_existing_dual,
                      orthogonal, random_dual, random_dual_vector,
@@ -300,6 +301,15 @@ class TestCompactFormula:
             ah = existing_dual(rng, Frame(rng, 6, 3, 3, cond=100))
             x = dcepgi(ah)
             assert (dcepgi_compact(ah) - x).norm() <= 1e-9 * x.norm(), s
+
+    def test_drift_at_cond_1e3_raises(self):
+        # index 3: the product missed the DCEPGI by up to 1.9e-8 here
+        # while the certificate said it exists, and was returned
+        rng = np.random.default_rng([0, 6, 3, 1000, 0])
+        ah = existing_dual(rng, Frame(rng, 6, 3, 3, cond=1e3))
+        assert dcepgi_exists(ah).exists
+        with pytest.raises(NumericalError, match="compact product misses"):
+            dcepgi_compact(ah)
 
 
 class TestBruteForceOracle:

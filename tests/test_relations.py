@@ -157,6 +157,14 @@ class TestRangeNull:
         assert report.all_hold
         assert report.intersection_dimension == 0
 
+    def test_intersection_trivial_below_roundoff(self):
+        # Uhat is dual orthogonal by construction; ||U^T U - I||_F / n
+        # compared with tol reported a dimension of 2 at tol = 1e-16
+        f = Frame(np.random.default_rng(3), 6, 2, 2)
+        for tol in (1e-16, 1e-14):
+            report = range_null_report(DualMatrix(f.A), tol=tol)
+            assert report.intersection_dimension == 0
+
     @pytest.mark.parametrize("n, m", [(6, 2), (14, 4), (17, 4)])
     @pytest.mark.parametrize("build", [existing_dual, reducing_dual])
     def test_holds_at_ill_conditioned_t1(self, n, m, build):
